@@ -158,9 +158,8 @@ def _cmd_fig2(args) -> int:
     writer = RunWriter(_out_dir(args))
     _echo_config(writer, args, cfg, {})
     barrier = cfg.barrier()
-    prop = cfg.propagator()
-    pair, prob = transmitted_pair(cfg.packet(), prop, barrier, cfg.transmit_cut())
-    dist = conditional_distribution(pair, prop, barrier)
+    pair = transmitted_pair(cfg.packet(), cfg.propagator(), barrier, cfg.transmit_cut())
+    dist = conditional_distribution(pair)
 
     rows = []
     for row, t in enumerate(dist.times):
@@ -175,7 +174,7 @@ def _cmd_fig2(args) -> int:
         zip(occ.times, occ.entrance, occ.center, occ.exit),
     )
     writer.write_json("summary.json", {
-        "transmit_prob": prob,
+        "transmit_prob": pair.postselect_prob,
         "center_to_peak": occ.center_to_peak(),
         "duration": cfg.duration,
         "n_record": cfg.n_record,
@@ -195,16 +194,16 @@ def _cmd_dwell(args) -> int:
     _echo_config(writer, args, cfg, {"region": [left, right]})
     # the dwell integral needs the t=0 endpoint in the record grid
     prop = cfg.propagator(record_times=(0.0,) + cfg.record_times())
-    pair, prob = transmitted_pair(cfg.packet(), prop, barrier, cfg.transmit_cut())
+    pair = transmitted_pair(cfg.packet(), prop, barrier, cfg.transmit_cut())
     region = region_projector(cfg.grid(), left, right)
-    dwell = conditional_dwell_time(pair, region, prop, barrier)
+    dwell = conditional_dwell_time(pair, region)
     writer.write_json("dwell.json", {
         "region_left": left,
         "region_right": right,
         "dwell_time": dwell,
         "duration": cfg.duration,
-        "transmit_prob": prob,
-        "n_record": len(prop.record_times),
+        "transmit_prob": pair.postselect_prob,
+        "n_record": len(pair.times),
     })
     writer.finish()
     return 0
@@ -236,12 +235,11 @@ def _cmd_two_probe(args) -> int:
         "region_a": list(region_a), "region_b": list(region_b),
         "sign_b": args.sign_b,
     })
-    prop = cfg.propagator()
-    pair, prob = transmitted_pair(cfg.packet(), prop, barrier, cfg.transmit_cut())
+    pair = transmitted_pair(cfg.packet(), cfg.propagator(), barrier, cfg.transmit_cut())
     probe_a = WeakProbe(region_projector(grid, *region_a), cfg.pointer_delta, window_a)
     probe_b = WeakProbe(region_projector(grid, *region_b), cfg.pointer_delta, window_b,
                         sign=args.sign_b)
-    run = two_probe_run(pair, probe_a, probe_b, barrier, prop, cfg.pointer_sigma)
+    run = two_probe_run(pair, probe_a, probe_b, cfg.pointer_sigma)
     wa, wb = run.window_values
     writer.write_json("twoprobe.json", {
         "shift_a": run.mean_shift_a,
@@ -249,7 +247,7 @@ def _cmd_two_probe(args) -> int:
         "net_rotation": run.net_rotation,
         "window_value_a": [wa.real, wa.imag],
         "window_value_b": [wb.real, wb.imag],
-        "transmit_prob": prob,
+        "transmit_prob": pair.postselect_prob,
         "moments": run.moment_report(),
     })
     writer.finish()

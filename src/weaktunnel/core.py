@@ -240,7 +240,10 @@ def cell_projectors(grid: Grid, edges: Sequence[float]) -> list[RegionProjector]
     return [region_projector(grid, a, b) for a, b in zip(edges, edges[1:])]
 
 
-def edge_probability(psi: WaveFunction, n_edge: int = 4) -> float:
+EDGE_CELLS = 4
+
+
+def edge_probability(psi: WaveFunction, n_edge: int = EDGE_CELLS) -> float:
     """Total probability in the outermost n_edge cells at each domain end.
 
     Used as the runtime guard against wrap-around on the periodic grid.

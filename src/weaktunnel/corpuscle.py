@@ -25,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .errors import ConfigError
 
@@ -85,10 +84,11 @@ def population_difference_variance(model: CorpuscularModel) -> float:
 def corpuscular_min_variance(mu_a: float, mu_b: float, sigma: float) -> float:
     """Smallest Var(a - b) any model with the given mean shifts can reach.
 
-    Substituting delta_A = mu_A/p and delta_B = mu_B/(1-p) leaves a 1-D
-    minimization over the hit probability, done numerically.  For equal
-    positive means the minimum lands at p = 1/2 with value
-    2 sigma^2 + 4 mu^2; the optimizer confirms rather than assumes this.
+    Substituting delta_A = mu_A/p and delta_B = mu_B/(1-p) leaves
+    base + mu_A^2/p + mu_B^2/(1-p) with base = 2 sigma^2 - (mu_A - mu_B)^2.
+    By Cauchy-Schwarz the last two terms are at least (mu_A + mu_B)^2,
+    reached at p = mu_A/(mu_A + mu_B) (or in the limit p -> 0 or 1 when one
+    mean vanishes), so the floor is 2 sigma^2 + 4 mu_A mu_B.
     """
     if sigma <= 0:
         raise ConfigError(f"noise width must be positive, got {sigma}")
@@ -97,22 +97,7 @@ def corpuscular_min_variance(mu_a: float, mu_b: float, sigma: float) -> float:
             f"mean shifts must be non-negative, got ({mu_a}, {mu_b}); no member "
             "of the family with non-negative per-hit shifts reaches them"
         )
-    base = 2.0 * sigma**2 - (mu_a - mu_b) ** 2
-    if mu_a == 0.0 and mu_b == 0.0:
-        return base
-    if mu_a == 0.0 or mu_b == 0.0:
-        # One shift free: push its probability toward the edge, the second
-        # moment of the other detector then approaches its mean squared.
-        return base + (mu_a + mu_b) ** 2
-
-    def excess(p: float) -> float:
-        return mu_a**2 / p + mu_b**2 / (1.0 - p)
-
-    result = minimize_scalar(excess, bounds=(1e-9, 1.0 - 1e-9), method="bounded",
-                             options={"xatol": 1e-12})
-    if not result.success:
-        raise ConfigError(f"corpuscular bound minimization failed: {result.message}")
-    return base + float(result.fun)
+    return 2.0 * sigma**2 + 4.0 * mu_a * mu_b
 
 
 @dataclass(frozen=True)

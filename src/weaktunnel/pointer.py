@@ -28,10 +28,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import BarrierSpec, RegionProjector
+from .core import RegionProjector
 from .errors import ConfigError, QuadratureError
-from .tdse import PropagatorConfig
-from .weakval import PrePostPair, _paired_snapshots, OVERLAP_FLOOR
+from .weakval import PrePostPair
 
 __all__ = [
     "PointerState",
@@ -350,22 +349,19 @@ def _window_average(times: np.ndarray, values: np.ndarray,
 
 
 def two_probe_run(pair: PrePostPair, probe_a: WeakProbe, probe_b: WeakProbe,
-                  barrier: BarrierSpec | None, cfg: PropagatorConfig,
-                  pointer_sigma: float,
-                  floor: float = OVERLAP_FLOOR) -> TwoProbeRun:
+                  pointer_sigma: float) -> TwoProbeRun:
     """Apply two weak probes to one particle and read the pointers.
 
     Each probe displaces its pointer by sign * delta * Re[avg], where avg is
     the conditional value of its target projector averaged over its window
     under the pair's pre- and post-selection.  Windows must start and end on
-    cfg.record_times; shifts are first order in delta, so the joint state
-    is a plain product of displaced Gaussians and the difference variance
-    stays at its product value.
+    the pair's recorded times; shifts are first order in delta, so the joint
+    state is a plain product of displaced Gaussians and the difference
+    variance stays at its product value.
     """
-    duration = cfg.duration
     for probe in (probe_a, probe_b):
         t1, t2 = probe.window
-        if t1 < 0.0 or t2 > duration + 1e-12:
+        if t1 < 0.0 or t2 > pair.duration + 1e-12:
             raise ConfigError(f"probe window {probe.window} falls outside the run")
         ratio = probe.delta / pointer_sigma
         if ratio > WEAKNESS_WARNING_RATIO:
@@ -375,19 +371,12 @@ def two_probe_run(pair: PrePostPair, probe_a: WeakProbe, probe_b: WeakProbe,
                 stacklevel=2,
             )
 
-    snaps = _paired_snapshots(pair, cfg, barrier, floor)
-    times = np.array([t for t, _, _, _ in snaps])
-    dx = pair.initial.grid.dx
-    values = {}
-    for key, probe in (("a", probe_a), ("b", probe_b)):
-        mask = probe.target.mask
-        vals = np.empty(len(snaps), dtype=complex)
-        for j, (_, ket, bra, overlap) in enumerate(snaps):
-            vals[j] = np.sum(np.conj(bra.amp[mask]) * ket.amp[mask]) * dx / overlap
-        values[key] = _window_average(times, vals, probe.window)
-
-    shift_a = probe_a.sign * probe_a.delta * values["a"].real
-    shift_b = probe_b.sign * probe_b.delta * values["b"].real
+    times = np.array(pair.times)
+    value_a, value_b = (_window_average(times, pair.region_weights(probe.target),
+                                        probe.window)
+                        for probe in (probe_a, probe_b))
+    shift_a = probe_a.sign * probe_a.delta * value_a.real
+    shift_b = probe_b.sign * probe_b.delta * value_b.real
     state = JointPointerState(
         sigma=pointer_sigma,
         branches=((1.0 + 0.0j, shift_a, shift_b, 0),),
@@ -396,7 +385,7 @@ def two_probe_run(pair: PrePostPair, probe_a: WeakProbe, probe_b: WeakProbe,
         state=state,
         mean_shift_a=shift_a,
         mean_shift_b=shift_b,
-        window_values=(values["a"], values["b"]),
+        window_values=(value_a, value_b),
         net_rotation=shift_a + shift_b,
         postselect_prob=abs(pair.overlap) ** 2,
     )

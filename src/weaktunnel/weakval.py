@@ -12,14 +12,27 @@ intermediate time but is not non-negative; its real part is the natural
 reading of "where was the particle, given where it ended up".  The imaginary
 part is kept in a companion channel.
 
-The post-selection overlap enters as a denominator, so runs are guarded by a
-floor on |<f|i>|^2 (default 1e-12) below which conditional values are
-numerically meaningless.
+Every conditional observable reads one history per pre/post pair.  Building
+a pair (make_pair for an explicit final state, transmitted_pair for
+post-selection on transmission) runs the forward leg from |i> once, takes the
+post-selected state from its last snapshot, and runs the backward leg from
+<f| once.  The pair keeps the forward kets, the backward bras and their
+overlaps at every recorded time.  The conditional distribution, the dwell
+clock and the probe shifts of pointer.two_probe_run are reductions of that
+stored history, so whoever builds the pair fixes the time resolution of all
+of them.
+
+The post-selection overlap enters as a denominator, so pairs are guarded by
+a floor on |<f|i>|^2 (default 1e-12) below which conditional values are
+numerically meaningless.  Unitarity pins <f(t)|i(t)> to <f|U|i> at every
+recorded time; a relative drift beyond 1e-6 means the two legs are no longer
+adjoint and the pair is refused.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
@@ -88,36 +101,101 @@ def weak_moment(op, n: int, pre, post, floor: float = OVERLAP_FLOOR) -> complex:
 
 @dataclass(frozen=True)
 class PrePostPair:
-    """A preparation at t=0 and a post-selection at t=duration.
+    """A preparation at t=0, a post-selection at t=duration, and their history.
 
     ``final`` is the post-selected state expressed at the post-selection time;
-    ``overlap`` is <final| U(duration) |initial>, fixed at construction.
+    ``overlap`` is <final| U(duration) |initial>.  At each recorded time t,
+    ``kets`` holds U(t)|initial>, ``bras`` holds U(t - duration)|final> and
+    ``overlaps`` their inner product, which unitarity pins to ``overlap``.
+    ``postselect_prob`` is the probability that the post-selection succeeds.
     """
 
     initial: WaveFunction
     final: WaveFunction
     duration: float
     overlap: complex
+    postselect_prob: float
+    times: tuple[float, ...]
+    kets: tuple[WaveFunction, ...]
+    bras: tuple[WaveFunction, ...]
+    overlaps: tuple[complex, ...]
+
+    def region_weights(self, region: RegionProjector) -> np.ndarray:
+        """Complex conditional value of the region projector at every record."""
+        mask = region.mask
+        dx = self.initial.grid.dx
+        return np.array([np.sum(np.conj(bra.amp[mask]) * ket.amp[mask]) * dx / overlap
+                         for ket, bra, overlap in zip(self.kets, self.bras, self.overlaps)])
+
+
+def _build_pair(initial: WaveFunction, cfg: PropagatorConfig,
+                barrier: BarrierSpec | None, floor: float,
+                postselect: Callable[[WaveFunction], tuple[WaveFunction, float]],
+                ) -> PrePostPair:
+    """Run the forward leg once, post-select its last state, run the backward leg.
+
+    The forward leg records cfg.record_times, plus the duration when the last
+    record falls short of it.  The backward leg runs with the edge-density
+    threshold divided by |overlap|^2.  Conditional values are invariant
+    under rescaling the bra, so boundary contamination competes with the
+    physics at the pre-projection amplitude scale, not at the unit norm the
+    bra was renormalized to; a post-selected bra with success probability p
+    may therefore carry up to 1e-8/p of relative edge weight before its
+    history stops being trustworthy.
+    """
+    duration = cfg.duration
+    records = cfg.record_times
+    tail = (duration,) if round(records[-1] / cfg.dt) < cfg.n_steps else ()
+    fwd = propagate(initial, replace(cfg, record_times=records + tail), barrier)
+    evolved = fwd[-1].psi
+    final, prob = postselect(evolved)
+    overlap = final.inner(evolved)
+    _check_floor(overlap, floor)
+
+    back_cfg = replace(cfg, record_times=tuple(duration - t for t in reversed(records)))
+    back_limit = EDGE_PROBABILITY_LIMIT / min(1.0, abs(overlap) ** 2)
+    bwd = propagate_backward(final, back_cfg, barrier, edge_limit=back_limit)
+    times, kets, bras, overlaps = [], [], [], []
+    for (t, ket), (tau, bra) in zip(fwd, reversed(bwd)):
+        if abs((duration - tau) - t) > 1e-9 * max(1.0, duration):
+            raise ConfigError("forward and backward record times failed to line up")
+        record_overlap = bra.inner(ket)
+        _check_floor(record_overlap, floor)
+        drift = abs(record_overlap - overlap) / abs(overlap)
+        if drift > 1e-6:
+            raise SchemeInstabilityError(
+                f"post-selection overlap drifted by {drift:.3e} at t={t}; "
+                "forward and backward evolutions are no longer adjoint"
+            )
+        times.append(t)
+        kets.append(ket)
+        bras.append(bra)
+        overlaps.append(record_overlap)
+    return PrePostPair(initial, final, duration, overlap, prob, tuple(times),
+                       tuple(kets), tuple(bras), tuple(overlaps))
 
 
 def make_pair(initial: WaveFunction, final: WaveFunction, cfg: PropagatorConfig,
               barrier: BarrierSpec | None = None,
               floor: float = OVERLAP_FLOOR) -> PrePostPair:
-    """Build a pair from explicit states, computing the overlap by propagation."""
-    (_, evolved), = propagate(initial, _only_final(cfg), barrier)
-    overlap = final.inner(evolved)
-    _check_floor(overlap, floor)
-    return PrePostPair(initial, final, cfg.duration, overlap)
+    """Pair explicit unit-norm states, recording their history at cfg.record_times.
+
+    The post-selection probability is |<final|U(duration)|initial>|^2.
+    """
+    def postselect(evolved: WaveFunction) -> tuple[WaveFunction, float]:
+        return final, abs(final.inner(evolved)) ** 2
+
+    return _build_pair(initial, cfg, barrier, floor, postselect)
 
 
 def transmitted_pair(initial: WaveFunction, cfg: PropagatorConfig,
                      barrier: BarrierSpec, cut: float,
-                     floor: float = OVERLAP_FLOOR) -> tuple[PrePostPair, float]:
+                     floor: float = OVERLAP_FLOOR) -> PrePostPair:
     """Post-select on transmission: project the evolved state onto x >= cut.
 
     The cut should sit beyond the barrier exit by a couple of packet widths so
-    the projector does not clip barrier-edge structure.  Returns the pair and
-    the post-selection success probability.
+    the projector does not clip barrier-edge structure.  The pair's
+    postselect_prob is the probability of finding the particle beyond the cut.
     """
     grid = initial.grid
     if not barrier.x_right < cut < grid.x_max:
@@ -125,22 +203,17 @@ def transmitted_pair(initial: WaveFunction, cfg: PropagatorConfig,
             f"transmission cut {cut} must lie between the barrier exit "
             f"{barrier.x_right} and the domain edge {grid.x_max}"
         )
-    (_, evolved), = propagate(initial, _only_final(cfg), barrier)
-    projected = region_projector(grid, cut, grid.x_max).apply(evolved)
-    prob = projected.norm() ** 2
-    if prob < floor:
-        raise OverlapFloorError(
-            f"transmission probability {prob:.3e} below the overlap floor {floor:.3e}"
-        )
-    final = projected.normalized()
-    overlap = final.inner(evolved)
-    _check_floor(overlap, floor)
-    return PrePostPair(initial, final, cfg.duration, overlap), float(prob)
 
+    def postselect(evolved: WaveFunction) -> tuple[WaveFunction, float]:
+        projected = region_projector(grid, cut, grid.x_max).apply(evolved)
+        prob = projected.norm() ** 2
+        if prob < floor:
+            raise OverlapFloorError(
+                f"transmission probability {prob:.3e} below the overlap floor {floor:.3e}"
+            )
+        return projected.normalized(), float(prob)
 
-def _only_final(cfg: PropagatorConfig) -> PropagatorConfig:
-    return PropagatorConfig(dt=cfg.dt, n_steps=cfg.n_steps, scheme=cfg.scheme,
-                            record_times=(cfg.duration,))
+    return _build_pair(initial, cfg, barrier, floor, postselect)
 
 
 @dataclass(frozen=True)
@@ -154,7 +227,6 @@ class ConditionalDistribution:
     times: tuple[float, ...]
     re: np.ndarray
     im: np.ndarray
-    overlaps: tuple[complex, ...]
 
     def norm_per_time(self) -> np.ndarray:
         return np.sum(self.re, axis=1) * self.grid.dx
@@ -214,84 +286,28 @@ def barrier_occupation(dist: ConditionalDistribution,
                              center=center, exit=exit_)
 
 
-def _paired_snapshots(pair: PrePostPair, cfg: PropagatorConfig,
-                      barrier: BarrierSpec | None, floor: float):
-    """Forward snapshots of |i> and backward snapshots of |f> at cfg.record_times.
-
-    The backward leg runs with the edge-density threshold divided by
-    |pair.overlap|^2.  Conditional values are invariant under rescaling the
-    bra, so boundary contamination competes with the physics at the
-    pre-projection amplitude scale, not at the unit norm the bra was
-    renormalized to; a post-selected bra with success probability p may
-    therefore carry up to 1e-8/p of relative edge weight before its history
-    stops being trustworthy.
-    """
-    duration = cfg.duration
-    if abs(duration - pair.duration) > 1e-9 * max(1.0, duration):
-        raise ConfigError(
-            f"config duration {duration} does not match pair duration {pair.duration}"
-        )
-    fwd = propagate(pair.initial, cfg, barrier)
-    back_cfg = PropagatorConfig(
-        dt=cfg.dt, n_steps=cfg.n_steps, scheme=cfg.scheme,
-        record_times=tuple(duration - t for t in reversed(cfg.record_times)),
-    )
-    back_limit = EDGE_PROBABILITY_LIMIT / min(1.0, abs(pair.overlap) ** 2)
-    bwd = propagate_backward(pair.final, back_cfg, barrier, edge_limit=back_limit)
-    pairs = []
-    for (t, ket), (tau, bra) in zip(fwd, reversed(bwd)):
-        if abs((duration - tau) - t) > 1e-9 * max(1.0, duration):
-            raise ConfigError("forward and backward record times failed to line up")
-        overlap = bra.inner(ket)
-        _check_floor(overlap, floor)
-        drift = abs(overlap - pair.overlap) / abs(pair.overlap)
-        if drift > 1e-6:
-            raise SchemeInstabilityError(
-                f"post-selection overlap drifted by {drift:.3e} at t={t}; "
-                "forward and backward evolutions are no longer adjoint"
-            )
-        pairs.append((t, ket, bra, overlap))
-    return pairs
-
-
-def conditional_distribution(pair: PrePostPair, cfg: PropagatorConfig,
-                             barrier: BarrierSpec | None = None,
-                             floor: float = OVERLAP_FLOOR) -> ConditionalDistribution:
-    """Conditional position distribution at every time in cfg.record_times."""
-    snaps = _paired_snapshots(pair, cfg, barrier, floor)
+def conditional_distribution(pair: PrePostPair) -> ConditionalDistribution:
+    """Conditional position distribution at every recorded time of the pair."""
     grid = pair.initial.grid
-    re = np.empty((len(snaps), grid.n))
+    re = np.empty((len(pair.times), grid.n))
     im = np.empty_like(re)
-    times, overlaps = [], []
-    for row, (t, ket, bra, overlap) in enumerate(snaps):
+    for row, (ket, bra, overlap) in enumerate(zip(pair.kets, pair.bras, pair.overlaps)):
         w = np.conj(bra.amp) * ket.amp / overlap
         re[row] = w.real
         im[row] = w.imag
-        times.append(t)
-        overlaps.append(overlap)
-    return ConditionalDistribution(grid=grid, times=tuple(times), re=re, im=im,
-                                   overlaps=tuple(overlaps))
+    return ConditionalDistribution(grid=grid, times=pair.times, re=re, im=im)
 
 
-def conditional_dwell_time(pair: PrePostPair, region: RegionProjector,
-                           cfg: PropagatorConfig,
-                           barrier: BarrierSpec | None = None,
-                           floor: float = OVERLAP_FLOOR) -> float:
+def conditional_dwell_time(pair: PrePostPair, region: RegionProjector) -> float:
     """Time integral of Re of the conditional region weight over [0, duration].
 
-    The trapezoid rule runs over cfg.record_times, which must start at 0 and
-    end at the pair duration; the caller chooses the time resolution.  With
-    the full evolved state as post-selection this reduces to the ordinary
-    sojourn time integral of the region probability; with region = whole
-    domain it returns the duration exactly.
+    The trapezoid rule runs over the pair's recorded times, which must start
+    at 0 and end at the duration; whoever builds the pair chooses the time
+    resolution.  With the full evolved state as post-selection this reduces
+    to the ordinary sojourn time integral of the region probability; with
+    region = whole domain it returns the duration exactly.
     """
-    times = cfg.record_times
+    times = pair.times
     if times[0] != 0.0 or abs(times[-1] - pair.duration) > 1e-9 * max(1.0, pair.duration):
         raise ConfigError("dwell integration needs record_times spanning [0, duration]")
-    snaps = _paired_snapshots(pair, cfg, barrier, floor)
-    dx = pair.initial.grid.dx
-    values = []
-    for _, ket, bra, overlap in snaps:
-        num = np.sum(np.conj(bra.amp[region.mask]) * ket.amp[region.mask]) * dx
-        values.append((num / overlap).real)
-    return float(np.trapezoid(values, times))
+    return float(np.trapezoid(pair.region_weights(region).real, times))

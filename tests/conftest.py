@@ -25,12 +25,11 @@ def trace_run():
     """Transmitted-subensemble conditional distribution on the trace scenario."""
     cfg = TRANSMISSION_TRACE_SCENARIO
     barrier = cfg.barrier()
-    prop = cfg.propagator()
-    pair, prob = transmitted_pair(cfg.packet(), prop, barrier, cfg.transmit_cut())
-    dist = conditional_distribution(pair, prop, barrier)
+    pair = transmitted_pair(cfg.packet(), cfg.propagator(), barrier, cfg.transmit_cut())
+    dist = conditional_distribution(pair)
     occ = barrier_occupation(dist, barrier)
-    return {"cfg": cfg, "barrier": barrier, "prop": prop, "pair": pair,
-            "prob": prob, "dist": dist, "occ": occ}
+    return {"cfg": cfg, "barrier": barrier, "pair": pair,
+            "prob": pair.postselect_prob, "dist": dist, "occ": occ}
 
 
 @pytest.fixture(scope="session")
@@ -53,8 +52,7 @@ def small_pair():
     """Transmitted pair on the small scenario, with its distribution."""
     cfg = SMALL_SCENARIO
     barrier = cfg.barrier()
-    prop = cfg.propagator()
-    pair, prob = transmitted_pair(cfg.packet(), prop, barrier, cfg.transmit_cut())
-    dist = conditional_distribution(pair, prop, barrier)
-    return {"cfg": cfg, "barrier": barrier, "prop": prop, "pair": pair,
-            "prob": prob, "dist": dist}
+    pair = transmitted_pair(cfg.packet(), cfg.propagator(), barrier, cfg.transmit_cut())
+    dist = conditional_distribution(pair)
+    return {"cfg": cfg, "barrier": barrier, "pair": pair,
+            "prob": pair.postselect_prob, "dist": dist}

@@ -1,8 +1,8 @@
 """One-detector-per-particle floor: sampler, bound, and hypothesis test.
 
 The variance floor has a closed form 2 sigma^2 + 4 mu_a mu_b for positive
-means; the library minimizes numerically, and a two-stage grid search here
-acts as an independent oracle for that minimization.  Full operating
+means; the library returns it directly, and a two-stage grid search here
+acts as an independent oracle for the minimization behind it.  Full operating
 characteristics (false-rejection rate, power) live in the acceptance tests;
 this file keeps a cheap deterministic version of the null-rate check.
 """

@@ -183,28 +183,28 @@ def _tiny_free_pair():
     prop = cfg.propagator(record_times=(0.0, 0.25, 0.5, 0.75, 1.0))
     psi = cfg.packet()
     (_, fin), = propagate(psi, cfg.propagator(record_times=(1.0,)))
-    return cfg, prop, make_pair(psi, fin, prop)
+    return cfg, make_pair(psi, fin, prop)
 
 
 def test_strong_probe_warns():
-    cfg, prop, pair = _tiny_free_pair()
+    cfg, pair = _tiny_free_pair()
     proj = region_projector(cfg.grid(), -20.0, 0.0)
     strong = WeakProbe(proj, 0.8, (0.0, 1.0))
     weak = WeakProbe(proj, 0.01, (0.0, 1.0))
     with pytest.warns(UserWarning, match="not weak"):
-        two_probe_run(pair, strong, weak, None, prop, pointer_sigma=1.0)
+        two_probe_run(pair, strong, weak, pointer_sigma=1.0)
 
 
 def test_probe_window_must_hit_recorded_times():
-    cfg, prop, pair = _tiny_free_pair()
+    cfg, pair = _tiny_free_pair()
     proj = region_projector(cfg.grid(), -20.0, 0.0)
     probe = WeakProbe(proj, 0.01, (0.0, 1.0))
     outside = WeakProbe(proj, 0.01, (0.5, 2.0))
     offgrid = WeakProbe(proj, 0.01, (0.1, 0.6))
     with pytest.raises(ConfigError):
-        two_probe_run(pair, probe, outside, None, prop, pointer_sigma=1.0)
+        two_probe_run(pair, probe, outside, pointer_sigma=1.0)
     with pytest.raises(ConfigError):
-        two_probe_run(pair, probe, offgrid, None, prop, pointer_sigma=1.0)
+        two_probe_run(pair, probe, offgrid, pointer_sigma=1.0)
 
 
 def test_unconditioned_probe_shift_matches_density_integral():
@@ -228,8 +228,7 @@ def test_unconditioned_probe_shift_matches_density_integral():
     win_b = (21.0, 35.0)
     delta = 0.05
     run = two_probe_run(pair, WeakProbe(proj_in, delta, win_a),
-                        WeakProbe(proj_out, delta, win_b),
-                        barrier, prop, pointer_sigma=1.0)
+                        WeakProbe(proj_out, delta, win_b), pointer_sigma=1.0)
 
     t = np.array([s.t for s in snaps])
     for shift, proj, (t1, t2) in ((run.mean_shift_a, proj_in, win_a),
@@ -242,14 +241,13 @@ def test_unconditioned_probe_shift_matches_density_integral():
 
 
 def test_opposite_sign_probes_cancel(small_pair):
-    cfg, barrier = small_pair["cfg"], small_pair["barrier"]
-    prop, pair = small_pair["prop"], small_pair["pair"]
+    cfg, pair = small_pair["cfg"], small_pair["pair"]
     grid = cfg.grid()
     proj = region_projector(grid, cfg.barrier_left, cfg.barrier_right)
     window = (cfg.record_times()[2], cfg.record_times()[6])
     plus = WeakProbe(proj, 0.02, window, sign=+1)
     minus = WeakProbe(proj, 0.02, window, sign=-1)
-    run = two_probe_run(pair, plus, minus, barrier, prop, pointer_sigma=1.0)
+    run = two_probe_run(pair, plus, minus, pointer_sigma=1.0)
     assert run.mean_shift_a == -run.mean_shift_b
     assert run.net_rotation == 0.0
     assert run.window_values[0] == run.window_values[1]

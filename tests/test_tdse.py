@@ -80,6 +80,16 @@ def test_edge_density_guard_fires():
         propagate(psi, cfg)
 
 
+def test_edge_guard_catches_wrap_around_between_records():
+    """A packet that crosses the periodic boundary and comes back near its
+    start before the only record must still trip the edge guard."""
+    grid = Grid.from_domain(-64.0, 64.0, 512)
+    psi = gaussian_packet(grid, 0.0, 4.0, 3.0)
+    cfg = PropagatorConfig(dt=0.01, n_steps=4267)
+    with pytest.raises(EdgeDensityError, match="t=12.91"):
+        propagate(psi, cfg)
+
+
 def test_edge_limit_override_is_respected():
     psi = gaussian_packet(FREE_GRID, 80.0, 6.0, 1.0)
     cfg = PropagatorConfig(dt=0.01, n_steps=2000, record_times=(20.0,))

@@ -1,18 +1,27 @@
 """Conditional (two-state) values: spin anomaly, completeness, reduction to
 the ordinary density, time-reversal symmetry, and the tunneling trace."""
 
+from collections import Counter
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from weaktunnel import weakval
 from weaktunnel.core import (WaveFunction, gaussian_packet, region_projector,
                              spin_eigenstate, spin_ops)
 from weaktunnel.errors import ConfigError, OverlapFloorError
+from weaktunnel.pointer import WeakProbe, two_probe_run
 from weaktunnel.tdse import PropagatorConfig, propagate
-from weaktunnel.weakval import (PrePostPair, conditional_distribution,
-                                conditional_dwell_time, make_pair,
-                                transmitted_pair, weak_moment, weak_value)
+from weaktunnel.weakval import (conditional_distribution, conditional_dwell_time,
+                                make_pair, transmitted_pair, weak_moment,
+                                weak_value)
 
 from conftest import SMALL_SCENARIO
+
+# A packet well above the barrier that clears the transmission cut within
+# 400 coarse steps: every stage of a transmitted pair at almost no cost.
+FAST_TRANSMISSION = replace(SMALL_SCENARIO, packet_energy=4.5, dt=0.05, n_steps=400)
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -94,6 +103,59 @@ def test_transmitted_pair_cut_validation():
         transmitted_pair(cfg.packet(), prop, cfg.barrier(), cut=cfg.x_max)
 
 
+@pytest.mark.parametrize("builder", ["transmitted", "explicit"])
+def test_one_forward_and_one_backward_leg_per_pair(builder, monkeypatch):
+    """Building a pair and reducing it with every conditional observable runs
+    each propagation leg once, and the stored kets are the forward leg."""
+    cfg = FAST_TRANSMISSION
+    barrier = cfg.barrier()
+    prop = cfg.propagator(record_times=(0.0,) + cfg.record_times())
+    psi = cfg.packet()
+    standalone = propagate(psi, prop, barrier)
+
+    legs = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            legs[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(weakval, "propagate", counted("forward", weakval.propagate))
+    monkeypatch.setattr(weakval, "propagate_backward",
+                        counted("backward", weakval.propagate_backward))
+    if builder == "transmitted":
+        pair = transmitted_pair(psi, prop, barrier, cfg.transmit_cut())
+    else:
+        pair = make_pair(psi, standalone[-1].psi, prop, barrier)
+    region = region_projector(cfg.grid(), cfg.barrier_left, cfg.barrier_right)
+    conditional_distribution(pair)
+    conditional_dwell_time(pair, region)
+    probe = WeakProbe(region, 0.01, (pair.times[1], pair.times[5]))
+    two_probe_run(pair, probe, probe, pointer_sigma=1.0)
+    assert legs == {"forward": 1, "backward": 1}
+
+    assert pair.times == tuple(s.t for s in standalone)
+    for ket, snap in zip(pair.kets, standalone, strict=True):
+        assert np.array_equal(ket.amp, snap.psi.amp)
+
+
+def test_records_may_stop_before_the_post_selection():
+    """The forward leg still reaches the post-selection time when the record
+    grid ends early, and the shared records come out bit for bit the same."""
+    cfg = FAST_TRANSMISSION
+    barrier = cfg.barrier()
+    full = transmitted_pair(cfg.packet(), cfg.propagator(), barrier, cfg.transmit_cut())
+    early = transmitted_pair(cfg.packet(), cfg.propagator(record_times=full.times[:3]),
+                             barrier, cfg.transmit_cut())
+    assert early.times == full.times[:3]
+    assert early.overlap == full.overlap
+    assert early.postselect_prob == full.postselect_prob
+    for j in range(3):
+        assert np.array_equal(early.kets[j].amp, full.kets[j].amp)
+        assert np.array_equal(early.bras[j].amp, full.bras[j].amp)
+
+
 def test_conditional_distribution_completeness(small_pair):
     dist = small_pair["dist"]
     dx = dist.grid.dx
@@ -112,7 +174,7 @@ def test_unconditioned_distribution_reduces_to_density():
     psi = cfg.packet()
     snaps = propagate(psi, prop, barrier)
     pair = make_pair(psi, snaps[-1].psi, prop, barrier)
-    dist = conditional_distribution(pair, prop, barrier)
+    dist = conditional_distribution(pair)
     for j, (_, state) in enumerate(snaps):
         assert np.max(np.abs(dist.re[j] - state.density())) <= 1e-6
         assert np.max(np.abs(dist.im[j])) <= 1e-6
@@ -130,12 +192,12 @@ def test_postselected_distribution_is_time_reversal_symmetric():
     psi = cfg.packet()
     target = gaussian_packet(grid, 15.0, 4.0, cfg.k0)
     pair = make_pair(psi, target, prop, barrier)
-    dist = conditional_distribution(pair, prop, barrier)
+    dist = conditional_distribution(pair)
 
     flipped = make_pair(WaveFunction(grid, np.conj(target.amp)),
                         WaveFunction(grid, np.conj(psi.amp)), prop, barrier)
     assert abs(flipped.overlap - pair.overlap) <= 1e-9 * abs(pair.overlap)
-    dist2 = conditional_distribution(flipped, prop, barrier)
+    dist2 = conditional_distribution(flipped)
 
     # conjugating both boundary states makes the full complex value replay:
     # the reversed run's numerator at s is the original's at duration - s
@@ -146,24 +208,22 @@ def test_postselected_distribution_is_time_reversal_symmetric():
         assert np.max(np.abs(dist2.im[j] - dist.im[n - 1 - j])) <= 1e-6
 
 
-def test_dwell_time_whole_domain_is_the_duration(small_pair):
-    cfg, barrier, pair = (small_pair["cfg"], small_pair["barrier"],
-                          small_pair["pair"])
+def test_dwell_time_whole_domain_is_the_duration():
+    cfg = SMALL_SCENARIO
     prop = cfg.propagator(record_times=(0.0,) + cfg.record_times())
+    pair = transmitted_pair(cfg.packet(), prop, cfg.barrier(), cfg.transmit_cut())
     grid = cfg.grid()
     whole = region_projector(grid, grid.x_min, grid.x_max)
-    dwell = conditional_dwell_time(pair, whole, prop, barrier)
+    dwell = conditional_dwell_time(pair, whole)
     assert dwell == pytest.approx(cfg.duration, rel=1e-6)
 
 
 def test_dwell_time_requires_full_time_span(small_pair):
-    cfg, barrier, pair = (small_pair["cfg"], small_pair["barrier"],
-                          small_pair["pair"])
-    grid = cfg.grid()
+    grid = small_pair["cfg"].grid()
     whole = region_projector(grid, grid.x_min, grid.x_max)
-    prop = cfg.propagator()  # records start at 3.5, not 0
+    # the fixture pair records from 3.5, not 0
     with pytest.raises(ConfigError):
-        conditional_dwell_time(pair, whole, prop, barrier)
+        conditional_dwell_time(small_pair["pair"], whole)
 
 
 def test_free_crossing_dwell_matches_density_integral():
@@ -176,7 +236,7 @@ def test_free_crossing_dwell_matches_density_integral():
     pair = make_pair(psi, snaps[-1].psi, prop)
     region = region_projector(grid, -5.0, 5.0)
 
-    dwell = conditional_dwell_time(pair, region, prop)
+    dwell = conditional_dwell_time(pair, region)
     occupancy = [region.expectation(s.psi) for s in snaps]
     oracle = float(np.trapezoid(occupancy, times))
     assert dwell == pytest.approx(oracle, rel=1e-8)
