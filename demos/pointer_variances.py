@@ -10,8 +10,8 @@ no one-register-per-particle story can match.
 """
 
 from weaktunnel.corpuscle import corpuscular_min_variance, corpuscularity_test
-from weaktunnel.pointer import (certain_shift_state, difference_variance,
-                                erase_and_postselect, which_path_state)
+from weaktunnel.pointer import (certain_shift_state, erase_and_postselect,
+                                which_path_state)
 
 
 def main() -> None:
@@ -24,9 +24,8 @@ def main() -> None:
     for label, state in (("which-path", which), ("erased", erased),
                          ("plain shift", certain)):
         report = state.moment_report()
-        quad = difference_variance(state)
         print(f"{label:12s} means ({report['mean_a']:.3f}, {report['mean_b']:.3f})  "
-              f"var(a-b) {quad:.12f}")
+              f"var(a-b) {report['var_diff']:.12f}")
 
     floor = corpuscular_min_variance(delta / 2, delta / 2, sigma)
     print(f"\none-register-per-particle floor at these means: {floor:.3f}")

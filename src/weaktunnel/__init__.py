@@ -25,7 +25,6 @@ from .errors import (
     EdgeDensityError,
     NumericalGuardError,
     OverlapFloorError,
-    QuadratureError,
     SchemeInstabilityError,
     WeakTunnelError,
 )
@@ -51,14 +50,12 @@ from .weakval import (
 )
 from .pointer import (
     JointPointerState,
-    PointerState,
     TwoProbeRun,
     WeakProbe,
     certain_shift_state,
     difference_variance,
     erase_and_postselect,
     pointer_overlap,
-    shift_pointer,
     two_probe_run,
     which_path_state,
 )

@@ -27,10 +27,9 @@ from .core import BarrierSpec, region_projector
 from .corpuscle import (CorpuscularModel, corpuscularity_test,
                         simulate_corpuscular)
 from .errors import ConfigError, NumericalGuardError
-from .pointer import (WeakProbe, certain_shift_state, erase_and_postselect,
-                      two_probe_run, which_path_state)
-from .scatter import group_delay, scattering_amplitudes
-from .tdse import PropagatorConfig
+from .pointer import (JointPointerState, WeakProbe, certain_shift_state,
+                      erase_and_postselect, two_probe_run, which_path_state)
+from .scatter import delay_vs_width, scattering_amplitudes
 from .weakval import (barrier_occupation, conditional_distribution,
                       conditional_dwell_time, transmitted_pair)
 
@@ -248,7 +247,7 @@ def _cmd_two_probe(args) -> int:
         "window_value_a": [wa.real, wa.imag],
         "window_value_b": [wb.real, wb.imag],
         "transmit_prob": pair.postselect_prob,
-        "moments": run.moment_report(),
+        "moments": run.state.moment_report(),
     })
     writer.finish()
     return 0
@@ -264,38 +263,33 @@ def _pointer_args(args) -> tuple[ScenarioConfig, float, float]:
     return cfg, delta, sigma
 
 
-def _cmd_variance(args) -> int:
-    cfg, delta, sigma = _pointer_args(args)
-    state = which_path_state(delta, sigma)
+def _write_moments(args, cfg: ScenarioConfig, state: JointPointerState,
+                   options: dict) -> int:
     writer = RunWriter(_out_dir(args))
-    _echo_config(writer, args, cfg, {"delta": delta, "sigma": sigma})
+    _echo_config(writer, args, cfg, options)
     writer.write_json("moments.json", state.moment_report())
     writer.finish()
     return 0
+
+
+def _cmd_variance(args) -> int:
+    cfg, delta, sigma = _pointer_args(args)
+    return _write_moments(args, cfg, which_path_state(delta, sigma),
+                          {"delta": delta, "sigma": sigma})
 
 
 def _cmd_erased(args) -> int:
     cfg, delta, sigma = _pointer_args(args)
-    state = erase_and_postselect(which_path_state(delta, sigma))
-    writer = RunWriter(_out_dir(args))
-    _echo_config(writer, args, cfg, {"delta": delta, "sigma": sigma})
-    writer.write_json("moments.json", state.moment_report())
-    writer.finish()
-    return 0
+    return _write_moments(args, cfg, erase_and_postselect(which_path_state(delta, sigma)),
+                          {"delta": delta, "sigma": sigma})
 
 
 def _cmd_certain(args) -> int:
     cfg, delta, sigma = _pointer_args(args)
     delta_a = delta / 2.0 if args.delta_a is None else args.delta_a
     delta_b = delta / 2.0 if args.delta_b is None else args.delta_b
-    state = certain_shift_state(delta_a, delta_b, sigma)
-    writer = RunWriter(_out_dir(args))
-    _echo_config(writer, args, cfg, {
-        "delta_a": delta_a, "delta_b": delta_b, "sigma": sigma,
-    })
-    writer.write_json("moments.json", state.moment_report())
-    writer.finish()
-    return 0
+    return _write_moments(args, cfg, certain_shift_state(delta_a, delta_b, sigma),
+                          {"delta_a": delta_a, "delta_b": delta_b, "sigma": sigma})
 
 
 # --------------------------------------------------------------- scattering
@@ -315,11 +309,8 @@ def _cmd_hartman(args) -> int:
     widths = _parse_widths(args.d)
     writer = RunWriter(_out_dir(args))
     _echo_config(writer, args, None, {"e": args.e, "v0": args.v0, "d": widths})
-    rows = []
-    for d in widths:
-        barrier = BarrierSpec.rectangular(-d / 2.0, d / 2.0, args.v0)
-        rows.append((d, group_delay(args.e, barrier)))
-    writer.write_csv("delays.csv", ["thickness", "delay"], rows)
+    writer.write_csv("delays.csv", ["thickness", "delay"],
+                     delay_vs_width(args.e, args.v0, widths))
     writer.finish()
     return 0
 
@@ -375,8 +366,6 @@ def _cmd_corpuscle_sim(args) -> int:
 def _read_samples(path: str) -> tuple[np.ndarray, np.ndarray]:
     try:
         table = np.loadtxt(path, delimiter=",", skiprows=1, usecols=(1, 2), ndmin=2)
-    except OSError:
-        raise
     except ValueError as exc:
         raise ConfigError(f"sample file {path} is not pair_index,a,b CSV: {exc}")
     return table[:, 0], table[:, 1]

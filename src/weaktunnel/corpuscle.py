@@ -38,6 +38,10 @@ __all__ = [
 ]
 
 MIN_TEST_SAMPLES = 100
+# Relative roundoff allowed between an exact moment report and the floor.  A
+# floor-saturating state (the which-path pair) meets the bound analytically,
+# and its closed-form variance lands a few ulps to either side of it.
+EXACT_TIE_REL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -171,9 +175,11 @@ def corpuscularity_test(samples, sigma0: float, alpha: float = 0.05,
     (ci_low, ci_high) is the central two-sided percentile bootstrap interval
     at confidence 1 - alpha.  The verdict is rejects-corpuscular when the
     whole interval sits strictly below the floor evaluated at the sample
-    means, consistent-with-corpuscular otherwise; inconclusive is reserved
-    for degenerate input (non-finite statistics, or readouts with zero
-    spread, where the calibrated width cannot describe the data at all).
+    means, consistent-with-corpuscular otherwise; an exact report within
+    relative EXACT_TIE_REL of the floor sits on it and does not reject.
+    inconclusive is reserved for degenerate input (non-finite statistics, or
+    readouts with zero spread, where the calibrated width cannot describe
+    the data at all).
 
     A sample mean that comes out negative is treated as zero shift when the
     floor is evaluated: the model family under test only produces
@@ -196,7 +202,7 @@ def corpuscularity_test(samples, sigma0: float, alpha: float = 0.05,
         return EnsembleStats(
             n_samples=0, mean_a=mean_a, mean_b=mean_b, var_diff=var_diff,
             ci_low=var_diff, ci_high=var_diff, bound=bound, alpha=alpha,
-            verdict=_verdict(var_diff, var_diff, bound),
+            verdict=_verdict(var_diff, var_diff, bound * (1.0 - EXACT_TIE_REL)),
         )
 
     a, b = (np.asarray(arr, dtype=float) for arr in samples)

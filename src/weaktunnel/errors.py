@@ -30,9 +30,5 @@ class OverlapFloorError(NumericalGuardError):
     """A pre/post-selection overlap fell below the configured floor."""
 
 
-class QuadratureError(NumericalGuardError):
-    """Grid refinement failed to stabilize a quadrature result."""
-
-
 class DerivativeError(NumericalGuardError):
     """Numerical differentiation did not converge; both estimates are reported."""

@@ -10,9 +10,8 @@ branches G_A(a_j) G_B(b_j), each branch optionally tagged with the particle
 state it is entangled with; branches with different tags add incoherently in
 every observable.  The representation covers the unshifted product, the
 which-path entangled state, its erased (post-selected) form, and the
-first-order states produced by a pair of weak probes, and it supports both
-closed-form moments from displaced-Gaussian integrals and a brute-force
-2-D quadrature used to validate them.
+first-order states produced by a pair of weak probes; every moment is a
+closed form built from displaced-Gaussian integrals.
 
 Probes couple impulsively: a probe with strength delta acting over a time
 window displaces its pointer, to first order in delta, by delta times the
@@ -24,20 +23,17 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .core import RegionProjector
-from .errors import ConfigError, QuadratureError
+from .errors import ConfigError
 from .weakval import PrePostPair
 
 __all__ = [
-    "PointerState",
     "JointPointerState",
     "WeakProbe",
     "TwoProbeRun",
-    "shift_pointer",
     "pointer_overlap",
     "which_path_state",
     "erase_and_postselect",
@@ -47,11 +43,6 @@ __all__ = [
 ]
 
 WEAKNESS_WARNING_RATIO = 0.5
-
-
-def _gauss(x: np.ndarray, center: float, sigma: float) -> np.ndarray:
-    norm = (2.0 * np.pi * sigma**2) ** -0.25
-    return norm * np.exp(-((x - center) ** 2) / (4.0 * sigma**2))
 
 
 # Displaced-Gaussian integrals.  With m = (c1 + c2)/2 the product
@@ -70,40 +61,6 @@ def _moment1(c1: float, c2: float, sigma: float) -> float:
 def _moment2(c1: float, c2: float, sigma: float) -> float:
     m = 0.5 * (c1 + c2)
     return _overlap(c1, c2, sigma) * (sigma**2 + m * m)
-
-
-@dataclass(frozen=True)
-class PointerState:
-    """A single Gaussian register at ``center`` with |G|^2 width ``sigma``."""
-
-    center: float
-    sigma: float
-
-    def __post_init__(self) -> None:
-        if self.sigma <= 0:
-            raise ConfigError(f"pointer sigma must be positive, got {self.sigma}")
-
-    def amplitude(self, x: np.ndarray) -> np.ndarray:
-        return _gauss(x, self.center, self.sigma)
-
-    def overlap(self, other: "PointerState") -> float:
-        if other.sigma != self.sigma:
-            raise ConfigError("overlap of unequal-width pointers is not needed here")
-        return _overlap(self.center, other.center, self.sigma)
-
-    def moments_by_quadrature(self, n: int = 2048, span: float = 12.0) -> tuple[float, float]:
-        """(mean, variance) integrated on a grid; oracle for the closed forms."""
-        half = span * self.sigma + abs(self.center)
-        x = np.linspace(-half, half, n)
-        rho = self.amplitude(x) ** 2
-        z = np.trapezoid(rho, x)
-        mean = np.trapezoid(x * rho, x) / z
-        var = np.trapezoid((x - mean) ** 2 * rho, x) / z
-        return float(mean), float(var)
-
-
-def shift_pointer(p: PointerState, amount: float) -> PointerState:
-    return PointerState(p.center + amount, p.sigma)
 
 
 def pointer_overlap(delta: float, sigma: float) -> float:
@@ -165,24 +122,6 @@ class JointPointerState:
 
     def var_b(self) -> float:
         return self.moment(0, 2) - self.mean_b() ** 2
-
-    def joint_density(self, n: int, half_span: float) -> tuple[np.ndarray, np.ndarray]:
-        """(x, rho) on an n x n grid over [-half_span, half_span]^2.
-
-        rho sums |psi_tag|^2 over tags, i.e. the reduced density of the
-        pointers after tracing out the particle.
-        """
-        x = np.linspace(-half_span, half_span, n)
-        rho = np.zeros((n, n))
-        tags = {t for _, _, _, t in self.branches}
-        for tag in tags:
-            psi = np.zeros((n, n), dtype=complex)
-            for c, a, b, t in self.branches:
-                if t == tag:
-                    psi += c * np.outer(_gauss(x, a, self.sigma),
-                                        _gauss(x, b, self.sigma))
-            rho += np.abs(psi) ** 2
-        return x, rho
 
     def moment_report(self) -> dict:
         """The fixed-key JSON object other modules consume."""
@@ -250,42 +189,14 @@ def certain_shift_state(delta_a: float, delta_b: float, sigma: float) -> JointPo
                              branches=((1.0 + 0.0j, delta_a, delta_b, 0),))
 
 
-# Quadrature refinement ladder: (points per axis, half-span in sigmas beyond
-# the farthest branch center).  The coarse rung matches the documented
-# default grid; later rungs both widen and refine so truncated tails and
-# discretization shrink together.
-_QUAD_LADDER = ((512, 8.0), (1024, 12.0), (2048, 16.0))
+def difference_variance(state: JointPointerState) -> float:
+    """Var(x_A - x_B) = <x_A^2> - 2<x_A x_B> + <x_B^2> - (<x_A> - <x_B>)^2.
 
-
-def difference_variance(state: JointPointerState, tol: float = 1e-8) -> float:
-    """Var(x_A - x_B) by 2-D quadrature, refined until stable.
-
-    The closed-form branch algebra is evaluated alongside as a consistency
-    check; disagreement or failure to stabilize raises QuadratureError.
+    Exact for any branch superposition: every term is a displaced-Gaussian
+    integral of the state's branches.
     """
-    reach = max(max(abs(a), abs(b)) for _, a, b, _ in state.branches)
-    results = []
-    for n, span_sigmas in _QUAD_LADDER:
-        half = span_sigmas * state.sigma + reach
-        x, rho = state.joint_density(n, half)
-        z = np.trapezoid(np.trapezoid(rho, x, axis=1), x)
-        diff = x[:, None] - x[None, :]
-        mean = np.trapezoid(np.trapezoid(diff * rho, x, axis=1), x) / z
-        var = np.trapezoid(np.trapezoid((diff - mean) ** 2 * rho, x, axis=1), x) / z
-        results.append(var)
-        if len(results) >= 2 and abs(results[-1] - results[-2]) <= tol * max(1.0, abs(var)):
-            analytic = (state.moment(2, 0) - 2.0 * state.moment(1, 1)
-                        + state.moment(0, 2)
-                        - (state.mean_a() - state.mean_b()) ** 2)
-            if abs(var - analytic) > 100.0 * tol * max(1.0, abs(var)):
-                raise QuadratureError(
-                    f"quadrature variance {var!r} disagrees with the closed "
-                    f"form {analytic!r}"
-                )
-            return float(var)
-    raise QuadratureError(
-        f"difference variance failed to stabilize at {tol:g}: ladder gave {results}"
-    )
+    return (state.moment(2, 0) - 2.0 * state.moment(1, 1) + state.moment(0, 2)
+            - (state.mean_a() - state.mean_b()) ** 2)
 
 
 @dataclass(frozen=True)
@@ -312,7 +223,8 @@ class TwoProbeRun:
     """Outcome of a two-probe weak measurement on one pre/post-selected pair.
 
     Mean shifts are first order in the probe strengths; the joint state is
-    the corresponding product of shifted pointers (exactly normalized).
+    the corresponding product of shifted pointers (exactly normalized),
+    carrying the pair's post-selection probability.
     window_values holds the complex time-averaged conditional projector
     values the shifts derive from; net_rotation is the signed sum of the
     first-order kicks, which cancels for equal-strength opposite-sign
@@ -324,12 +236,6 @@ class TwoProbeRun:
     mean_shift_b: float
     window_values: tuple[complex, complex]
     net_rotation: float
-    postselect_prob: float
-
-    def moment_report(self) -> dict:
-        report = self.state.moment_report()
-        report["postselect_prob"] = self.postselect_prob
-        return report
 
 
 def _window_average(times: np.ndarray, values: np.ndarray,
@@ -380,6 +286,7 @@ def two_probe_run(pair: PrePostPair, probe_a: WeakProbe, probe_b: WeakProbe,
     state = JointPointerState(
         sigma=pointer_sigma,
         branches=((1.0 + 0.0j, shift_a, shift_b, 0),),
+        postselect_prob=pair.postselect_prob,
     )
     return TwoProbeRun(
         state=state,
@@ -387,5 +294,4 @@ def two_probe_run(pair: PrePostPair, probe_a: WeakProbe, probe_b: WeakProbe,
         mean_shift_b=shift_b,
         window_values=(value_a, value_b),
         net_rotation=shift_a + shift_b,
-        postselect_prob=abs(pair.overlap) ** 2,
     )

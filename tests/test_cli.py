@@ -166,6 +166,14 @@ def test_two_probe_fast_scenario(tmp_path):
     assert tp["moments"]["var_diff"] == pytest.approx(2.0, abs=1e-8)
     assert len(tp["window_value_a"]) == 2
     assert tp["transmit_prob"] == pytest.approx(2.3662422783212265e-3, rel=1e-6)
+    assert tp["moments"]["postselect_prob"] == tp["transmit_prob"]
+    # on the n=4096, dt=0.01 grid |<f|i>|^2 and the projected norm differ in
+    # the last bits, so both keys must be read from the same one
+    coarse = tmp_path / "tp-coarse"
+    assert main(["two-probe", *FAST, "--set", "n_points=4096", "--set", "dt=0.01",
+                 "--set", "n_steps=3500", "--out", str(coarse)]) == 0
+    tp = read_json(coarse, "twoprobe.json")
+    assert tp["moments"]["postselect_prob"] == tp["transmit_prob"]
 
 
 def test_small_run_determinism_cheap_commands(tmp_path):
