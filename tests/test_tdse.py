@@ -1,14 +1,23 @@
-"""Propagator checks: analytic free motion, unitarity, reversibility, and a
-momentum-resolved transmission oracle through a thin barrier."""
+"""Propagator checks: analytic free motion, unitarity, reversibility, a
+momentum-resolved transmission oracle through a thin barrier, and a sparse
+Crank-Nicolson oracle across the periodic wrap."""
+
+from dataclasses import replace
+from math import factorial
 
 import numpy as np
 import pytest
+import scipy.sparse
+import scipy.sparse.linalg
 
-from weaktunnel.core import BarrierSpec, Grid, gaussian_packet
-from weaktunnel.errors import ConfigError, EdgeDensityError
+from conftest import SMALL_SCENARIO
+from weaktunnel import tdse
+from weaktunnel.core import (BarrierSpec, Grid, WaveFunction, gaussian_packet,
+                             region_projector)
+from weaktunnel.errors import ConfigError, EdgeDensityError, SchemeInstabilityError
 from weaktunnel.scatter import scattering_amplitudes
-from weaktunnel.tdse import (PropagatorConfig, energy_expectation, propagate,
-                             propagate_backward)
+from weaktunnel.tdse import (STENCIL_HALF_WIDTH, PropagatorConfig,
+                             energy_expectation, propagate, propagate_backward)
 
 FREE_GRID = Grid.from_domain(-128.0, 128.0, 1024)
 
@@ -147,3 +156,84 @@ def test_energy_expectation_includes_potential_weight():
     inside = float(np.sum(psi.density()[(grid.x >= -4.0) & (grid.x < 4.0)]) * grid.dx)
     expected = energy_expectation(psi) + 2.0 * inside
     assert energy_expectation(psi, barrier) == pytest.approx(expected, rel=1e-12)
+
+
+def sparse_crank_nicolson(psi, barrier, dt, n_steps):
+    """Oracle: the periodic 16th-order Crank-Nicolson step as a sparse matrix
+    pair, (1 + i H dt/2) x = (1 - i H dt/2) b solved by SuperLU."""
+    grid = psi.grid
+    n, m = grid.n, STENCIL_HALF_WIDTH
+    coeff = np.zeros(2 * m + 1)
+    for j in range(1, m + 1):
+        coeff[m + j] = coeff[m - j] = ((-1) ** (j + 1) * 2.0 * factorial(m) ** 2
+                                       / (j * j * factorial(m - j) * factorial(m + j)))
+    coeff[m] = -2.0 * np.sum(coeff[m + 1:])
+    idx = np.arange(n)
+    rows = np.tile(idx, 2 * m + 1)
+    cols = ((idx[None, :] + np.arange(-m, m + 1)[:, None]) % n).ravel()
+    lap = scipy.sparse.csr_matrix((np.repeat(coeff, n) / grid.dx**2, (rows, cols)),
+                                  shape=(n, n))
+    h = -0.5 * lap + scipy.sparse.diags(barrier.potential(grid))
+    eye = scipy.sparse.identity(n, format="csr")
+    rhs = (eye - 0.5j * dt * h).tocsr()
+    solve = scipy.sparse.linalg.splu((eye + 0.5j * dt * h).tocsc()).solve
+    amp = psi.amp.astype(np.complex128)
+    for _ in range(n_steps):
+        amp = solve(rhs @ amp)
+    return amp
+
+
+@pytest.mark.parametrize("run, sign", [(propagate, 1.0), (propagate_backward, -1.0)])
+def test_implicit_fd_matches_sparse_oracle_across_the_periodic_wrap(run, sign):
+    """A packet centred on the wrap point puts its weight on the stencil's
+    corner entries, which the banded solve handles by its corner correction."""
+    grid = SMALL_SCENARIO.grid()
+    barrier = SMALL_SCENARIO.barrier()
+    centred = gaussian_packet(grid, 0.0, 4.0, 1.0)
+    psi = WaveFunction(grid, np.roll(centred.amp, grid.n // 2))
+    dt, n_steps = 0.02, 200
+    cfg = PropagatorConfig(dt=dt, n_steps=n_steps, scheme="implicit-fd")
+    (_, final), = run(psi, cfg, barrier, edge_limit=1.0)
+    expected = sparse_crank_nicolson(psi, barrier, sign * dt, n_steps)
+    l2 = np.sqrt(np.sum(np.abs(final.amp - expected) ** 2) * grid.dx)
+    assert l2 <= 1e-12
+
+
+def test_implicit_fd_transmit_probability_is_pinned():
+    """Forward-leg transmit probability of the bench trace-cn scenario,
+    recorded from the sparse-LU Crank-Nicolson step."""
+    cfg = replace(SMALL_SCENARIO, dt=0.02, n_steps=1750, scheme="implicit-fd")
+    grid = cfg.grid()
+    (_, final), = propagate(cfg.packet(), cfg.propagator(record_times=()), cfg.barrier())
+    transmitted = region_projector(grid, cfg.transmit_cut(), grid.x_max).apply(final)
+    assert transmitted.norm() ** 2 == pytest.approx(0.0023647107239550924, rel=1e-9)
+
+
+def test_implicit_fd_rejects_grids_too_small_for_the_stencil():
+    """At n <= 16 the periodic stencil's +8 and -8 entries wrap onto the same
+    column, so the operator would lose a term."""
+    grid = Grid.from_domain(-8.0, 8.0, 2 * STENCIL_HALF_WIDTH)
+    psi = WaveFunction(grid, np.exp(-grid.x**2 / 8.0))
+    cfg = PropagatorConfig(dt=0.01, n_steps=1, scheme="implicit-fd")
+    with pytest.raises(ConfigError, match="more than 16 grid points"):
+        propagate(psi, cfg, edge_limit=1.0)
+    propagate(psi, replace(cfg, scheme="spectral-split-step"), edge_limit=1.0)
+
+
+@pytest.mark.parametrize("routine, good_calls",
+                         [("zgbtrf", 0), ("zgbtrs", 0), ("zgesv", 0), ("zgbtrs", 1)])
+def test_implicit_fd_lapack_failure_raises(monkeypatch, routine, good_calls):
+    """A failed LAPACK call (info != 0) stops the run instead of stepping on,
+    in the set-up and, after the one corner solve of zgbtrs, in a step."""
+    real = getattr(tdse, routine)
+    calls = []
+
+    def failing(*args, **kwargs):
+        *out, info = real(*args, **kwargs)
+        calls.append(routine)
+        return (*out, info if len(calls) <= good_calls else 1)
+
+    monkeypatch.setattr(tdse, routine, failing)
+    cfg = PropagatorConfig(dt=0.01, n_steps=2, scheme="implicit-fd")
+    with pytest.raises(SchemeInstabilityError, match=routine):
+        propagate(free_packet(), cfg)
