@@ -12,8 +12,6 @@ from .core import (
     Grid,
     RegionProjector,
     WaveFunction,
-    cell_projectors,
-    edge_probability,
     gaussian_packet,
     region_projector,
     spin_eigenstate,

@@ -6,6 +6,10 @@ directory, writes plot-ready CSV/JSON files, and finishes with a manifest of
 content checksums.  Runs are deterministic given the seed, so re-running a
 scenario must reproduce the manifest byte for byte.
 
+JSON goes through ``json.dumps`` and every CSV cell through ``str``, so each
+float is written as Python's shortest round-trip decimal: it reads back to
+the same double, and any last-bit change of a result changes its text.
+
 Exit codes: 0 success, 2 invalid configuration, 3 numerical guard tripped,
 4 output I/O failure.
 """
@@ -36,43 +40,6 @@ from .weakval import (barrier_occupation, conditional_distribution,
 OUT_ROOT_ENV = "WEAKTUNNEL_OUT"
 
 
-def _fmt(x) -> str:
-    """17 significant digits, so regression diffs catch last-bit changes."""
-    s = format(float(x), ".17g")
-    if not any(c in s for c in ".eE"):
-        s += ".0"
-    return s
-
-
-def _json_text(value, indent: int = 0) -> str:
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        items = ",\n".join(
-            f"{inner}{json.dumps(str(k))}: {_json_text(v, indent + 1)}"
-            for k, v in value.items()
-        )
-        return "{\n" + items + "\n" + pad + "}"
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        items = ",\n".join(f"{inner}{_json_text(v, indent + 1)}" for v in value)
-        return "[\n" + items + "\n" + pad + "]"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return _fmt(value)
-    if value is None:
-        return "null"
-    if isinstance(value, str):
-        return json.dumps(value)
-    raise ConfigError(f"cannot serialize {type(value).__name__} to JSON")
-
-
 class RunWriter:
     """Serialized writer for one output directory, checksummed at the end."""
 
@@ -86,14 +53,10 @@ class RunWriter:
         self.names.append(name)
 
     def write_json(self, name: str, obj) -> None:
-        self.write_text(name, _json_text(obj) + "\n")
+        self.write_text(name, json.dumps(obj, indent=2) + "\n")
 
     def write_csv(self, name: str, header: "list[str]", rows) -> None:
-        lines = [",".join(header)]
-        for row in rows:
-            cells = [str(c) if isinstance(c, (int, np.integer)) else _fmt(c)
-                     for c in row]
-            lines.append(",".join(cells))
+        lines = [",".join(header)] + [",".join(map(str, row)) for row in rows]
         self.write_text(name, "\n".join(lines) + "\n")
 
     def finish(self) -> None:
@@ -101,7 +64,7 @@ class RunWriter:
         for name in sorted(self.names):
             digest = hashlib.sha256((self.out_dir / name).read_bytes())
             files[name] = digest.hexdigest()
-        manifest = _json_text({"files": files}) + "\n"
+        manifest = json.dumps({"files": files}, indent=2) + "\n"
         (self.out_dir / "manifest.json").write_text(manifest)
 
 
@@ -160,11 +123,11 @@ def _cmd_fig2(args) -> int:
     pair = transmitted_pair(cfg.packet(), cfg.propagator(), barrier, cfg.transmit_cut())
     dist = conditional_distribution(pair)
 
-    rows = []
-    for row, t in enumerate(dist.times):
-        for col, x in enumerate(dist.grid.x):
-            rows.append((t, x, dist.re[row, col], dist.im[row, col]))
-    writer.write_csv("conditional.csv", ["t", "x", "re_value", "im_value"], rows)
+    n_t, n_x = dist.re.shape
+    table = np.column_stack([np.repeat(dist.times, n_x), np.tile(dist.grid.x, n_t),
+                             dist.re.ravel(), dist.im.ravel()])
+    writer.write_csv("conditional.csv", ["t", "x", "re_value", "im_value"],
+                     table.tolist())
 
     occ = barrier_occupation(dist, barrier)
     writer.write_csv(
@@ -210,8 +173,7 @@ def _cmd_dwell(args) -> int:
 
 def _cmd_two_probe(args) -> int:
     cfg = _resolve_scenario(args, TRANSMISSION_TRACE_SCENARIO)
-    if args.delta is not None:
-        cfg = ScenarioConfig.from_dict({**cfg.to_dict(), "pointer_delta": args.delta})
+    cfg = ScenarioConfig.from_dict({**cfg.to_dict(), "pointer_delta": args.delta})
     barrier = cfg.barrier()
     grid = cfg.grid()
     records = cfg.record_times()
@@ -474,8 +436,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("two-probe", help="impulsive probes of the barrier faces "
                         "during disjoint windows")
     _add_common(p)
-    p.add_argument("--delta", type=float, help="probe strength (default 0.1)",
-                   default=0.1)
+    p.add_argument("--delta", type=float, default=0.1,
+                   help="probe strength (default 0.1); replaces the scenario's "
+                   "pointer_delta, which a config file cannot set here")
     p.add_argument("--window-a", metavar="T1,T2")
     p.add_argument("--window-b", metavar="T1,T2")
     p.add_argument("--region-a", metavar="X1,X2")

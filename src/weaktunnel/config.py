@@ -57,23 +57,12 @@ class ScenarioConfig:
     # pointer / detector parameters
     pointer_sigma: float = 1.0
     pointer_delta: float = 1.0
-    # sampling and statistics
-    seed: int = 1234
-    samples: int = 10_000
-    resamples: int = 10_000
-    alpha: float = 0.05
 
     def __post_init__(self) -> None:
         if self.scheme not in SCHEMES:
             raise ConfigError(f"unknown scheme {self.scheme!r}; choose from {SCHEMES}")
         if self.n_record < 1:
             raise ConfigError("n_record must be at least 1")
-        if not 0.0 < self.alpha < 0.5:
-            raise ConfigError(f"alpha must lie in (0, 0.5), got {self.alpha}")
-        if self.samples < 2:
-            raise ConfigError("samples must be at least 2")
-        if self.resamples < 1:
-            raise ConfigError("resamples must be at least 1")
         if self.pointer_sigma <= 0:
             raise ConfigError("pointer_sigma must be positive")
         self.k0  # force the derivation so bad energies fail here

@@ -33,8 +33,6 @@ __all__ = [
     "RegionProjector",
     "gaussian_packet",
     "region_projector",
-    "cell_projectors",
-    "edge_probability",
     "SpinOps",
     "spin_ops",
     "spin_eigenstate",
@@ -231,25 +229,6 @@ class RegionProjector:
 
 def region_projector(grid: Grid, a: float, b: float) -> RegionProjector:
     return RegionProjector(grid, a, b)
-
-
-def cell_projectors(grid: Grid, edges: Sequence[float]) -> list[RegionProjector]:
-    """Projectors onto consecutive half-open cells [edges[i], edges[i+1])."""
-    if len(edges) < 2:
-        raise ConfigError("need at least two edges")
-    return [region_projector(grid, a, b) for a, b in zip(edges, edges[1:])]
-
-
-EDGE_CELLS = 4
-
-
-def edge_probability(psi: WaveFunction, n_edge: int = EDGE_CELLS) -> float:
-    """Total probability in the outermost n_edge cells at each domain end.
-
-    Used as the runtime guard against wrap-around on the periodic grid.
-    """
-    d = psi.density() * psi.grid.dx
-    return float(np.sum(d[:n_edge]) + np.sum(d[-n_edge:]))
 
 
 class SpinOps(NamedTuple):

@@ -124,21 +124,6 @@ class EnsembleStats:
     seed: int | None = None
     n_resamples: int = 0
 
-    def to_dict(self) -> dict:
-        return {
-            "n_samples": self.n_samples,
-            "mean_a": self.mean_a,
-            "mean_b": self.mean_b,
-            "var_diff": self.var_diff,
-            "ci_low": self.ci_low,
-            "ci_high": self.ci_high,
-            "bound": self.bound,
-            "alpha": self.alpha,
-            "verdict": self.verdict,
-            "seed": self.seed,
-            "n_resamples": self.n_resamples,
-        }
-
 
 def _verdict(ci_low: float, ci_high: float, bound: float) -> str:
     if not (np.isfinite(ci_low) and np.isfinite(ci_high) and np.isfinite(bound)):

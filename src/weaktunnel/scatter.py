@@ -125,8 +125,7 @@ def scattering_amplitudes(energy: float, barrier: BarrierSpec) -> ScatterResult:
     t = t_local * np.exp(-1j * k * span)
     r = r_local * np.exp(2j * k * barrier.x_left)
 
-    heights = [h for _, _, h in barrier.segments]
-    top = max(heights) if heights else 0.0
+    top = barrier.max_height
     kappa = float(np.sqrt(2.0 * (top - energy))) if energy < top else 0.0
     return ScatterResult(energy=float(energy), k=float(k), kappa=kappa,
                          t=complex(t), r=complex(r))

@@ -42,7 +42,7 @@ import numpy as np
 import scipy.fft
 from scipy.linalg.lapack import zgbtrf, zgbtrs, zgesv
 
-from .core import EDGE_CELLS, BarrierSpec, Grid, WaveFunction
+from .core import BarrierSpec, Grid, WaveFunction
 from .errors import ConfigError, EdgeDensityError, SchemeInstabilityError
 
 __all__ = [
@@ -56,6 +56,7 @@ __all__ = [
 
 SCHEMES = ("spectral-split-step", "implicit-fd")
 
+EDGE_CELLS = 4  # cells at each domain end watched by the edge guard
 EDGE_PROBABILITY_LIMIT = 1e-8
 NORM_DRIFT_LIMIT = 1e-6
 

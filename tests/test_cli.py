@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from weaktunnel.cli import main
-from weaktunnel.corpuscle import corpuscularity_test
+from weaktunnel.corpuscle import (CorpuscularModel, corpuscularity_test,
+                                  simulate_corpuscular)
 
 # overrides that shrink the tunneling scenario to a few seconds of runtime
 FAST = [
@@ -32,6 +33,24 @@ def read_csv(d, name):
 
 def snapshot(d):
     return {p.name: p.read_bytes() for p in sorted(d.iterdir())}
+
+
+def assert_shortest_floats_csv(d, name, int_columns=()):
+    """Every float cell is the shortest decimal that reads back to its double."""
+    lines = (d / name).read_text().strip().split("\n")
+    for line in lines[1:]:
+        for col, cell in enumerate(line.split(",")):
+            expected = str(int(cell)) if col in int_columns else str(float(cell))
+            assert cell == expected, (name, line)
+
+
+def assert_shortest_floats_json(d, name):
+    """Every float in the file is the shortest decimal that reads back to its double."""
+    def check(text):
+        assert text == str(float(text)), (name, text)
+        return float(text)
+
+    json.loads((d / name).read_text(), parse_float=check)
 
 
 def test_variance_run_and_manifest(tmp_path):
@@ -84,6 +103,8 @@ def test_scatter_sweep_is_unitary(tmp_path):
     assert np.allclose(t_sq, rows[:, 5], atol=1e-15)
     assert np.allclose(r_sq, rows[:, 6], atol=1e-15)
     assert np.allclose(rows[:, 5] + rows[:, 6], 1.0, atol=1e-10)
+    assert_shortest_floats_csv(out, "amplitudes.csv")
+    assert_shortest_floats_json(out, "config.json")
 
 
 def test_hartman_delay_saturates(tmp_path):
@@ -95,6 +116,7 @@ def test_hartman_delay_saturates(tmp_path):
     assert np.all(np.diff(delays) >= -1e-8)
     assert abs(delays[-1] - delays[-2]) / delays[-2] < 0.01
     assert delays[-1] == pytest.approx(2.0, abs=1e-6)
+    assert_shortest_floats_csv(out, "delays.csv")
 
 
 def test_corpuscle_sim_test_roundtrip(tmp_path):
@@ -105,6 +127,11 @@ def test_corpuscle_sim_test_roundtrip(tmp_path):
     header, rows = read_csv(sim, "samples.csv")
     assert header == ["pair_index", "a", "b"]
     assert rows.shape == (2000, 3)
+    a, b = simulate_corpuscular(CorpuscularModel(p=0.5, delta_a=1.0, delta_b=1.0,
+                                                 sigma=1.0, n=2000, seed=77))
+    assert np.array_equal(rows[:, 1], a) and np.array_equal(rows[:, 2], b)
+    assert_shortest_floats_csv(sim, "samples.csv", int_columns=(0,))
+    assert_shortest_floats_json(sim, "config.json")
 
     assert main(["corpuscle-test", "--input", str(sim / "samples.csv"),
                  "--resamples", "400", "--out", str(tst)]) == 0
@@ -114,8 +141,10 @@ def test_corpuscle_sim_test_roundtrip(tmp_path):
     assert report["n"] == 2000
     # model defaults saturate the floor, so the verdict must not reject
     assert report["verdict"] == "consistent-with-corpuscular"
+    assert_shortest_floats_json(tst, "report.json")
+    assert_shortest_floats_json(tst, "config.json")
 
-    # the 17-digit serialization round-trips the library's numbers exactly
+    # the shortest round-trip spelling reads back to the library's numbers exactly
     lib = corpuscularity_test((rows[:, 1], rows[:, 2]), sigma0=1.0,
                               seed=0, n_resamples=400)
     assert report["var_diff"] == lib.var_diff
@@ -141,6 +170,7 @@ def test_fig2_fast_scenario_and_determinism(tmp_path):
         assert total == pytest.approx(1.0, abs=1e-8)
     _, occ = read_csv(out1, "occupation.csv")
     assert occ.shape == (10, 4)
+    assert_shortest_floats_csv(out1, "conditional.csv")
 
     assert main(["fig2", *FAST, "--out", str(out2)]) == 0
     assert snapshot(out1) == snapshot(out2)
@@ -226,6 +256,12 @@ def test_exit_code_2_on_bad_input(tmp_path):
                  "--out", out]) == 2
     assert main(["corpuscle-test", "--input", str(tmp_path / "nope.csv"),
                  "--out", out]) == 4  # os error surfaces as i/o, not config
+
+
+@pytest.mark.parametrize("item", ["seed=7", "samples=100", "resamples=100", "alpha=0.3"])
+def test_scenario_has_no_statistics_fields(tmp_path, item):
+    # the corpuscle subcommands take these as flags, so no scenario reads them
+    assert main(["variance", "--set", item, "--out", str(tmp_path / "x")]) == 2
 
 
 def test_exit_code_3_on_numerical_guard(tmp_path):

@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from weaktunnel.core import (BarrierSpec, Grid, WaveFunction, cell_projectors,
-                             edge_probability, gaussian_packet, region_projector,
+from weaktunnel.core import (BarrierSpec, Grid, gaussian_packet, region_projector,
                              spin_eigenstate, spin_ops)
 from weaktunnel.errors import ConfigError
 
@@ -61,28 +60,10 @@ def test_region_projector_idempotent_and_complete():
     assert left.expectation(psi) + proj.expectation(psi) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_cell_projectors_partition_unity():
-    g = Grid.from_domain(-50.0, 50.0, 512)
-    psi = gaussian_packet(g, -10.0, 6.0, 0.5)
-    cells = cell_projectors(g, np.linspace(-50.0, 50.0, 11))
-    total = sum(c.expectation(psi) for c in cells)
-    assert total == pytest.approx(1.0, abs=1e-10)
-
-
 def test_region_projector_rejects_empty():
     g = Grid.from_domain(-50.0, 50.0, 512)
     with pytest.raises(ConfigError):
         region_projector(g, 10.0, 10.0)
-
-
-def test_edge_probability_tracks_outermost_cells():
-    g = Grid.from_domain(-50.0, 50.0, 512)
-    amp = np.zeros(512, dtype=np.complex128)
-    amp[1] = 1.0  # inside the 4-cell edge band
-    psi = WaveFunction(g, amp)
-    assert edge_probability(psi) == pytest.approx(psi.norm() ** 2, rel=1e-12)
-    centered = gaussian_packet(g, 0.0, 3.0, 0.0)
-    assert edge_probability(centered) < 1e-30
 
 
 def test_barrier_potential_covers_half_open_cells():

@@ -16,7 +16,7 @@ from weaktunnel.core import (BarrierSpec, Grid, WaveFunction, gaussian_packet,
                              region_projector)
 from weaktunnel.errors import ConfigError, EdgeDensityError, SchemeInstabilityError
 from weaktunnel.scatter import scattering_amplitudes
-from weaktunnel.tdse import (STENCIL_HALF_WIDTH, PropagatorConfig,
+from weaktunnel.tdse import (EDGE_CELLS, STENCIL_HALF_WIDTH, PropagatorConfig,
                              energy_expectation, propagate, propagate_backward)
 
 FREE_GRID = Grid.from_domain(-128.0, 128.0, 1024)
@@ -87,6 +87,20 @@ def test_edge_density_guard_fires():
     cfg = PropagatorConfig(dt=0.01, n_steps=6000, record_times=(20.0, 60.0))
     with pytest.raises(EdgeDensityError):
         propagate(psi, cfg)
+
+
+@pytest.mark.parametrize("inside, outside", [(1, EDGE_CELLS), (-2, -1 - EDGE_CELLS)])
+def test_edge_guard_watches_the_outermost_cells_at_step_zero(inside, outside):
+    """The guard reads the EDGE_CELLS cells at each end before the first step."""
+    cfg = PropagatorConfig(dt=0.01, n_steps=0)
+    amp = np.zeros(FREE_GRID.n, dtype=np.complex128)
+    amp[inside] = 1.0
+    with pytest.raises(EdgeDensityError, match=r"t=0\.0;"):
+        propagate(WaveFunction(FREE_GRID, amp), cfg)
+    amp = np.zeros(FREE_GRID.n, dtype=np.complex128)
+    amp[outside] = 1.0
+    (snap,) = propagate(WaveFunction(FREE_GRID, amp), cfg)
+    assert np.array_equal(snap.psi.amp, amp)
 
 
 def test_edge_guard_catches_wrap_around_between_records():
