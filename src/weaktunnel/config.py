@@ -5,6 +5,12 @@ domain [-200, 200) on 4096 points, a unit-height barrier on [-5, 5], and a
 sigma = 10 packet launched from x = -50 with mean energy half the barrier
 height.  All fields are flat so a run config can round-trip through a plain
 JSON object, which the command line echoes verbatim next to its outputs.
+
+The barrier on the grid is wider than nominal.  It covers every cell whose
+point falls in [barrier_left, barrier_right), and the effective edges are
+the outer faces of those cells: on the default 4096-point grid 103 cells,
+faces at +-5.0293, width 10.0586.  The frozen transmit probabilities are
+those of this effective barrier.
 """
 
 from __future__ import annotations

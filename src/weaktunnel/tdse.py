@@ -31,6 +31,11 @@ step (wrap-around would silently corrupt the run, and a packet can cross the
 boundary and come back between two records), and norm drift at every record
 (a broken factorization or unstable step shows up there first).  Snapshots
 keep their global phase and are never renormalized.
+
+scipy is imported when a stepper is built, not with this module: scipy.fft
+by spectral-split-step, scipy.linalg.lapack by implicit-fd.  Importing the
+package then costs numpy alone, and a leg loads only its own scheme's
+routines, which the stepper keeps for its steps.
 """
 
 from __future__ import annotations
@@ -39,8 +44,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-import scipy.fft
-from scipy.linalg.lapack import zgbtrf, zgbtrs, zgesv
 
 from .core import BarrierSpec, Grid, WaveFunction
 from .errors import ConfigError, EdgeDensityError, SchemeInstabilityError
@@ -129,12 +132,15 @@ def _potential(grid: Grid, barrier: BarrierSpec | None) -> np.ndarray:
 
 class _SplitStep:
     def __init__(self, grid: Grid, v: np.ndarray, dt: float) -> None:
+        import scipy.fft
+
+        self.fft, self.ifft = scipy.fft.fft, scipy.fft.ifft
         self.half_v = np.exp(-0.5j * dt * v)
         self.kinetic = np.exp(-0.5j * dt * grid.k**2)
 
     def step(self, amp: np.ndarray) -> np.ndarray:
         amp = self.half_v * amp
-        amp = scipy.fft.ifft(self.kinetic * scipy.fft.fft(amp))
+        amp = self.ifft(self.kinetic * self.fft(amp))
         return self.half_v * amp
 
 
@@ -148,6 +154,8 @@ def _lapack_check(routine: str, info: int) -> None:
 
 class _CrankNicolson:
     def __init__(self, grid: Grid, v: np.ndarray, dt: float) -> None:
+        from scipy.linalg.lapack import zgbtrf, zgbtrs, zgesv
+
         n = grid.n
         m = STENCIL_HALF_WIDTH
         if n <= 2 * m:
@@ -186,11 +194,11 @@ class _CrankNicolson:
         z[np.abs(z) < np.finfo(np.float64).tiny] = 0.0
         _, _, k_mat, info = zgesv(np.eye(2 * m) + w @ z[self.corner], w)
         _lapack_check("zgesv", info)
-        self.z, self.k = z, k_mat
+        self.z, self.k, self.zgbtrs = z, k_mat, zgbtrs
 
     def step(self, amp: np.ndarray) -> np.ndarray:
         m = STENCIL_HALF_WIDTH
-        y, info = zgbtrs(self.lu, m, m, 2.0 * amp, self.piv, overwrite_b=1)
+        y, info = self.zgbtrs(self.lu, m, m, 2.0 * amp, self.piv, overwrite_b=1)
         _lapack_check("zgbtrs", info)
         y -= self.z @ (self.k @ y[self.corner])
         return y - amp

@@ -101,10 +101,13 @@ def test_checklist_05_transmitted_trace_norms_and_face_dominance(trace_run):
     assert dist.integrate_region(grid.x_min, 0.0, 0) > 0.9
     assert dist.integrate_region(0.0, grid.x_max, len(dist.times) - 1) > 0.9
     assert np.all(occ.entrance >= 0.0) and np.all(occ.exit >= 0.0)
+    # The claim holds at the n_record = 20 recorded times (0.0421 there);
+    # on a 1300-record grid the same ratio is 0.0472.
     ratio = occ.center_to_peak()
     assert ratio < 0.05
     print(f"checklist 05: norms within 1e-8 at {cfg.n_record} times, "
-          f"interior/faces peak ratio {ratio:.4f} < 0.05")
+          f"interior/faces peak ratio {ratio:.4f} < 0.05 at the "
+          f"{cfg.n_record} recorded times")
 
 
 def test_checklist_06_traversal_delay_saturates_with_thickness():

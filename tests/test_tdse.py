@@ -7,11 +7,11 @@ from math import factorial
 
 import numpy as np
 import pytest
+import scipy.linalg.lapack
 import scipy.sparse
 import scipy.sparse.linalg
 
 from conftest import SMALL_SCENARIO
-from weaktunnel import tdse
 from weaktunnel.core import (BarrierSpec, Grid, WaveFunction, gaussian_packet,
                              region_projector)
 from weaktunnel.errors import ConfigError, EdgeDensityError, SchemeInstabilityError
@@ -239,7 +239,7 @@ def test_implicit_fd_rejects_grids_too_small_for_the_stencil():
 def test_implicit_fd_lapack_failure_raises(monkeypatch, routine, good_calls):
     """A failed LAPACK call (info != 0) stops the run instead of stepping on,
     in the set-up and, after the one corner solve of zgbtrs, in a step."""
-    real = getattr(tdse, routine)
+    real = getattr(scipy.linalg.lapack, routine)
     calls = []
 
     def failing(*args, **kwargs):
@@ -247,7 +247,7 @@ def test_implicit_fd_lapack_failure_raises(monkeypatch, routine, good_calls):
         calls.append(routine)
         return (*out, info if len(calls) <= good_calls else 1)
 
-    monkeypatch.setattr(tdse, routine, failing)
+    monkeypatch.setattr(scipy.linalg.lapack, routine, failing)
     cfg = PropagatorConfig(dt=0.01, n_steps=2, scheme="implicit-fd")
     with pytest.raises(SchemeInstabilityError, match=routine):
         propagate(free_packet(), cfg)
