@@ -9,22 +9,22 @@ in sequence, and the dwell clock for the whole barrier reads a few time
 units even though the run lasts 130.
 
 One forward and one backward propagation leg of 130k split steps serve
-every readout; about 40 s on a 2-vCPU VM.
+the occupation and the probes, and one more forward leg, carrying the
+barrier source beside the state, serves the dwell clock; about 60 s on a
+2-vCPU VM.
 """
 
 from weaktunnel import TRANSMISSION_TRACE_SCENARIO, region_projector
 from weaktunnel.pointer import WeakProbe, difference_variance, two_probe_run
 from weaktunnel.weakval import (barrier_occupation, conditional_distribution,
-                                conditional_dwell_time, transmitted_pair)
+                                transmitted_dwell_time, transmitted_pair)
 
 
 def main() -> None:
     cfg = TRANSMISSION_TRACE_SCENARIO
     barrier = cfg.barrier()
-    # one history serves every readout below; the dwell integral needs the
-    # t=0 endpoint in the record grid
-    prop = cfg.propagator(record_times=(0.0,) + cfg.record_times())
-    pair = transmitted_pair(cfg.packet(), prop, barrier, cfg.transmit_cut())
+    # one history serves the occupation and the probes below
+    pair = transmitted_pair(cfg.packet(), cfg.propagator(), barrier, cfg.transmit_cut())
     print(f"transmission probability: {pair.postselect_prob:.6e}")
 
     occ = barrier_occupation(conditional_distribution(pair), barrier)
@@ -35,8 +35,9 @@ def main() -> None:
     print(f"\nworst middle-to-peak ratio: {occ.center_to_peak():.4f}")
 
     region = region_projector(cfg.grid(), barrier.x_left, barrier.x_right)
-    dwell = conditional_dwell_time(pair, region)
-    print(f"conditional barrier dwell: {dwell:.3f} of {cfg.duration:.0f} time units")
+    dwell = transmitted_dwell_time(cfg.packet(), cfg.propagator(), barrier,
+                                   cfg.transmit_cut(), region)
+    print(f"conditional barrier dwell: {dwell.time:.3f} of {cfg.duration:.0f} time units")
 
     # two weak probes in disjoint windows: the incident side early and the
     # transmitted side late are each near-certain, so both pointers shift by

@@ -33,15 +33,18 @@ from .config import (
     ScenarioConfig,
     load_config,
 )
-from .tdse import PropagatorConfig, Snapshot, energy_expectation, propagate, propagate_backward
+from .tdse import (PropagatorConfig, Snapshot, energy_expectation, propagate,
+                   propagate_backward, propagate_with_source)
 from .weakval import (
     BarrierOccupation,
     ConditionalDistribution,
     PrePostPair,
     barrier_occupation,
+    ConditionalDwell,
     conditional_distribution,
-    conditional_dwell_time,
+    dwell_time,
     make_pair,
+    transmitted_dwell_time,
     transmitted_pair,
     weak_moment,
     weak_value,

@@ -35,7 +35,7 @@ from .pointer import (JointPointerState, WeakProbe, certain_shift_state,
                       erase_and_postselect, two_probe_run, which_path_state)
 from .scatter import delay_vs_width, scattering_amplitudes
 from .weakval import (barrier_occupation, conditional_distribution,
-                      conditional_dwell_time, transmitted_pair)
+                      transmitted_dwell_time, transmitted_pair)
 
 OUT_ROOT_ENV = "WEAKTUNNEL_OUT"
 
@@ -123,11 +123,14 @@ def _cmd_fig2(args) -> int:
     pair = transmitted_pair(cfg.packet(), cfg.propagator(), barrier, cfg.transmit_cut())
     dist = conditional_distribution(pair)
 
-    n_t, n_x = dist.re.shape
-    table = np.column_stack([np.repeat(dist.times, n_x), np.tile(dist.grid.x, n_t),
-                             dist.re.ravel(), dist.im.ravel()])
-    writer.write_csv("conditional.csv", ["t", "x", "re_value", "im_value"],
-                     table.tolist())
+    # each time and each x is spelled once and reused on every row it labels
+    x_text = [str(x) for x in dist.grid.x.tolist()]
+    lines = ["t,x,re_value,im_value"]
+    for t, re_row, im_row in zip(dist.times, dist.re.tolist(), dist.im.tolist()):
+        t_text = str(t)
+        lines += [f"{t_text},{x},{re_value},{im_value}"
+                  for x, re_value, im_value in zip(x_text, re_row, im_row)]
+    writer.write_text("conditional.csv", "\n".join(lines) + "\n")
 
     occ = barrier_occupation(dist, barrier)
     writer.write_csv(
@@ -154,18 +157,16 @@ def _cmd_dwell(args) -> int:
         left, right = barrier.x_left, barrier.x_right
     writer = RunWriter(_out_dir(args))
     _echo_config(writer, args, cfg, {"region": [left, right]})
-    # the dwell integral needs the t=0 endpoint in the record grid
-    prop = cfg.propagator(record_times=(0.0,) + cfg.record_times())
-    pair = transmitted_pair(cfg.packet(), prop, barrier, cfg.transmit_cut())
     region = region_projector(cfg.grid(), left, right)
-    dwell = conditional_dwell_time(pair, region)
+    dwell = transmitted_dwell_time(cfg.packet(), cfg.propagator(), barrier,
+                                   cfg.transmit_cut(), region)
     writer.write_json("dwell.json", {
         "region_left": left,
         "region_right": right,
-        "dwell_time": dwell,
+        "dwell_time": dwell.time,
         "duration": cfg.duration,
-        "transmit_prob": pair.postselect_prob,
-        "n_record": len(pair.times),
+        "transmit_prob": dwell.postselect_prob,
+        "n_record": len(dwell.times),
     })
     writer.finish()
     return 0

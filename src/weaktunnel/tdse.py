@@ -6,7 +6,12 @@ each other:
 ``spectral-split-step``
     Symmetric Strang splitting: half potential kick, exact kinetic phase in
     Fourier space, half potential kick.  Second order in dt, spectrally
-    accurate in space, unitary up to FFT roundoff.
+    accurate in space, unitary up to FFT roundoff.  The exit half kick of
+    one step and the entry half kick of the next are fused into one full
+    kick (Feit, Fleck & Steiger, J. Comput. Phys. 47, 412 (1982)), so the
+    stepper carries the state before its pending exit kick and a record is
+    a side copy with that kick applied; the carried state, and so every
+    later record, does not depend on which times are recorded.
 
 ``implicit-fd``
     Crank-Nicolson (Cayley) stepping of a finite-difference Hamiltonian.
@@ -26,11 +31,19 @@ each other:
     Computations, 4.3 and 2.1.4).  The grid needs more than 16 points for
     the stencil to fit.
 
-Runtime guards: probability reaching the domain edges, checked after every
-step (wrap-around would silently corrupt the run, and a packet can cross the
-boundary and come back between two records), and norm drift at every record
-(a broken factorization or unstable step shows up there first).  Snapshots
-keep their global phase and are never renormalized.
+A leg steps a stack of rows at once: one batched FFT along the last axis,
+or one band solve with the rows as right-hand sides (the corner correction
+is applied row by row).  Row 0 is the state; propagate_with_source adds a
+second row that collects a weighted region source at the record times, so
+a conditional dwell needs one forward leg and no backward one.
+
+Runtime guards watch row 0: probability reaching the domain edges, checked
+after every step (wrap-around would silently corrupt the run, and a packet
+can cross the boundary and come back between two records), and norm drift
+at every record (a broken factorization or unstable step shows up there
+first).  Under split-step the edge guard reads the carried state before its
+exit kick; the kick is unimodular, so the cell magnitudes are the same up to
+roundoff.  Snapshots keep their global phase and are never renormalized.
 
 scipy is imported when a stepper is built, not with this module: scipy.fft
 by spectral-split-step, scipy.linalg.lapack by implicit-fd.  Importing the
@@ -41,7 +54,7 @@ routines, which the stepper keeps for its steps.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -54,6 +67,7 @@ __all__ = [
     "Snapshot",
     "propagate",
     "propagate_backward",
+    "propagate_with_source",
     "energy_expectation",
 ]
 
@@ -131,17 +145,32 @@ def _potential(grid: Grid, barrier: BarrierSpec | None) -> np.ndarray:
 
 
 class _SplitStep:
+    """Strang steps with the half kicks of adjacent steps fused into one.
+
+    The carried stack x is the state before its pending exit half kick, so a
+    step is x <- IFFT(K FFT(V x)) with V the full kick (a half kick before the
+    first step, when nothing is pending) and state(x) applies the pending
+    kick to a copy.  1/n is folded into the kinetic phase K.
+    """
+
     def __init__(self, grid: Grid, v: np.ndarray, dt: float) -> None:
         import scipy.fft
 
         self.fft, self.ifft = scipy.fft.fft, scipy.fft.ifft
         self.half_v = np.exp(-0.5j * dt * v)
-        self.kinetic = np.exp(-0.5j * dt * grid.k**2)
+        self.full_v = np.exp(-1j * dt * v)
+        self.kinetic = np.exp(-0.5j * dt * grid.k**2) / grid.n
+        self.entry, self.exit = self.half_v, None
 
-    def step(self, amp: np.ndarray) -> np.ndarray:
-        amp = self.half_v * amp
-        amp = self.ifft(self.kinetic * self.fft(amp))
-        return self.half_v * amp
+    def step(self, x: np.ndarray) -> np.ndarray:
+        x = self.fft(self.entry * x, overwrite_x=True)
+        x *= self.kinetic
+        x = self.ifft(x, norm="forward", overwrite_x=True)
+        self.entry, self.exit = self.full_v, self.half_v
+        return x
+
+    def state(self, x: np.ndarray) -> np.ndarray:
+        return x.copy() if self.exit is None else self.exit * x
 
 
 def _lapack_check(routine: str, info: int) -> None:
@@ -196,12 +225,19 @@ class _CrankNicolson:
         _lapack_check("zgesv", info)
         self.z, self.k, self.zgbtrs = z, k_mat, zgbtrs
 
-    def step(self, amp: np.ndarray) -> np.ndarray:
+    def step(self, x: np.ndarray) -> np.ndarray:
+        # the rows of the stack are the columns of one multi-right-hand-side
+        # solve; the corner correction is cheaper one column at a time than
+        # as one dense (n, 2m) @ (2m, rows) product
         m = STENCIL_HALF_WIDTH
-        y, info = self.zgbtrs(self.lu, m, m, 2.0 * amp, self.piv, overwrite_b=1)
+        y, info = self.zgbtrs(self.lu, m, m, 2.0 * x.T, self.piv, overwrite_b=1)
         _lapack_check("zgbtrs", info)
-        y -= self.z @ (self.k @ y[self.corner])
-        return y - amp
+        for column in y.T:
+            column -= self.z @ (self.k @ column[self.corner])
+        return (y - x.T).T
+
+    def state(self, x: np.ndarray) -> np.ndarray:
+        return x.copy()
 
 
 def _make_stepper(scheme: str, grid: Grid, v: np.ndarray, dt: float):
@@ -211,7 +247,12 @@ def _make_stepper(scheme: str, grid: Grid, v: np.ndarray, dt: float):
 
 
 def _run(psi: WaveFunction, cfg: PropagatorConfig, barrier: BarrierSpec | None,
-         dt_sign: float, edge_limit: float | None) -> list[Snapshot]:
+         dt_sign: float, edge_limit: float | None,
+         source: tuple[np.ndarray, np.ndarray] | None = None,
+         ) -> tuple[list[Snapshot], np.ndarray]:
+    """Step the stack (psi, source row) and return psi's snapshots and the
+    final stack.  Only psi is guarded and recorded; a source (mask, weights)
+    adds weights[j] * mask * psi to the source row at the j-th record."""
     grid = psi.grid
     norm0 = psi.norm()
     if norm0 == 0.0:
@@ -220,7 +261,7 @@ def _run(psi: WaveFunction, cfg: PropagatorConfig, barrier: BarrierSpec | None,
         edge_limit = EDGE_PROBABILITY_LIMIT
     stepper = _make_stepper(cfg.scheme, grid, _potential(grid, barrier), dt_sign * cfg.dt)
 
-    wanted = dict.fromkeys(cfg._record_steps)
+    wanted = {step: j for j, step in enumerate(cfg._record_steps)}
     out: list[Snapshot] = []
     edge_scale = grid.dx / norm0**2
 
@@ -233,25 +274,28 @@ def _run(psi: WaveFunction, cfg: PropagatorConfig, barrier: BarrierSpec | None,
                 "enlarge the domain or shorten the run"
             )
 
-    def record(step: int, amp: np.ndarray) -> None:
-        state = WaveFunction(grid, amp.copy())
+    def record(step: int, x: np.ndarray) -> None:
+        state = WaveFunction(grid, stepper.state(x[0]))
         drift = abs(state.norm() / norm0 - 1.0)
         if drift > NORM_DRIFT_LIMIT:
             raise SchemeInstabilityError(
                 f"norm drifted by {drift:.3e} after {step} steps of {cfg.scheme}"
             )
         out.append(Snapshot(step * cfg.dt, state))
+        if source is not None:
+            # the fused split-step kick is diagonal, so it commutes with the mask
+            mask, weights = source
+            x[1, mask] += weights[wanted[step]] * x[0, mask]
 
-    amp = psi.amp.astype(np.complex128)
-    check_edge(0, amp)
-    if 0 in wanted:
-        record(0, amp)
-    for step in range(1, cfg.n_steps + 1):
-        amp = stepper.step(amp)
-        check_edge(step, amp)
+    x = np.zeros((1 if source is None else 2, grid.n), dtype=np.complex128)
+    x[0] = psi.amp
+    for step in range(cfg.n_steps + 1):
+        if step:
+            x = stepper.step(x)
+        check_edge(step, x[0])
         if step in wanted:
-            record(step, amp)
-    return out
+            record(step, x)
+    return out, stepper.state(x)
 
 
 def propagate(psi: WaveFunction, cfg: PropagatorConfig,
@@ -264,7 +308,7 @@ def propagate(psi: WaveFunction, cfg: PropagatorConfig,
     boundary than a unit-norm packet, so callers that rescale states may
     rescale the guard with them.
     """
-    return _run(psi, cfg, barrier, dt_sign=+1.0, edge_limit=edge_limit)
+    return _run(psi, cfg, barrier, dt_sign=+1.0, edge_limit=edge_limit)[0]
 
 
 def propagate_backward(psi: WaveFunction, cfg: PropagatorConfig,
@@ -275,7 +319,29 @@ def propagate_backward(psi: WaveFunction, cfg: PropagatorConfig,
     Composing propagate_backward after propagate with the same config
     recovers the initial state up to the scheme's roundoff.
     """
-    return _run(psi, cfg, barrier, dt_sign=-1.0, edge_limit=edge_limit)
+    return _run(psi, cfg, barrier, dt_sign=-1.0, edge_limit=edge_limit)[0]
+
+
+def propagate_with_source(psi: WaveFunction, cfg: PropagatorConfig,
+                          barrier: BarrierSpec | None, mask: np.ndarray,
+                          weights: np.ndarray | Sequence[float],
+                          ) -> tuple[list[Snapshot], WaveFunction]:
+    """Evolve psi forward beside a source row phi, in the same steps.
+
+    phi starts at zero and gains weights[j] * mask * psi(t_j) at the j-th of
+    cfg.record_times t_j, so at the duration T it is
+    sum_j weights[j] U(T - t_j) mask psi(t_j).  Returns psi's snapshots at
+    cfg.record_times and phi(T).  The guards watch psi alone.
+    """
+    weights = np.asarray(weights, dtype=np.float64)
+    if weights.shape != (len(cfg.record_times),):
+        raise ConfigError(
+            f"need one source weight per record time ({len(cfg.record_times)}), "
+            f"got shape {weights.shape}"
+        )
+    snaps, last = _run(psi, cfg, barrier, dt_sign=+1.0, edge_limit=None,
+                       source=(np.asarray(mask, dtype=bool), weights))
+    return snaps, WaveFunction(psi.grid, last[1])
 
 
 def energy_expectation(psi: WaveFunction, barrier: BarrierSpec | None = None) -> float:

@@ -12,21 +12,27 @@ intermediate time but is not non-negative; its real part is the natural
 reading of "where was the particle, given where it ended up".  The imaginary
 part is kept in a companion channel.
 
-Every conditional observable reads one history per pre/post pair.  Building
-a pair (make_pair for an explicit final state, transmitted_pair for
-post-selection on transmission) runs the forward leg from |i> once, takes the
-post-selected state from its last snapshot, and runs the backward leg from
-<f| once.  The pair keeps the forward kets, the backward bras and their
-overlaps at every recorded time.  The conditional distribution, the dwell
-clock and the probe shifts of pointer.two_probe_run are reductions of that
-stored history, so whoever builds the pair fixes the time resolution of all
-of them.
+The conditional distribution and the probe shifts of pointer.two_probe_run
+read one history per pre/post pair.  Building a pair (make_pair for an
+explicit final state, transmitted_pair for post-selection on transmission)
+runs the forward leg from |i> once, takes the post-selected state from its
+last snapshot, and runs the backward leg from <f| once.  The pair keeps the
+forward kets, the backward bras and their overlaps at every recorded time,
+so whoever builds the pair fixes the time resolution of its readouts.
 
-The post-selection overlap enters as a denominator, so pairs are guarded by
-a floor on |<f|i>|^2 (default 1e-12) below which conditional values are
-numerically meaningless.  Unitarity pins <f(t)|i(t)> to <f|U|i> at every
-recorded time; a relative drift beyond 1e-6 means the two legs are no longer
-adjoint and the pair is refused.
+The dwell clock (dwell_time, transmitted_dwell_time) reads one forward leg
+and no backward one.  Beside the state the leg carries a source row that
+gains w_j * region * psi(t_j) at each node t_j (t=0 and the record times,
+w_j their trapezoid weights); post-selecting f from the final state then
+gives the trapezoid of the conditional region weight as
+Re <f|source(T)> / <f|psi(T)>.  Both kinds of readout post-select through
+the same two rules.
+
+The post-selection overlap enters as a denominator, so it is guarded by a
+floor on |<f|i>|^2 (default 1e-12) below which conditional values are
+numerically meaningless.  Unitarity pins a pair's <f(t)|i(t)> to <f|U|i> at
+every recorded time; a relative drift beyond 1e-6 means the two legs are no
+longer adjoint and the pair is refused.
 """
 
 from __future__ import annotations
@@ -39,7 +45,7 @@ import numpy as np
 from .core import Grid, BarrierSpec, RegionProjector, WaveFunction, region_projector
 from .errors import ConfigError, OverlapFloorError, SchemeInstabilityError
 from .tdse import (EDGE_PROBABILITY_LIMIT, PropagatorConfig, propagate,
-                   propagate_backward)
+                   propagate_backward, propagate_with_source)
 
 __all__ = [
     "OVERLAP_FLOOR",
@@ -51,11 +57,16 @@ __all__ = [
     "make_pair",
     "transmitted_pair",
     "conditional_distribution",
-    "conditional_dwell_time",
+    "ConditionalDwell",
+    "dwell_time",
+    "transmitted_dwell_time",
     "barrier_occupation",
 ]
 
 OVERLAP_FLOOR = 1e-12
+
+# a post-selection maps the evolved state to the selected state and its probability
+_Postselect = Callable[[WaveFunction], tuple[WaveFunction, float]]
 
 
 def _check_floor(overlap: complex, floor: float) -> None:
@@ -130,8 +141,7 @@ class PrePostPair:
 
 def _build_pair(initial: WaveFunction, cfg: PropagatorConfig,
                 barrier: BarrierSpec | None, floor: float,
-                postselect: Callable[[WaveFunction], tuple[WaveFunction, float]],
-                ) -> PrePostPair:
+                postselect: _Postselect) -> PrePostPair:
     """Run the forward leg once, post-select its last state, run the backward leg.
 
     The forward leg records cfg.record_times, plus the duration when the last
@@ -175,29 +185,16 @@ def _build_pair(initial: WaveFunction, cfg: PropagatorConfig,
                        tuple(kets), tuple(bras), tuple(overlaps))
 
 
-def make_pair(initial: WaveFunction, final: WaveFunction, cfg: PropagatorConfig,
-              barrier: BarrierSpec | None = None,
-              floor: float = OVERLAP_FLOOR) -> PrePostPair:
-    """Pair explicit unit-norm states, recording their history at cfg.record_times.
-
-    The post-selection probability is |<final|U(duration)|initial>|^2.
-    """
+def _onto(final: WaveFunction) -> _Postselect:
+    """Post-select an explicit unit-norm state, with probability |<final|U|i>|^2."""
     def postselect(evolved: WaveFunction) -> tuple[WaveFunction, float]:
         return final, abs(final.inner(evolved)) ** 2
 
-    return _build_pair(initial, cfg, barrier, floor, postselect)
+    return postselect
 
 
-def transmitted_pair(initial: WaveFunction, cfg: PropagatorConfig,
-                     barrier: BarrierSpec, cut: float,
-                     floor: float = OVERLAP_FLOOR) -> PrePostPair:
-    """Post-select on transmission: project the evolved state onto x >= cut.
-
-    The cut should sit beyond the barrier exit by a couple of packet widths so
-    the projector does not clip barrier-edge structure.  The pair's
-    postselect_prob is the probability of finding the particle beyond the cut.
-    """
-    grid = initial.grid
+def _transmission(grid: Grid, barrier: BarrierSpec, cut: float, floor: float) -> _Postselect:
+    """Post-select on x >= cut, with the probability of finding the particle there."""
     if not barrier.x_right < cut < grid.x_max:
         raise ConfigError(
             f"transmission cut {cut} must lie between the barrier exit "
@@ -213,7 +210,30 @@ def transmitted_pair(initial: WaveFunction, cfg: PropagatorConfig,
             )
         return projected.normalized(), float(prob)
 
-    return _build_pair(initial, cfg, barrier, floor, postselect)
+    return postselect
+
+
+def make_pair(initial: WaveFunction, final: WaveFunction, cfg: PropagatorConfig,
+              barrier: BarrierSpec | None = None,
+              floor: float = OVERLAP_FLOOR) -> PrePostPair:
+    """Pair explicit unit-norm states, recording their history at cfg.record_times.
+
+    The post-selection probability is |<final|U(duration)|initial>|^2.
+    """
+    return _build_pair(initial, cfg, barrier, floor, _onto(final))
+
+
+def transmitted_pair(initial: WaveFunction, cfg: PropagatorConfig,
+                     barrier: BarrierSpec, cut: float,
+                     floor: float = OVERLAP_FLOOR) -> PrePostPair:
+    """Post-select on transmission: project the evolved state onto x >= cut.
+
+    The cut should sit beyond the barrier exit by a couple of packet widths so
+    the projector does not clip barrier-edge structure.  The pair's
+    postselect_prob is the probability of finding the particle beyond the cut.
+    """
+    return _build_pair(initial, cfg, barrier, floor,
+                       _transmission(initial.grid, barrier, cut, floor))
 
 
 @dataclass(frozen=True)
@@ -298,16 +318,65 @@ def conditional_distribution(pair: PrePostPair) -> ConditionalDistribution:
     return ConditionalDistribution(grid=grid, times=pair.times, re=re, im=im)
 
 
-def conditional_dwell_time(pair: PrePostPair, region: RegionProjector) -> float:
+@dataclass(frozen=True)
+class ConditionalDwell:
+    """Conditional dwell time of a region, with what it was integrated over.
+
+    ``time`` is the trapezoid over ``times`` (t=0 and the record times) of
+    the real part of the region projector's conditional value;
+    ``postselect_prob`` is the probability that the post-selection succeeds.
+    """
+
+    time: float
+    postselect_prob: float
+    times: tuple[float, ...]
+
+
+def _forward_dwell(initial: WaveFunction, cfg: PropagatorConfig,
+                   barrier: BarrierSpec | None, region: RegionProjector,
+                   floor: float, postselect: _Postselect) -> ConditionalDwell:
+    """The dwell of the region from one forward leg that carries a source row.
+
+    The leg adds w_j * region * psi(t_j) to the source row at each node t_j,
+    with w_j the trapezoid weights of the nodes, so at the duration the row
+    is phi = sum_j w_j U(T - t_j) region psi(t_j), and
+    <f|phi> / <f|psi(T)> = sum_j w_j <f(t_j)|region|psi(t_j)> / <f|U|i>: the
+    trapezoid of the conditional region value without a backward leg.
+    """
+    records = cfg.record_times
+    times = records if records[0] == 0.0 else (0.0,) + records
+    if round(times[-1] / cfg.dt) != cfg.n_steps:
+        raise ConfigError("dwell integration needs record_times ending at the duration")
+    gaps = np.diff(times)
+    weights = 0.5 * (np.append(gaps, 0.0) + np.insert(gaps, 0, 0.0))
+    snaps, source = propagate_with_source(initial, replace(cfg, record_times=times),
+                                          barrier, region.mask, weights)
+    evolved = snaps[-1].psi
+    final, prob = postselect(evolved)
+    overlap = final.inner(evolved)
+    _check_floor(overlap, floor)
+    return ConditionalDwell(float((final.inner(source) / overlap).real), prob, times)
+
+
+def dwell_time(initial: WaveFunction, final: WaveFunction, cfg: PropagatorConfig,
+               region: RegionProjector, barrier: BarrierSpec | None = None,
+               floor: float = OVERLAP_FLOOR) -> ConditionalDwell:
     """Time integral of Re of the conditional region weight over [0, duration].
 
-    The trapezoid rule runs over the pair's recorded times, which must start
-    at 0 and end at the duration; whoever builds the pair chooses the time
-    resolution.  With the full evolved state as post-selection this reduces
-    to the ordinary sojourn time integral of the region probability; with
-    region = whole domain it returns the duration exactly.
+    The trapezoid rule runs over t=0 and cfg.record_times, which must end at
+    the duration.  With the full evolved state as post-selection this is the
+    ordinary sojourn time integral of the region probability; with region =
+    whole domain it returns the duration.
     """
-    times = pair.times
-    if times[0] != 0.0 or abs(times[-1] - pair.duration) > 1e-9 * max(1.0, pair.duration):
-        raise ConfigError("dwell integration needs record_times spanning [0, duration]")
-    return float(np.trapezoid(pair.region_weights(region).real, times))
+    return _forward_dwell(initial, cfg, barrier, region, floor, _onto(final))
+
+
+def transmitted_dwell_time(initial: WaveFunction, cfg: PropagatorConfig,
+                           barrier: BarrierSpec, cut: float, region: RegionProjector,
+                           floor: float = OVERLAP_FLOOR) -> ConditionalDwell:
+    """dwell_time of the region for the subensemble found beyond the cut.
+
+    The post-selection is transmitted_pair's.
+    """
+    return _forward_dwell(initial, cfg, barrier, region, floor,
+                          _transmission(initial.grid, barrier, cut, floor))

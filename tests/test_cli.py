@@ -183,6 +183,10 @@ def test_dwell_fast_scenario(tmp_path):
     assert d["region_left"] == -2.0 and d["region_right"] == 2.0
     assert d["n_record"] == 11
     assert 0.0 < d["dwell_time"] < d["duration"]
+    # the record-grid trapezoid of the barrier weight, as the pair of one
+    # forward and one backward leg gave it; the forward-leg value differs by
+    # the legs' roundoff (2.7e-12 relative)
+    assert d["dwell_time"] == pytest.approx(1.4838114914226563, rel=1e-10)
     assert d["transmit_prob"] == pytest.approx(2.3662422783212265e-3, rel=1e-6)
 
 

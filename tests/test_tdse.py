@@ -12,12 +12,14 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from conftest import SMALL_SCENARIO
+from weaktunnel import tdse
 from weaktunnel.core import (BarrierSpec, Grid, WaveFunction, gaussian_packet,
                              region_projector)
 from weaktunnel.errors import ConfigError, EdgeDensityError, SchemeInstabilityError
 from weaktunnel.scatter import scattering_amplitudes
 from weaktunnel.tdse import (EDGE_CELLS, STENCIL_HALF_WIDTH, PropagatorConfig,
-                             energy_expectation, propagate, propagate_backward)
+                             energy_expectation, propagate, propagate_backward,
+                             propagate_with_source)
 
 FREE_GRID = Grid.from_domain(-128.0, 128.0, 1024)
 
@@ -251,3 +253,46 @@ def test_implicit_fd_lapack_failure_raises(monkeypatch, routine, good_calls):
     cfg = PropagatorConfig(dt=0.01, n_steps=2, scheme="implicit-fd")
     with pytest.raises(SchemeInstabilityError, match=routine):
         propagate(free_packet(), cfg)
+
+
+@pytest.mark.parametrize("scheme", ["spectral-split-step", "implicit-fd"])
+def test_stacked_step_matches_row_by_row_steps(scheme):
+    """Two rows stepped as one stack equal each row stepped alone."""
+    grid = SMALL_SCENARIO.grid()
+    v = SMALL_SCENARIO.barrier().potential(grid)
+    stack = np.array([gaussian_packet(grid, -20.0, 4.0, 1.0).amp,
+                      gaussian_packet(grid, 3.0, 6.0, -0.5).amp])
+    stacked = tdse._make_stepper(scheme, grid, v, 0.02)
+    singles = [tdse._make_stepper(scheme, grid, v, 0.02) for _ in stack]
+    rows = [stack[r:r + 1] for r in range(2)]
+    for _ in range(3):
+        stack = stacked.step(stack)
+        rows = [single.step(row) for single, row in zip(singles, rows)]
+    expected = np.concatenate([single.state(row) for single, row in zip(singles, rows)])
+    got = stacked.state(stack)
+    assert got.shape == (2, grid.n)
+    assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("scheme", ["spectral-split-step", "implicit-fd"])
+def test_source_row_collects_the_weighted_region_history(scheme):
+    """The source row at the duration is sum_j w_j U(T - t_j) mask psi(t_j),
+    rebuilt here from one standalone leg per record."""
+    psi = free_packet(k0=1.0, x0=-10.0)
+    mask = (FREE_GRID.x >= -5.0) & (FREE_GRID.x < 5.0)
+    cfg = PropagatorConfig(dt=0.01, n_steps=1000, scheme=scheme,
+                           record_times=(0.0, 4.0, 10.0))
+    weights = (0.5, -2.0, 3.0)
+    snaps, phi = propagate_with_source(psi, cfg, None, mask, weights)
+    assert [s.t for s in snaps] == [0.0, 4.0, 10.0]
+    for snap, plain in zip(snaps, propagate(psi, cfg), strict=True):
+        assert np.array_equal(snap.psi.amp, plain.psi.amp)
+    expected = np.zeros(FREE_GRID.n, dtype=np.complex128)
+    for w, (t, state) in zip(weights, snaps):
+        rest = replace(cfg, n_steps=round((cfg.duration - t) / cfg.dt), record_times=())
+        (_, moved), = propagate(WaveFunction(FREE_GRID, w * np.where(mask, state.amp, 0.0)),
+                                rest, edge_limit=1.0)
+        expected += moved.amp
+    assert np.max(np.abs(phi.amp - expected)) <= 1e-12 * np.max(np.abs(expected))
+    with pytest.raises(ConfigError):
+        propagate_with_source(psi, cfg, None, mask, weights[:2])

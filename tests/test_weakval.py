@@ -13,9 +13,9 @@ from weaktunnel.core import (WaveFunction, gaussian_packet, region_projector,
 from weaktunnel.errors import ConfigError, OverlapFloorError
 from weaktunnel.pointer import WeakProbe, two_probe_run
 from weaktunnel.tdse import PropagatorConfig, propagate
-from weaktunnel.weakval import (conditional_distribution, conditional_dwell_time,
-                                make_pair, transmitted_pair, weak_moment,
-                                weak_value)
+from weaktunnel.weakval import (conditional_distribution, dwell_time, make_pair,
+                                transmitted_dwell_time, transmitted_pair,
+                                weak_moment, weak_value)
 
 from conftest import SMALL_SCENARIO
 
@@ -24,6 +24,22 @@ from conftest import SMALL_SCENARIO
 FAST_TRANSMISSION = replace(SMALL_SCENARIO, packet_energy=4.5, dt=0.05, n_steps=400)
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
+
+
+def counted(legs, name, fn):
+    """fn, adding one to legs[name] at every call."""
+    def wrapper(*args, **kwargs):
+        legs[name] += 1
+        return fn(*args, **kwargs)
+    return wrapper
+
+
+def pair_dwell_oracle(pair, region):
+    """The dwell as the trapezoid over the pair's records of Re of the
+    conditional region weight; the records must span [0, duration]."""
+    times = pair.times
+    assert times[0] == 0.0 and times[-1] == pytest.approx(pair.duration)
+    return float(np.trapezoid(pair.region_weights(region).real, times))
 
 
 def test_spin_anomaly_value_and_second_moment():
@@ -114,23 +130,15 @@ def test_one_forward_and_one_backward_leg_per_pair(builder, monkeypatch):
     standalone = propagate(psi, prop, barrier)
 
     legs = Counter()
-
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            legs[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
-    monkeypatch.setattr(weakval, "propagate", counted("forward", weakval.propagate))
+    monkeypatch.setattr(weakval, "propagate", counted(legs, "forward", weakval.propagate))
     monkeypatch.setattr(weakval, "propagate_backward",
-                        counted("backward", weakval.propagate_backward))
+                        counted(legs, "backward", weakval.propagate_backward))
     if builder == "transmitted":
         pair = transmitted_pair(psi, prop, barrier, cfg.transmit_cut())
     else:
         pair = make_pair(psi, standalone[-1].psi, prop, barrier)
     region = region_projector(cfg.grid(), cfg.barrier_left, cfg.barrier_right)
     conditional_distribution(pair)
-    conditional_dwell_time(pair, region)
     probe = WeakProbe(region, 0.01, (pair.times[1], pair.times[5]))
     two_probe_run(pair, probe, probe, pointer_sigma=1.0)
     assert legs == {"forward": 1, "backward": 1}
@@ -138,6 +146,24 @@ def test_one_forward_and_one_backward_leg_per_pair(builder, monkeypatch):
     assert pair.times == tuple(s.t for s in standalone)
     for ket, snap in zip(pair.kets, standalone, strict=True):
         assert np.array_equal(ket.amp, snap.psi.amp)
+
+
+@pytest.mark.parametrize("builder", ["transmitted", "explicit"])
+def test_dwell_runs_one_forward_leg_and_no_backward_leg(builder, monkeypatch):
+    cfg = FAST_TRANSMISSION
+    barrier = cfg.barrier()
+    psi = cfg.packet()
+    (_, evolved), = propagate(psi, cfg.propagator(record_times=()), barrier)
+    legs = Counter()
+
+    for name in ("propagate", "propagate_backward", "propagate_with_source"):
+        monkeypatch.setattr(weakval, name, counted(legs, name, getattr(weakval, name)))
+    region = region_projector(cfg.grid(), cfg.barrier_left, cfg.barrier_right)
+    if builder == "transmitted":
+        transmitted_dwell_time(psi, cfg.propagator(), barrier, cfg.transmit_cut(), region)
+    else:
+        dwell_time(psi, evolved, cfg.propagator(), region, barrier)
+    assert legs == {"propagate_with_source": 1}
 
 
 def test_records_may_stop_before_the_post_selection():
@@ -210,20 +236,49 @@ def test_postselected_distribution_is_time_reversal_symmetric():
 
 def test_dwell_time_whole_domain_is_the_duration():
     cfg = SMALL_SCENARIO
-    prop = cfg.propagator(record_times=(0.0,) + cfg.record_times())
-    pair = transmitted_pair(cfg.packet(), prop, cfg.barrier(), cfg.transmit_cut())
     grid = cfg.grid()
     whole = region_projector(grid, grid.x_min, grid.x_max)
-    dwell = conditional_dwell_time(pair, whole)
-    assert dwell == pytest.approx(cfg.duration, rel=1e-6)
+    dwell = transmitted_dwell_time(cfg.packet(), cfg.propagator(), cfg.barrier(),
+                                   cfg.transmit_cut(), whole)
+    assert dwell.times == (0.0,) + cfg.record_times()
+    assert dwell.time == pytest.approx(cfg.duration, rel=1e-6)
 
 
-def test_dwell_time_requires_full_time_span(small_pair):
-    grid = small_pair["cfg"].grid()
+def test_dwell_time_requires_full_time_span():
+    cfg = FAST_TRANSMISSION
+    grid = cfg.grid()
     whole = region_projector(grid, grid.x_min, grid.x_max)
-    # the fixture pair records from 3.5, not 0
+    records = cfg.record_times()
+    # records that stop before the duration leave the integral short
     with pytest.raises(ConfigError):
-        conditional_dwell_time(small_pair["pair"], whole)
+        transmitted_dwell_time(cfg.packet(), cfg.propagator(record_times=records[:-1]),
+                               cfg.barrier(), cfg.transmit_cut(), whole)
+    # t=0 is always a node, whether or not the records hold it
+    plain, with_zero = (
+        transmitted_dwell_time(cfg.packet(), cfg.propagator(record_times=times),
+                               cfg.barrier(), cfg.transmit_cut(), whole)
+        for times in (records, (0.0,) + records))
+    assert plain == with_zero
+
+
+@pytest.mark.parametrize("scheme", ["spectral-split-step", "implicit-fd"])
+def test_forward_leg_dwell_matches_pair_trapezoid_oracle(scheme):
+    """The source row carried beside the forward leg gives the trapezoid of
+    the pair's conditional barrier weight over t=0 and the records.  The
+    oracle divides by each record's overlap, and those drift apart by the
+    roundoff of the two legs (2.0e-12 relative on split-step, 5.8e-14 on
+    Crank-Nicolson), so the bound is 1e-12 plus that drift; measured gaps
+    1.9e-12 and 1.6e-14."""
+    cfg = replace(SMALL_SCENARIO, scheme=scheme)
+    barrier = cfg.barrier()
+    region = region_projector(cfg.grid(), cfg.barrier_left, cfg.barrier_right)
+    dwell = transmitted_dwell_time(cfg.packet(), cfg.propagator(), barrier,
+                                   cfg.transmit_cut(), region)
+    pair = transmitted_pair(cfg.packet(), cfg.propagator(record_times=dwell.times),
+                            barrier, cfg.transmit_cut())
+    drift = max(abs(o - pair.overlap) for o in pair.overlaps) / abs(pair.overlap)
+    assert dwell.postselect_prob == pytest.approx(pair.postselect_prob, rel=1e-13)
+    assert dwell.time == pytest.approx(pair_dwell_oracle(pair, region), rel=1e-12 + drift)
 
 
 def test_free_crossing_dwell_matches_density_integral():
@@ -233,15 +288,15 @@ def test_free_crossing_dwell_matches_density_integral():
     times = tuple(2.5 * j for j in range(19))
     prop = PropagatorConfig(dt=cfg.dt, n_steps=45_000, record_times=times)
     snaps = propagate(psi, prop)
-    pair = make_pair(psi, snaps[-1].psi, prop)
     region = region_projector(grid, -5.0, 5.0)
 
-    dwell = conditional_dwell_time(pair, region)
+    dwell = dwell_time(psi, snaps[-1].psi, prop, region)
+    assert dwell.times == times
     occupancy = [region.expectation(s.psi) for s in snaps]
     oracle = float(np.trapezoid(occupancy, times))
-    assert dwell == pytest.approx(oracle, rel=1e-8)
+    assert dwell.time == pytest.approx(oracle, rel=1e-8)
     # a unit-speed packet spends about width/speed inside the region
-    assert dwell == pytest.approx(10.0, rel=0.05)
+    assert dwell.time == pytest.approx(10.0, rel=0.05)
 
 
 def test_tunneling_trace_structure(trace_run):
