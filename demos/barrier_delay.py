@@ -1,8 +1,8 @@
 """Group delay saturating with barrier thickness.
 
 For a particle at half-height (kappa = k = 1) the transmission phase delay
-stops growing once the barrier is a few decay lengths thick: doubling the
-thickness from 40 to 80 changes the delay by parts in 1e11.  A free packet
+stops growing once the barrier is a few decay lengths thick: from a thickness
+of 20 on it is 2 to double precision.  A free packet
 would take time d/k to cross, so the transmitted peak's effective traversal
 speed grows without limit.
 """

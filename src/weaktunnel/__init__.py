@@ -19,7 +19,6 @@ from .core import (
 )
 from .errors import (
     ConfigError,
-    DerivativeError,
     EdgeDensityError,
     NumericalGuardError,
     OverlapFloorError,

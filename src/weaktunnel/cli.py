@@ -178,16 +178,17 @@ def _cmd_two_probe(args) -> int:
     barrier = cfg.barrier()
     grid = cfg.grid()
     records = cfg.record_times()
-    if len(records) < 8:
-        raise ConfigError("two-probe defaults need at least 8 recorded times")
+    if None in (args.window_a, args.window_b) and len(records) < 10:
+        raise ConfigError("two-probe default windows need at least 10 recorded times")
 
     def pick(flag_value, flag, default):
         return _parse_pair(flag_value, flag) if flag_value is not None else default
 
     # defaults: probe the incident side while the packet is still approaching
-    # and the transmitted side after the traversal, disjoint windows
-    window_a = pick(args.window_a, "--window-a", (records[1], records[5]))
-    window_b = pick(args.window_b, "--window-b", (records[-5], records[-1]))
+    # (records 1 to 5) and the transmitted side after the traversal (records
+    # -5 to -1); from 10 records on, the two share at most an endpoint
+    window_a = pick(args.window_a, "--window-a", records[1:6:4])
+    window_b = pick(args.window_b, "--window-b", records[-5::4])
     region_a = pick(args.region_a, "--region-a", (grid.x_min, barrier.x_left))
     region_b = pick(args.region_b, "--region-b", (barrier.x_right, grid.x_max))
 

@@ -28,7 +28,3 @@ class SchemeInstabilityError(NumericalGuardError):
 
 class OverlapFloorError(NumericalGuardError):
     """A pre/post-selection overlap fell below the configured floor."""
-
-
-class DerivativeError(NumericalGuardError):
-    """Numerical differentiation did not converge; both estimates are reported."""

@@ -19,18 +19,26 @@ so an empty segment has group delay span/k, the free traversal time.
 ``r`` is the coefficient of e^{-ikx} for the same incident wave, in global
 coordinates (its phase depends on where the structure sits; |r| does not).
 
-The delay is differentiated numerically (centered differences, two step
-sizes, Richardson extrapolation) with an explicit convergence check.
+Closed-form delay
+-----------------
+Since det T = 1, t = e^{-ik*span}/T11, so tau(E) = -Im(T11'/T11).  The
+derivative T' = dT/dE rides through the same product as T, factor by factor:
+q' = 1/q, the interface ratio r = q_prev/q has r' = (1/q_prev - r/q)/q, and
+the hop diag(e^{iqw}, e^{-iqw}) has derivative
+diag(iw/q e^{iqw}, -iw/q e^{-iqw}).  Each evanescent hop is divided by its
+growth e^{kappa*w}, and kappa*w is added to a real log-scale, so neither T
+nor T' overflows on thick barriers; the scale cancels in T10/T11 and in
+T11'/T11, and t carries it back as e^{-scale}.
 """
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .core import BarrierSpec
-from .errors import ConfigError, DerivativeError
+from .errors import ConfigError
 
 __all__ = ["ScatterResult", "scattering_amplitudes", "group_delay", "delay_vs_width"]
 
@@ -80,113 +88,93 @@ def _validate_energy(energy: float, barrier: BarrierSpec) -> None:
             )
 
 
-def scattering_amplitudes(energy: float, barrier: BarrierSpec) -> ScatterResult:
-    """Exact t and r for a plane wave of given energy (hbar = m = 1)."""
+def _transfer(energy: float, barrier: BarrierSpec):
+    """Scaled transfer matrix, its energy derivative, and the log of the scale.
+
+    Returns ``(T, dT, scale)`` with ``T`` and ``dT`` as (T00, T01, T10, T11)
+    tuples; the true matrix and its derivative are e^{scale} times them.
+    """
     _validate_energy(energy, barrier)
-    k = np.sqrt(2.0 * energy)
+    k = math.sqrt(2.0 * energy)
     for w, h in _regions(barrier):
-        if h > energy and np.sqrt(2.0 * (h - energy)) * w > _MAX_EVANESCENT_EXPONENT:
+        if h > energy and math.sqrt(2.0 * (h - energy)) * w > _MAX_EVANESCENT_EXPONENT:
             raise ConfigError(
                 "evanescent decay exceeds double-precision range: "
-                f"kappa*width = {np.sqrt(2.0 * (h - energy)) * w:.1f}"
+                f"kappa*width = {math.sqrt(2.0 * (h - energy)) * w:.1f}"
             )
 
     # Coefficient transfer [A', B'] = T [A, B] from the left outer region
     # (referenced to the leftmost edge) to the right outer region
-    # (referenced to the rightmost edge).
-    T = np.eye(2, dtype=np.complex128)
+    # (referenced to the rightmost edge).  Each region contributes the hop
+    # diag(e^{iqw}, e^{-iqw}) after the interface 1/2 [[1+r, 1-r], [1-r, 1+r]]
+    # with r = q_prev/q; the closing zero-width region is the right outer one.
+    t00, t01, t10, t11 = 1.0 + 0j, 0j, 0j, 1.0 + 0j
+    d00 = d01 = d10 = d11 = 0j
+    scale = 0.0
     q_prev = complex(k)
-    for width, height in _regions(barrier):
-        q = np.sqrt(2.0 * (energy - height) + 0j)
-        ratio = q_prev / q
-        interface = 0.5 * np.array(
-            [[1.0 + ratio, 1.0 - ratio], [1.0 - ratio, 1.0 + ratio]],
-            dtype=np.complex128,
+    for width, height in [*_regions(barrier), (0.0, 0.0)]:
+        q = cmath.sqrt(2.0 * (energy - height))
+        r = q_prev / q
+        dr = (1.0 / q_prev - r / q) / q
+        growth = q.imag * width
+        scale += growth
+        a = 0.5 * cmath.exp(1j * q * width - growth)
+        b = 0.5 * cmath.exp(-1j * q * width - growth)
+        s = 1j * width / q
+        f00, f01, f10, f11 = a * (1.0 + r), a * (1.0 - r), b * (1.0 - r), b * (1.0 + r)
+        g00, g01 = s * f00 + a * dr, s * f01 - a * dr
+        g10, g11 = -s * f10 - b * dr, b * dr - s * f11
+        d00, d01, d10, d11 = (
+            g00 * t00 + g01 * t10 + f00 * d00 + f01 * d10,
+            g00 * t01 + g01 * t11 + f00 * d01 + f01 * d11,
+            g10 * t00 + g11 * t10 + f10 * d00 + f11 * d10,
+            g10 * t01 + g11 * t11 + f10 * d01 + f11 * d11,
         )
-        phase = np.exp(1j * q * width)
-        hop = np.array([[phase, 0.0], [0.0, 1.0 / phase]], dtype=np.complex128)
-        T = hop @ interface @ T
+        t00, t01, t10, t11 = (
+            f00 * t00 + f01 * t10, f00 * t01 + f01 * t11,
+            f10 * t00 + f11 * t10, f10 * t01 + f11 * t11,
+        )
         q_prev = q
-    ratio = q_prev / k
-    interface = 0.5 * np.array(
-        [[1.0 + ratio, 1.0 - ratio], [1.0 - ratio, 1.0 + ratio]], dtype=np.complex128
-    )
-    T = interface @ T
+    return (t00, t01, t10, t11), (d00, d01, d10, d11), scale
 
+
+def scattering_amplitudes(energy: float, barrier: BarrierSpec) -> ScatterResult:
+    """Exact t and r for a plane wave of given energy (hbar = m = 1)."""
+    (_, _, t10, t11), _, scale = _transfer(energy, barrier)
     # Incident from the left: [t_local, 0] = T [1, r_local], so
     # t_local = det(T)/T11 and r_local = -T10/T11.  The determinants of the
     # interface factors telescope (each contributes q_prev/q_next) and the
     # hops are unimodular, so det(T) = 1 exactly; using that instead of the
     # assembled matrix entries avoids a catastrophic e^{+kappa d} cancellation
-    # for thick barriers.
-    r_local = -T[1, 0] / T[1, 1]
-    t_local = 1.0 / T[1, 1]
+    # for thick barriers.  The returned matrix is T e^{-scale}.
+    k = math.sqrt(2.0 * energy)
+    r_local = -t10 / t11
+    t_local = math.exp(-scale) / t11
     span = barrier.x_right - barrier.x_left
-    t = t_local * np.exp(-1j * k * span)
-    r = r_local * np.exp(2j * k * barrier.x_left)
+    t = t_local * cmath.exp(-1j * k * span)
+    r = r_local * cmath.exp(2j * k * barrier.x_left)
 
     top = barrier.max_height
-    kappa = float(np.sqrt(2.0 * (top - energy))) if energy < top else 0.0
-    return ScatterResult(energy=float(energy), k=float(k), kappa=kappa,
-                         t=complex(t), r=complex(r))
+    kappa = math.sqrt(2.0 * (top - energy)) if energy < top else 0.0
+    return ScatterResult(energy=float(energy), k=k, kappa=kappa, t=t, r=r)
 
 
-def _phase_difference(e_hi: float, e_lo: float, barrier: BarrierSpec) -> float:
-    """Crossing-phase difference arg t + k*span between two nearby energies.
-
-    The arg-t part is computed wrap-safe from the amplitude ratio, which is
-    valid as long as the true difference stays inside (-pi, pi); the step
-    sizes used below keep it far inside.
-    """
-    span = barrier.x_right - barrier.x_left
-    t_hi = scattering_amplitudes(e_hi, barrier).t
-    t_lo = scattering_amplitudes(e_lo, barrier).t
-    dk = np.sqrt(2.0 * e_hi) - np.sqrt(2.0 * e_lo)
-    return float(np.angle(t_hi * np.conj(t_lo)) + dk * span)
-
-
-def group_delay(energy: float, barrier: BarrierSpec, h: float | None = None) -> float:
+def group_delay(energy: float, barrier: BarrierSpec) -> float:
     """Group (phase) delay d/dE [arg t + k*span] at the given energy.
 
-    Centered differences at step sizes h and h/2 are Richardson-extrapolated;
-    if the two estimates disagree beyond tolerance the step is shrunk, and
-    after repeated failures a DerivativeError carries both estimates.
+    Exact: t = e^{-ik*span}/T11, so the delay is -Im(T11'/T11).
     """
-    _validate_energy(energy, barrier)
-    if h is None:
-        h = 1e-3 * max(1.0, energy)
-    # Keep the stencil away from E = 0 and from every segment height.
-    limit = energy / 8.0
-    for _, _, height in barrier.segments:
-        gap = abs(energy - height)
-        if gap > 0.0:
-            limit = min(limit, gap / 8.0)
-    h = min(h, limit)
-    if h <= 0.0:
-        raise ConfigError(f"cannot build a difference stencil at energy {energy}")
-
-    last_pair: tuple[float, float] = (np.nan, np.nan)
-    for _ in range(8):
-        d1 = _phase_difference(energy + h, energy - h, barrier) / (2.0 * h)
-        d2 = _phase_difference(energy + h / 2.0, energy - h / 2.0, barrier) / h
-        extrap = (4.0 * d2 - d1) / 3.0
-        if abs(d2 - d1) <= max(1e-9, 1e-7 * abs(extrap)):
-            return float(extrap)
-        last_pair = (d1, d2)
-        h /= 4.0
-    raise DerivativeError(
-        "group delay differentiation did not converge: "
-        f"estimates {last_pair[0]!r} and {last_pair[1]!r} at energy {energy}"
-    )
+    (_, _, _, t11), (_, _, _, d11), _ = _transfer(energy, barrier)
+    return -(d11 / t11).imag
 
 
-def delay_vs_width(energy: float, height: float, widths: "list[float]",
-                   x_left: float = 0.0) -> list[tuple[float, float]]:
+def delay_vs_width(energy: float, height: float,
+                   widths: "list[float]") -> list[tuple[float, float]]:
     """Group delay for a family of single rectangular barriers of growing width."""
     out = []
     for w in widths:
         if w <= 0.0:
             raise ConfigError(f"barrier width must be positive, got {w}")
-        barrier = BarrierSpec.rectangular(x_left, x_left + w, height)
+        barrier = BarrierSpec.rectangular(0.0, w, height)
         out.append((float(w), group_delay(energy, barrier)))
     return out

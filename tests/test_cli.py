@@ -108,15 +108,17 @@ def test_scatter_sweep_is_unitary(tmp_path):
 
 
 def test_hartman_delay_saturates(tmp_path):
-    out = tmp_path / "h"
-    assert main(["hartman", "--out", str(out)]) == 0
-    _, rows = read_csv(out, "delays.csv")
-    widths, delays = rows[:, 0], rows[:, 1]
-    assert list(widths) == [10.0, 20.0, 40.0, 80.0]
-    assert np.all(np.diff(delays) >= -1e-8)
-    assert abs(delays[-1] - delays[-2]) / delays[-2] < 0.01
-    assert delays[-1] == pytest.approx(2.0, abs=1e-6)
-    assert_shortest_floats_csv(out, "delays.csv")
+    default = [10.0, 20.0, 40.0, 80.0]
+    for flags, expected in (([], default), (["--d", "10,20,40,80,400"], [*default, 400.0])):
+        out = tmp_path / f"h{len(expected)}"
+        assert main(["hartman", *flags, "--out", str(out)]) == 0
+        _, rows = read_csv(out, "delays.csv")
+        widths, delays = rows[:, 0], rows[:, 1]
+        assert list(widths) == expected
+        assert np.all(np.diff(delays) >= -1e-8)
+        assert abs(delays[-1] - delays[-2]) / delays[-2] < 0.01
+        assert delays[-1] == pytest.approx(2.0, abs=1e-12)
+        assert_shortest_floats_csv(out, "delays.csv")
 
 
 def test_corpuscle_sim_test_roundtrip(tmp_path):
@@ -208,6 +210,17 @@ def test_two_probe_fast_scenario(tmp_path):
                  "--set", "n_steps=3500", "--out", str(coarse)]) == 0
     tp = read_json(coarse, "twoprobe.json")
     assert tp["moments"]["postselect_prob"] == tp["transmit_prob"]
+
+
+def test_two_probe_record_count_guards_only_default_windows(tmp_path):
+    cheap = ["--set", "n_points=1024", "--set", "packet_energy=4.5",
+             "--set", "dt=0.05", "--set", "n_steps=400"]
+    explicit = ["--window-a", "5,10", "--window-b", "15,20"]
+    assert main(["two-probe", *cheap, "--set", "n_record=4", *explicit,
+                 "--out", str(tmp_path / "explicit")]) == 0
+    # eight records would give the overlapping defaults [5, 15] and [10, 20]
+    assert main(["two-probe", *cheap, "--set", "n_record=8",
+                 "--out", str(tmp_path / "defaults")]) == 2
 
 
 def test_small_run_determinism_cheap_commands(tmp_path):

@@ -5,6 +5,8 @@ integrates the stationary equation across the barrier with solve_ivp and
 reads the amplitudes off the asymptotic plane waves; the oracle itself runs
 here so the frozen number stays honest.  The stationary amplitudes in turn
 serve as the oracle of the trace scenario's time-dependent transmission.
+The closed-form group delay is checked against Richardson-extrapolated
+finite differences of the transmission phase.
 """
 
 import numpy as np
@@ -18,6 +20,14 @@ from weaktunnel.errors import ConfigError
 from weaktunnel.scatter import delay_vs_width, group_delay, scattering_amplitudes
 
 HALF_HEIGHT_D10 = BarrierSpec.rectangular(-5.0, 5.0, 1.0)
+STACK = BarrierSpec([(-6.0, -2.0, 1.0), (-2.0, 1.0, 0.4), (1.0, 5.0, 2.0)])
+
+
+def stack_energies() -> list[float]:
+    """25 energies over [0.05, 5], none within 1e-3 of a STACK height."""
+    rng = np.random.default_rng(5)
+    return [float(e) for e in rng.uniform(0.05, 5.0, 25)
+            if min(abs(e - h) for h in (0.4, 1.0, 2.0)) >= 1e-3]
 
 
 def shooting_transmission(energy: float, barrier: BarrierSpec) -> float:
@@ -62,12 +72,8 @@ def test_flux_conservation(energy):
 
 
 def test_flux_conservation_multi_segment():
-    stack = BarrierSpec([(-6.0, -2.0, 1.0), (-2.0, 1.0, 0.4), (1.0, 5.0, 2.0)])
-    rng = np.random.default_rng(5)
-    for energy in rng.uniform(0.05, 5.0, 25):
-        if min(abs(energy - h) for h in (0.4, 1.0, 2.0)) < 1e-3:
-            continue
-        res = scattering_amplitudes(float(energy), stack)
+    for energy in stack_energies():
+        res = scattering_amplitudes(energy, STACK)
         assert res.transmission + res.reflection == pytest.approx(1.0, abs=1e-10)
 
 
@@ -109,13 +115,73 @@ def test_free_delay_is_crossing_time():
     barrier = BarrierSpec.rectangular(-5.0, 5.0, 0.0)
     for energy in (0.2, 0.5, 2.0):
         k = np.sqrt(2 * energy)
-        assert group_delay(energy, barrier) == pytest.approx(10.0 / k, rel=1e-7)
+        # measured gap 2.2e-16
+        assert group_delay(energy, barrier) == pytest.approx(10.0 / k, rel=1e-15)
 
 
 def test_delay_analytic_value_at_half_height():
-    # exact opaque-barrier limit at kappa = k = 1 is 2/(k*kappa) = 2
+    # exact opaque-barrier limit at kappa = k = 1 is 2/(k*kappa) = 2; measured gap 0
     barrier = BarrierSpec.rectangular(-20.0, 20.0, 1.0)
-    assert group_delay(0.5, barrier) == pytest.approx(2.0, abs=1e-7)
+    assert group_delay(0.5, barrier) == pytest.approx(2.0, abs=1e-15)
+
+
+@pytest.mark.parametrize("kappa_d", [300.0, 400.0, 650.0, 690.0])
+@pytest.mark.parametrize("gap", [0.5, 1e-3, 1e-5, 1e-7])
+def test_opaque_barrier_delay_is_hartman_limit(gap, kappa_d):
+    # the e^{-2 kappa d} corrections to 2/(k*kappa) are far below double
+    # precision here; measured gaps are at most 1.2e-13
+    energy = 1.0 - gap
+    kappa, k = np.sqrt(2.0 * (1.0 - energy)), np.sqrt(2.0 * energy)
+    barrier = BarrierSpec.rectangular(0.0, kappa_d / kappa, 1.0)
+    assert group_delay(energy, barrier) == pytest.approx(2.0 / (k * kappa), rel=1e-12)
+
+
+def richardson_delay(energy: float, barrier: BarrierSpec) -> float:
+    """d/dE [arg t + k*span] by centred differences of the transmission phase.
+
+    Differences at steps h and h/2 are Richardson-extrapolated once they
+    agree to 1e-7 relative; otherwise the step shrinks fourfold.  The stencil
+    stays an eighth of the distance away from E = 0 and from every height.
+    """
+    span = barrier.x_right - barrier.x_left
+
+    def phase_difference(e_hi: float, e_lo: float) -> float:
+        # wrap-safe while the true difference stays inside (-pi, pi)
+        t_hi = scattering_amplitudes(e_hi, barrier).t
+        t_lo = scattering_amplitudes(e_lo, barrier).t
+        dk = np.sqrt(2.0 * e_hi) - np.sqrt(2.0 * e_lo)
+        return float(np.angle(t_hi * np.conj(t_lo)) + dk * span)
+
+    h = min(1e-3 * max(1.0, energy), energy / 8.0,
+            *(abs(energy - height) / 8.0 for _, _, height in barrier.segments))
+    for _ in range(8):
+        d1 = phase_difference(energy + h, energy - h) / (2.0 * h)
+        d2 = phase_difference(energy + h / 2.0, energy - h / 2.0) / h
+        extrap = (4.0 * d2 - d1) / 3.0
+        if abs(d2 - d1) <= max(1e-9, 1e-7 * abs(extrap)):
+            return extrap
+        h /= 4.0
+    raise AssertionError(f"finite differences did not converge at energy {energy}")
+
+
+# Largest relative gaps measured between the exact delay and the oracle:
+# 3.7e-11 on HALF_HEIGHT_D10 and 1.6e-11 on STACK; 1.9e-9 at E = V0 -+ 1e-6,
+# where the oracle's step is 1.25e-7 and the roundoff of its phase
+# differences grows to about 1e-16/h.
+ORACLE_DELAY_REL = 1e-10
+ORACLE_DELAY_REL_AT_TOP = 5e-9
+
+
+def test_delay_matches_finite_difference_oracle():
+    for energy in (0.05, 0.3, 0.5, 0.9, 1.3, 4.0):
+        assert group_delay(energy, HALF_HEIGHT_D10) == pytest.approx(
+            richardson_delay(energy, HALF_HEIGHT_D10), rel=ORACLE_DELAY_REL)
+    for energy in stack_energies():
+        assert group_delay(energy, STACK) == pytest.approx(
+            richardson_delay(energy, STACK), rel=ORACLE_DELAY_REL)
+    for energy in (1.0 - 1e-6, 1.0 + 1e-6):
+        assert group_delay(energy, HALF_HEIGHT_D10) == pytest.approx(
+            richardson_delay(energy, HALF_HEIGHT_D10), rel=ORACLE_DELAY_REL_AT_TOP)
 
 
 def test_hartman_saturation_and_monotonicity():
