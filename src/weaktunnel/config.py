@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -29,13 +30,17 @@ from .tdse import SCHEMES, PropagatorConfig
 __all__ = ["ScenarioConfig", "DEFAULT_SCENARIO", "TRANSMISSION_TRACE_SCENARIO",
            "load_config"]
 
+# the values each field annotation admits; bool, though an int, is none of them
+_FIELD_TYPES = {"int": numbers.Integral, "float": numbers.Real, "str": str}
+
 
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Flat, JSON-serializable description of a tunneling run.
 
-    packet_k0 derives from packet_energy when omitted (null), via
-    <H> = k0^2/2 + 1/(8 sigma^2) for a free Gaussian packet.
+    Every field holds an int, a float (an int is accepted) or a str, as
+    annotated.  The packet's mean wave number k0 derives from packet_energy
+    via <H> = k0^2/2 + 1/(8 sigma^2) for a free Gaussian packet.
     """
 
     # spatial grid
@@ -50,7 +55,6 @@ class ScenarioConfig:
     packet_center: float = -50.0
     packet_sigma: float = 10.0
     packet_energy: float = 0.5
-    packet_k0: float | None = None
     # propagation; 90 time units lets the transmitted packet clear the cut
     # while the fast residue shed by the packet tail that started on the
     # barrier (boosted by up to V0) stays well inside the domain
@@ -65,6 +69,12 @@ class ScenarioConfig:
     pointer_delta: float = 1.0
 
     def __post_init__(self) -> None:
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[f.type]):
+                raise ConfigError(f"{f.name} must be {f.type}, got {value!r}")
+        if self.packet_sigma <= 0:
+            raise ConfigError("packet_sigma must be positive")
         if self.scheme not in SCHEMES:
             raise ConfigError(f"unknown scheme {self.scheme!r}; choose from {SCHEMES}")
         if self.n_record < 1:
@@ -79,8 +89,6 @@ class ScenarioConfig:
 
     @property
     def k0(self) -> float:
-        if self.packet_k0 is not None:
-            return self.packet_k0
         ksq = 2.0 * self.packet_energy - 1.0 / (4.0 * self.packet_sigma**2)
         if ksq <= 0.0:
             raise ConfigError(

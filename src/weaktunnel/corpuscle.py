@@ -197,6 +197,8 @@ def corpuscularity_test(samples, sigma0: float, alpha: float = 0.05,
         raise ConfigError(
             f"need at least {MIN_TEST_SAMPLES} pairs for the bootstrap, got {a.size}"
         )
+    if n_resamples < 1:
+        raise ConfigError(f"need at least one bootstrap resample, got {n_resamples}")
     diff = a - b
     var_diff = float(np.var(diff, ddof=1))
     mean_a = float(np.mean(a))

@@ -238,37 +238,19 @@ class TwoProbeRun:
     net_rotation: float
 
 
-def _window_average(times: np.ndarray, values: np.ndarray,
-                    window: tuple[float, float]) -> complex:
-    t1, t2 = window
-    inside = (times >= t1 - 1e-12) & (times <= t2 + 1e-12)
-    if np.count_nonzero(inside) < 2:
-        raise ConfigError(
-            f"probe window {window} covers fewer than two recorded times"
-        )
-    tw = times[inside]
-    if abs(tw[0] - t1) > 1e-9 or abs(tw[-1] - t2) > 1e-9:
-        raise ConfigError(
-            f"probe window {window} must start and end on recorded times"
-        )
-    return complex(np.trapezoid(values[inside], tw) / (tw[-1] - tw[0]))
-
-
 def two_probe_run(pair: PrePostPair, probe_a: WeakProbe, probe_b: WeakProbe,
                   pointer_sigma: float) -> TwoProbeRun:
     """Apply two weak probes to one particle and read the pointers.
 
     Each probe displaces its pointer by sign * delta * Re[avg], where avg is
-    the conditional value of its target projector averaged over its window
-    under the pair's pre- and post-selection.  Windows must start and end on
-    the pair's recorded times; shifts are first order in delta, so the joint
-    state is a plain product of displaced Gaussians and the difference
-    variance stays at its product value.
+    pair.window_value of its target and window: the conditional value of the
+    target projector under the pair's pre- and post-selection, averaged over
+    the window by the trapezoid over the records in it.  Windows must start
+    and end on the pair's recorded times; shifts are first order in delta, so
+    the joint state is a plain product of displaced Gaussians and the
+    difference variance stays at its product value.
     """
     for probe in (probe_a, probe_b):
-        t1, t2 = probe.window
-        if t1 < 0.0 or t2 > pair.duration + 1e-12:
-            raise ConfigError(f"probe window {probe.window} falls outside the run")
         ratio = probe.delta / pointer_sigma
         if ratio > WEAKNESS_WARNING_RATIO:
             warnings.warn(
@@ -277,9 +259,7 @@ def two_probe_run(pair: PrePostPair, probe_a: WeakProbe, probe_b: WeakProbe,
                 stacklevel=2,
             )
 
-    times = np.array(pair.times)
-    value_a, value_b = (_window_average(times, pair.region_weights(probe.target),
-                                        probe.window)
+    value_a, value_b = (pair.window_value(probe.target, probe.window)
                         for probe in (probe_a, probe_b))
     shift_a = probe_a.sign * probe_a.delta * value_a.real
     shift_b = probe_b.sign * probe_b.delta * value_b.real

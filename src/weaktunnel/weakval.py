@@ -20,11 +20,15 @@ last snapshot, and runs the backward leg from <f| once.  The pair keeps the
 forward kets, the backward bras and their overlaps at every recorded time,
 so whoever builds the pair fixes the time resolution of its readouts.
 
-The dwell clock (dwell_time, transmitted_dwell_time) reads one forward leg
-and no backward one.  Beside the state the leg carries a source row that
-gains w_j * region * psi(t_j) at each node t_j (t=0 and the record times,
-w_j their trapezoid weights); post-selecting f from the final state then
-gives the trapezoid of the conditional region weight as
+One window rule serves every time integral of a conditional value: a window
+[t1, t2] must start and end on nodes of the time grid and hold at least two,
+and the integral is the trapezoid over the nodes inside it.  A probe window
+(PrePostPair.window_value) reads the pair's records; the dwell clock
+(dwell_time, transmitted_dwell_time) is the window [0, T] over t=0 plus the
+records.  The dwell reads one forward leg and no backward one.  Beside the
+state the leg carries a source row that gains w_j * region * psi(t_j) at each
+node t_j, w_j its trapezoid weight; post-selecting f from the final state
+then gives the trapezoid of the conditional region weight as
 Re <f|source(T)> / <f|psi(T)>.  Both kinds of readout post-select through
 the same two rules.
 
@@ -76,24 +80,31 @@ def _check_floor(overlap: complex, floor: float) -> None:
         )
 
 
-def _inner(f, i) -> complex:
-    if isinstance(f, WaveFunction):
-        return f.inner(i)
-    return complex(np.vdot(f, i))
+def _window_nodes(times, window: tuple[float, float]) -> tuple[np.ndarray, np.ndarray]:
+    """Indices of the nodes in [t1, t2] and their trapezoid weights.
 
-
-def _apply(op, state):
-    if isinstance(state, WaveFunction):
-        return op.apply(state)
-    return np.asarray(op) @ state
+    The window must start and end on nodes, to the 1e-9 relative slack of a
+    record time on the step grid, and hold at least two of them.
+    """
+    t = np.asarray(times, dtype=float)
+    t1, t2 = window
+    slack = 1e-9 * max(1.0, abs(t1), abs(t2))
+    index = np.flatnonzero((t >= t1 - slack) & (t <= t2 + slack))
+    if (index.size < 2 or abs(t[index[0]] - t1) > slack
+            or abs(t[index[-1]] - t2) > slack):
+        raise ConfigError(
+            f"window {window} must start and end on recorded times "
+            "and hold at least two"
+        )
+    gaps = np.diff(t[index])
+    return index, 0.5 * (np.append(gaps, 0.0) + np.insert(gaps, 0, 0.0))
 
 
 def weak_value(op, pre, post, floor: float = OVERLAP_FLOOR) -> complex:
     """<post|op|pre> / <post|pre>; complex in general.
 
-    pre/post are either plain complex vectors (spin states, with op a matrix)
-    or WaveFunction instances (with op exposing .apply, e.g. RegionProjector).
-    Both states must refer to the same instant.
+    pre/post are complex vectors and op a matrix acting on them, e.g. spin
+    states and a spin operator.  Both states must refer to the same instant.
     """
     return weak_moment(op, 1, pre, post, floor)
 
@@ -102,12 +113,12 @@ def weak_moment(op, n: int, pre, post, floor: float = OVERLAP_FLOOR) -> complex:
     """n-th conditional moment <post|op^n|pre> / <post|pre>."""
     if n < 1:
         raise ConfigError(f"moment order must be >= 1, got {n}")
-    overlap = _inner(post, pre)
+    overlap = complex(np.vdot(post, pre))
     _check_floor(overlap, floor)
     state = pre
     for _ in range(n):
-        state = _apply(op, state)
-    return _inner(post, state) / overlap
+        state = np.asarray(op) @ state
+    return complex(np.vdot(post, state)) / overlap
 
 
 @dataclass(frozen=True)
@@ -131,12 +142,14 @@ class PrePostPair:
     bras: tuple[WaveFunction, ...]
     overlaps: tuple[complex, ...]
 
-    def region_weights(self, region: RegionProjector) -> np.ndarray:
-        """Complex conditional value of the region projector at every record."""
+    def window_value(self, region: RegionProjector, window: tuple[float, float]) -> complex:
+        """Complex conditional value of the region projector averaged over the
+        window: the trapezoid over the records in it, divided by its length."""
+        index, weights = _window_nodes(self.times, window)
         mask = region.mask
-        dx = self.initial.grid.dx
-        return np.array([np.sum(np.conj(bra.amp[mask]) * ket.amp[mask]) * dx / overlap
-                         for ket, bra, overlap in zip(self.kets, self.bras, self.overlaps)])
+        values = [np.sum(np.conj(self.bras[j].amp[mask]) * self.kets[j].amp[mask])
+                  / self.overlaps[j] for j in index]
+        return complex(np.dot(weights, values) * self.initial.grid.dx / weights.sum())
 
 
 def _build_pair(initial: WaveFunction, cfg: PropagatorConfig,
@@ -256,17 +269,6 @@ class ConditionalDistribution:
         mask = (self.grid.x >= a) & (self.grid.x < b)
         return float(np.sum(self.re[time_index, mask]) * self.grid.dx)
 
-    def region_magnitude(self, a: float, b: float, time_index: int) -> float:
-        """Unsigned conditional weight of [a, b) at one time.
-
-        The real part oscillates through zero wherever counter-propagating
-        components interfere, so the signed integral of a window that holds a
-        fringe train flaps with the fringe alignment while the magnitude
-        integral tracks the envelope.
-        """
-        mask = (self.grid.x >= a) & (self.grid.x < b)
-        return float(np.sum(np.abs(self.re[time_index, mask])) * self.grid.dx)
-
 
 @dataclass(frozen=True)
 class BarrierOccupation:
@@ -291,19 +293,27 @@ class BarrierOccupation:
 
 def barrier_occupation(dist: ConditionalDistribution,
                        barrier: BarrierSpec) -> BarrierOccupation:
-    """Reduce a conditional distribution to face/center weights per time."""
+    """Reduce a conditional distribution to face/center weights per time.
+
+    The real part oscillates through zero wherever counter-propagating
+    components interfere, so the signed weight of a face window that holds a
+    fringe train flaps with the fringe alignment; the magnitude integral
+    tracks the envelope.
+    """
     a, b = barrier.x_left, barrier.x_right
     third = (b - a) / 3.0
-    n = len(dist.times)
-    entrance = np.empty(n)
-    center = np.empty(n)
-    exit_ = np.empty(n)
-    for j in range(n):
-        entrance[j] = dist.region_magnitude(a - third, a + third, j)
-        center[j] = dist.integrate_region(a + third, b - third, j)
-        exit_[j] = dist.region_magnitude(b - third, b + third, j)
-    return BarrierOccupation(times=dist.times, entrance=entrance,
-                             center=center, exit=exit_)
+    x, dx = dist.grid.x, dist.grid.dx
+
+    def cells(lo: float, hi: float) -> np.ndarray:
+        # compress keeps C order, so each row sums as the 1-D row would
+        return np.compress((x >= lo) & (x < hi), dist.re, axis=1)
+
+    return BarrierOccupation(
+        times=dist.times,
+        entrance=np.sum(np.abs(cells(a - third, a + third)), axis=1) * dx,
+        center=np.sum(cells(a + third, b - third), axis=1) * dx,
+        exit=np.sum(np.abs(cells(b - third, b + third)), axis=1) * dx,
+    )
 
 
 def conditional_distribution(pair: PrePostPair) -> ConditionalDistribution:
@@ -345,10 +355,7 @@ def _forward_dwell(initial: WaveFunction, cfg: PropagatorConfig,
     """
     records = cfg.record_times
     times = records if records[0] == 0.0 else (0.0,) + records
-    if round(times[-1] / cfg.dt) != cfg.n_steps:
-        raise ConfigError("dwell integration needs record_times ending at the duration")
-    gaps = np.diff(times)
-    weights = 0.5 * (np.append(gaps, 0.0) + np.insert(gaps, 0, 0.0))
+    _, weights = _window_nodes(times, (0.0, cfg.duration))
     snaps, source = propagate_with_source(initial, replace(cfg, record_times=times),
                                           barrier, region.mask, weights)
     evolved = snaps[-1].psi

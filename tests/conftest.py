@@ -20,6 +20,14 @@ SMALL_SCENARIO = ScenarioConfig(
 )
 
 
+def record_region_values(pair, region):
+    """Complex conditional value <bra|region|ket> dx / overlap of the region
+    projector at every record of the pair, from its stored history."""
+    mask, dx = region.mask, pair.initial.grid.dx
+    return np.array([np.sum(np.conj(bra.amp[mask]) * ket.amp[mask]) * dx / overlap
+                     for ket, bra, overlap in zip(pair.kets, pair.bras, pair.overlaps)])
+
+
 @pytest.fixture(scope="session")
 def trace_run():
     """Transmitted-subensemble conditional distribution on the trace scenario."""

@@ -273,6 +273,11 @@ def test_exit_code_2_on_bad_input(tmp_path):
                  "--out", out]) == 2
     assert main(["corpuscle-test", "--input", str(tmp_path / "nope.csv"),
                  "--out", out]) == 4  # os error surfaces as i/o, not config
+    assert main(["corpuscle-test", "--n", "200", "--resamples", "0", "--out", out]) == 2
+    assert main(["corpuscle-test", "--n", "200", "--resamples", "-5", "--out", out]) == 2
+    assert main(["fig2", "--set", "packet_sigma=0", "--out", out]) == 2
+    assert main(["fig2", "--set", "n_points=abc", "--out", out]) == 2
+    assert main(["fig2", "--set", "dt=x", "--out", out]) == 2
 
 
 @pytest.mark.parametrize("item", ["seed=7", "samples=100", "resamples=100", "alpha=0.3"])

@@ -173,6 +173,9 @@ def test_array_path_validation():
         corpuscularity_test((good, good), sigma0=1.0, alpha=0.0)
     with pytest.raises(ConfigError):
         corpuscularity_test((good, good), sigma0=1.0, alpha=0.6)
+    for resamples in (0, -5):
+        with pytest.raises(ConfigError, match="resample"):
+            corpuscularity_test((good, good), sigma0=1.0, n_resamples=resamples)
 
 
 def test_zero_spread_readout_is_inconclusive():

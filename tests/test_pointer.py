@@ -18,7 +18,7 @@ from weaktunnel.pointer import (JointPointerState, WeakProbe, certain_shift_stat
 from weaktunnel.tdse import propagate
 from weaktunnel.weakval import make_pair
 
-from conftest import SMALL_SCENARIO
+from conftest import SMALL_SCENARIO, record_region_values
 
 SIGMAS = (0.5, 1.0, 2.0)
 DELTAS = (0.5, 1.0, 2.0)
@@ -269,6 +269,30 @@ def test_unconditioned_probe_shift_matches_density_integral():
         want = delta * np.trapezoid(occ, t[inside]) / (t2 - t1)
         assert shift == pytest.approx(want, rel=1e-6)
     assert run.state.mean_a() == pytest.approx(run.mean_shift_a, abs=1e-12)
+
+
+def window_average_oracle(pair, region, window):
+    """The window's conditional region value: np.trapezoid over the records
+    in [t1, t2], divided by the window length."""
+    t1, t2 = window
+    times = np.array(pair.times)
+    inside = (times >= t1) & (times <= t2)
+    values = record_region_values(pair, region)[inside]
+    return complex(np.trapezoid(values, times[inside]) / (t2 - t1))
+
+
+def test_window_values_match_trapezoid_oracle(small_pair):
+    cfg, pair = small_pair["cfg"], small_pair["pair"]
+    grid = cfg.grid()
+    records = cfg.record_times()
+    probe_a = WeakProbe(region_projector(grid, grid.x_min, cfg.barrier_left), 0.02,
+                        (records[0], records[4]))
+    probe_b = WeakProbe(region_projector(grid, cfg.barrier_left, cfg.barrier_right),
+                        0.02, (records[3], records[-1]))
+    run = two_probe_run(pair, probe_a, probe_b, pointer_sigma=1.0)
+    for value, probe in zip(run.window_values, (probe_a, probe_b)):
+        want = window_average_oracle(pair, probe.target, probe.window)
+        assert abs(value - want) <= 1e-14 * abs(want)
 
 
 def test_opposite_sign_probes_cancel(small_pair):

@@ -17,7 +17,7 @@ from weaktunnel.weakval import (conditional_distribution, dwell_time, make_pair,
                                 transmitted_dwell_time, transmitted_pair,
                                 weak_moment, weak_value)
 
-from conftest import SMALL_SCENARIO
+from conftest import SMALL_SCENARIO, record_region_values
 
 # A packet well above the barrier that clears the transmission cut within
 # 400 coarse steps: every stage of a transmitted pair at almost no cost.
@@ -39,7 +39,7 @@ def pair_dwell_oracle(pair, region):
     conditional region weight; the records must span [0, duration]."""
     times = pair.times
     assert times[0] == 0.0 and times[-1] == pytest.approx(pair.duration)
-    return float(np.trapezoid(pair.region_weights(region).real, times))
+    return float(np.trapezoid(record_region_values(pair, region).real, times))
 
 
 def test_spin_anomaly_value_and_second_moment():
@@ -84,9 +84,9 @@ def test_complementary_region_values_sum_to_one():
     grid = SMALL_SCENARIO.grid()
     pre = gaussian_packet(grid, -20.0, 4.0, 1.0)
     post = gaussian_packet(grid, -16.0, 5.0, 0.8)
-    left = region_projector(grid, grid.x_min, 0.0)
-    right = region_projector(grid, 0.0, grid.x_max)
-    total = weak_value(left, pre, post) + weak_value(right, pre, post)
+    left, right = (np.diag(region_projector(grid, *ends).mask.astype(float))
+                   for ends in ((grid.x_min, 0.0), (0.0, grid.x_max)))
+    total = weak_value(left, pre.amp, post.amp) + weak_value(right, pre.amp, post.amp)
     assert abs(total - 1.0) <= 1e-12
 
 
