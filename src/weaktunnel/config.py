@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import numbers
 from dataclasses import dataclass
 from pathlib import Path
@@ -38,9 +39,10 @@ _FIELD_TYPES = {"int": numbers.Integral, "float": numbers.Real, "str": str}
 class ScenarioConfig:
     """Flat, JSON-serializable description of a tunneling run.
 
-    Every field holds an int, a float (an int is accepted) or a str, as
-    annotated.  The packet's mean wave number k0 derives from packet_energy
-    via <H> = k0^2/2 + 1/(8 sigma^2) for a free Gaussian packet.
+    Every field holds an int, a finite float (an int is accepted) or a str,
+    as annotated.  The packet's mean wave number k0 derives from
+    packet_energy via <H> = k0^2/2 + 1/(8 sigma^2) for a free Gaussian
+    packet.
     """
 
     # spatial grid
@@ -73,6 +75,8 @@ class ScenarioConfig:
             value = getattr(self, f.name)
             if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[f.type]):
                 raise ConfigError(f"{f.name} must be {f.type}, got {value!r}")
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value!r}")
         if self.packet_sigma <= 0:
             raise ConfigError("packet_sigma must be positive")
         if self.scheme not in SCHEMES:

@@ -278,6 +278,10 @@ def test_exit_code_2_on_bad_input(tmp_path):
     assert main(["fig2", "--set", "packet_sigma=0", "--out", out]) == 2
     assert main(["fig2", "--set", "n_points=abc", "--out", out]) == 2
     assert main(["fig2", "--set", "dt=x", "--out", out]) == 2
+    short = ["--set", "n_steps=10", "--set", "n_record=2", "--out", out]
+    assert main(["fig2", "--set", "dt=NaN", *short]) == 2
+    assert main(["fig2", "--set", "packet_energy=NaN", *short]) == 2
+    assert main(["fig2", "--set", "x_max=Infinity", *short]) == 2
 
 
 @pytest.mark.parametrize("item", ["seed=7", "samples=100", "resamples=100", "alpha=0.3"])

@@ -78,6 +78,9 @@ def test_record_time_validation():
         PropagatorConfig(dt=0.01, n_steps=100, record_times=(0.5, 0.5))
     with pytest.raises(ConfigError):
         PropagatorConfig(dt=-0.01, n_steps=100)
+    for dt in (float("nan"), float("inf")):
+        with pytest.raises(ConfigError, match="finite"):
+            PropagatorConfig(dt=dt, n_steps=100)
     with pytest.raises(ConfigError):
         PropagatorConfig(dt=0.01, n_steps=-1)
     with pytest.raises(ConfigError):
@@ -202,17 +205,20 @@ def sparse_crank_nicolson(psi, barrier, dt, n_steps):
 @pytest.mark.parametrize("run, sign", [(propagate, 1.0), (propagate_backward, -1.0)])
 def test_implicit_fd_matches_sparse_oracle_across_the_periodic_wrap(run, sign):
     """A packet centred on the wrap point puts its weight on the stencil's
-    corner entries, which the banded solve handles by its corner correction."""
+    corner entries, which the banded solve handles by its corner correction.
+    A stiffer step spreads the correction over more rows (58, 88 and 242 of
+    1024 at these dt); each is checked against the full periodic operator."""
     grid = SMALL_SCENARIO.grid()
     barrier = SMALL_SCENARIO.barrier()
     centred = gaussian_packet(grid, 0.0, 4.0, 1.0)
     psi = WaveFunction(grid, np.roll(centred.amp, grid.n // 2))
-    dt, n_steps = 0.02, 200
-    cfg = PropagatorConfig(dt=dt, n_steps=n_steps, scheme="implicit-fd")
-    (_, final), = run(psi, cfg, barrier, edge_limit=1.0)
-    expected = sparse_crank_nicolson(psi, barrier, sign * dt, n_steps)
-    l2 = np.sqrt(np.sum(np.abs(final.amp - expected) ** 2) * grid.dx)
-    assert l2 <= 1e-12
+    n_steps = 200
+    for dt in (0.02, 0.5, 5.0):
+        cfg = PropagatorConfig(dt=dt, n_steps=n_steps, scheme="implicit-fd")
+        (_, final), = run(psi, cfg, barrier, edge_limit=1.0)
+        expected = sparse_crank_nicolson(psi, barrier, sign * dt, n_steps)
+        l2 = np.sqrt(np.sum(np.abs(final.amp - expected) ** 2) * grid.dx)
+        assert l2 <= 1e-12, f"dt={dt}: L2 gap {l2:.3e}"
 
 
 def test_implicit_fd_transmit_probability_is_pinned():
@@ -296,3 +302,68 @@ def test_source_row_collects_the_weighted_region_history(scheme):
     assert np.max(np.abs(phi.amp - expected)) <= 1e-12 * np.max(np.abs(expected))
     with pytest.raises(ConfigError):
         propagate_with_source(psi, cfg, None, mask, weights[:2])
+
+
+def patch_steps(monkeypatch, after_step):
+    """Make every stepper built from now on call after_step(x) on the stack
+    each of its steps returns."""
+    make = tdse._make_stepper
+
+    def patched(*args):
+        stepper = make(*args)
+        step = stepper.step
+
+        def patched_step(x):
+            x = step(x)
+            after_step(x)
+            return x
+
+        stepper.step = patched_step
+        return stepper
+
+    monkeypatch.setattr(tdse, "_make_stepper", patched)
+
+
+@pytest.mark.parametrize("scheme", ["spectral-split-step", "implicit-fd"])
+def test_a_leg_stops_at_its_last_record(monkeypatch, scheme):
+    """A backward leg whose records end at 0.6 of a 1.0 run takes 60 steps,
+    not 100; a leg with a source row runs to the duration, where phi is read."""
+    steps = []
+    patch_steps(monkeypatch, lambda x: steps.append(1))
+    psi = free_packet()
+    cfg = PropagatorConfig(dt=0.01, n_steps=100, scheme=scheme, record_times=(0.2, 0.6))
+    snaps = propagate_backward(psi, cfg)
+    assert len(steps) == 60
+    assert [s.t for s in snaps] == [0.2, 0.6]
+    steps.clear()
+    propagate(psi, cfg)
+    assert len(steps) == 60
+    steps.clear()
+    mask = np.ones(FREE_GRID.n, dtype=bool)
+    propagate_with_source(psi, cfg, None, mask, (1.0, 1.0))
+    assert len(steps) == 100
+
+
+@pytest.mark.parametrize("cell, error, message", [
+    (0, EdgeDensityError, r"probability nan .* at t=0\.01;"),
+    (FREE_GRID.n // 2, SchemeInstabilityError, "norm drifted by nan after 1 steps"),
+])
+def test_nan_after_the_first_step_trips_a_guard(monkeypatch, cell, error, message):
+    """NaN compares false with every limit, so each guard fails on it: a NaN
+    in an edge cell trips the edge guard, one inside the domain the norm
+    guard at the record after the step."""
+    def poison(x):
+        x[0, cell] = np.nan
+
+    patch_steps(monkeypatch, poison)
+    cfg = PropagatorConfig(dt=0.01, n_steps=10, record_times=(0.01, 0.1))
+    with pytest.raises(error, match=message):
+        propagate(free_packet(), cfg)
+
+
+def test_non_finite_initial_state_is_rejected():
+    amp = free_packet().amp.copy()
+    amp[FREE_GRID.n // 2] = np.inf
+    cfg = PropagatorConfig(dt=0.01, n_steps=10)
+    with pytest.raises(ConfigError, match="non-finite"):
+        propagate(WaveFunction(FREE_GRID, amp), cfg)

@@ -182,6 +182,23 @@ def test_records_may_stop_before_the_post_selection():
         assert np.array_equal(early.bras[j].amp, full.bras[j].amp)
 
 
+def test_implicit_fd_dwell_and_center_to_peak_are_pinned():
+    """The dwell and center_to_peak of the bench trace-cn scenario under
+    Crank-Nicolson.  The bench's reference values, recorded from the earlier
+    sparse-LU step, sit 3.1e-13 and 4.6e-15 relative away; rel 1e-11 admits
+    such a reordering of the arithmetic, while halving dt moves
+    center_to_peak by 1.6e-3."""
+    cfg = replace(SMALL_SCENARIO, dt=0.02, n_steps=1750, scheme="implicit-fd")
+    barrier = cfg.barrier()
+    region = region_projector(cfg.grid(), barrier.x_left, barrier.x_right)
+    dwell = transmitted_dwell_time(cfg.packet(), cfg.propagator(), barrier,
+                                   cfg.transmit_cut(), region)
+    assert dwell.time == pytest.approx(1.4695316986960907, rel=1e-11)
+    pair = transmitted_pair(cfg.packet(), cfg.propagator(), barrier, cfg.transmit_cut())
+    occupation = weakval.barrier_occupation(conditional_distribution(pair), barrier)
+    assert occupation.center_to_peak() == pytest.approx(0.1506331687434938, rel=1e-11)
+
+
 def test_conditional_distribution_completeness(small_pair):
     dist = small_pair["dist"]
     dx = dist.grid.dx
