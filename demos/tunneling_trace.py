@@ -8,26 +8,27 @@ The middle stays near zero at every recorded time while the faces light up
 in sequence, and the dwell clock for the whole barrier reads a few time
 units even though the run lasts 130.
 
-One forward and one backward propagation leg of 130k split steps serve
-the occupation and the probes, and one more forward leg, carrying the
-barrier source beside the state, serves the dwell clock; about 60 s on a
-2-vCPU VM.
+One forward and one backward propagation leg of 130k split steps build
+the transmitted pair, which keeps the conditional value of every cell at
+each recorded time; the occupation and the probes read those values.  One
+more forward leg, carrying the barrier source beside the state, serves the
+dwell clock; about 60 s on a 2-vCPU VM.
 """
 
 from weaktunnel import TRANSMISSION_TRACE_SCENARIO, region_projector
 from weaktunnel.pointer import WeakProbe, difference_variance, two_probe_run
-from weaktunnel.weakval import (barrier_occupation, conditional_distribution,
-                                transmitted_dwell_time, transmitted_pair)
+from weaktunnel.weakval import (barrier_occupation, transmitted_dwell_time,
+                                transmitted_pair)
 
 
 def main() -> None:
     cfg = TRANSMISSION_TRACE_SCENARIO
     barrier = cfg.barrier()
-    # one history serves the occupation and the probes below
+    # the pair's conditional values serve the occupation and the probes below
     pair = transmitted_pair(cfg.packet(), cfg.propagator(), barrier, cfg.transmit_cut())
     print(f"transmission probability: {pair.postselect_prob:.6e}")
 
-    occ = barrier_occupation(conditional_distribution(pair), barrier)
+    occ = barrier_occupation(pair, barrier)
     print()
     print("   t     entrance   middle(signed)   exit")
     for t, ent, mid, ex in zip(occ.times, occ.entrance, occ.center, occ.exit):

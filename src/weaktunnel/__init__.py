@@ -36,11 +36,9 @@ from .tdse import (PropagatorConfig, Snapshot, energy_expectation, propagate,
                    propagate_backward, propagate_with_source)
 from .weakval import (
     BarrierOccupation,
-    ConditionalDistribution,
     PrePostPair,
     barrier_occupation,
     ConditionalDwell,
-    conditional_distribution,
     dwell_time,
     make_pair,
     transmitted_dwell_time,

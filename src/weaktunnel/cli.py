@@ -10,8 +10,8 @@ JSON goes through ``json.dumps`` and every CSV cell through ``str``, so each
 float is written as Python's shortest round-trip decimal: it reads back to
 the same double, and any last-bit change of a result changes its text.
 
-Exit codes: 0 success, 2 invalid configuration, 3 numerical guard tripped,
-4 output I/O failure.
+Exit codes: 0 success, 2 invalid configuration (a non-finite number
+included), 3 numerical guard tripped, 4 output I/O failure.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -34,8 +35,7 @@ from .errors import ConfigError, NumericalGuardError
 from .pointer import (JointPointerState, WeakProbe, certain_shift_state,
                       erase_and_postselect, two_probe_run, which_path_state)
 from .scatter import delay_vs_width, scattering_amplitudes
-from .weakval import (barrier_occupation, conditional_distribution,
-                      transmitted_dwell_time, transmitted_pair)
+from .weakval import barrier_occupation, transmitted_dwell_time, transmitted_pair
 
 OUT_ROOT_ENV = "WEAKTUNNEL_OUT"
 
@@ -75,12 +75,21 @@ def _out_dir(args) -> Path:
     return Path(root) / args.command
 
 
+def finite(text: str) -> float:
+    """A finite float, the type of every float flag: argparse exits 2 on the
+    ValueError that a malformed or non-finite number raises."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {text!r}")
+    return value
+
+
 def _parse_pair(text: str, flag: str) -> tuple[float, float]:
     parts = text.split(",")
     if len(parts) != 2:
         raise ConfigError(f"{flag} expects two comma-separated numbers, got {text!r}")
     try:
-        lo, hi = (float(p) for p in parts)
+        lo, hi = (finite(p) for p in parts)
     except ValueError as exc:
         raise ConfigError(f"{flag}: {exc}") from exc
     return lo, hi
@@ -121,18 +130,18 @@ def _cmd_fig2(args) -> int:
     _echo_config(writer, args, cfg, {})
     barrier = cfg.barrier()
     pair = transmitted_pair(cfg.packet(), cfg.propagator(), barrier, cfg.transmit_cut())
-    dist = conditional_distribution(pair)
 
     # each time and each x is spelled once and reused on every row it labels
-    x_text = [str(x) for x in dist.grid.x.tolist()]
+    x_text = [str(x) for x in pair.grid.x.tolist()]
     lines = ["t,x,re_value,im_value"]
-    for t, re_row, im_row in zip(dist.times, dist.re.tolist(), dist.im.tolist()):
+    for t, re_row, im_row in zip(pair.times, pair.values.real.tolist(),
+                                 pair.values.imag.tolist()):
         t_text = str(t)
         lines += [f"{t_text},{x},{re_value},{im_value}"
                   for x, re_value, im_value in zip(x_text, re_row, im_row)]
     writer.write_text("conditional.csv", "\n".join(lines) + "\n")
 
-    occ = barrier_occupation(dist, barrier)
+    occ = barrier_occupation(pair, barrier)
     writer.write_csv(
         "occupation.csv",
         ["t", "entrance_weight", "center_weight", "exit_weight"],
@@ -261,7 +270,7 @@ def _cmd_certain(args) -> int:
 
 def _parse_widths(text: str) -> list[float]:
     try:
-        widths = [float(p) for p in text.split(",") if p.strip()]
+        widths = [finite(p) for p in text.split(",") if p.strip()]
     except ValueError as exc:
         raise ConfigError(f"--d: {exc}") from exc
     if not widths:
@@ -380,10 +389,10 @@ def _add_common(sub: argparse.ArgumentParser, scenario: bool = True) -> None:
 
 
 def _add_model_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--p", type=float, default=0.5, help="hit probability for detector a")
-    sub.add_argument("--delta-a", type=float, default=1.0)
-    sub.add_argument("--delta-b", type=float, default=1.0)
-    sub.add_argument("--sigma", type=float, default=1.0)
+    sub.add_argument("--p", type=finite, default=0.5, help="hit probability for detector a")
+    sub.add_argument("--delta-a", type=finite, default=1.0)
+    sub.add_argument("--delta-b", type=finite, default=1.0)
+    sub.add_argument("--sigma", type=finite, default=1.0)
     sub.add_argument("--n", type=int, default=10_000)
     sub.add_argument("--seed", type=int, default=1234)
 
@@ -403,28 +412,28 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("variance", help="which-path joint pointer moments")
     _add_common(p)
-    p.add_argument("--delta", type=float, help="branch separation")
-    p.add_argument("--sigma", type=float, help="pointer width")
+    p.add_argument("--delta", type=finite, help="branch separation")
+    p.add_argument("--sigma", type=finite, help="pointer width")
     p.set_defaults(func=_cmd_variance)
 
     p = subs.add_parser("erased", help="erased (recombined, post-selected) pointer moments")
     _add_common(p)
-    p.add_argument("--delta", type=float)
-    p.add_argument("--sigma", type=float)
+    p.add_argument("--delta", type=finite)
+    p.add_argument("--sigma", type=finite)
     p.set_defaults(func=_cmd_erased)
 
     p = subs.add_parser("certain", help="certain-shift product pointer moments")
     _add_common(p)
-    p.add_argument("--delta", type=float, help="full separation; shifts default to delta/2")
-    p.add_argument("--delta-a", type=float)
-    p.add_argument("--delta-b", type=float)
-    p.add_argument("--sigma", type=float)
+    p.add_argument("--delta", type=finite, help="full separation; shifts default to delta/2")
+    p.add_argument("--delta-a", type=finite)
+    p.add_argument("--delta-b", type=finite)
+    p.add_argument("--sigma", type=finite)
     p.set_defaults(func=_cmd_certain)
 
     p = subs.add_parser("hartman", help="group delay versus barrier thickness")
     _add_common(p, scenario=False)
-    p.add_argument("--e", type=float, default=0.5, help="incident energy")
-    p.add_argument("--v0", type=float, default=1.0, help="barrier height")
+    p.add_argument("--e", type=finite, default=0.5, help="incident energy")
+    p.add_argument("--v0", type=finite, default=1.0, help="barrier height")
     p.add_argument("--d", default="10,20,40,80", help="comma list of thicknesses")
     p.set_defaults(func=_cmd_hartman)
 
@@ -438,7 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("two-probe", help="impulsive probes of the barrier faces "
                         "during disjoint windows")
     _add_common(p)
-    p.add_argument("--delta", type=float, default=0.1,
+    p.add_argument("--delta", type=finite, default=0.1,
                    help="probe strength (default 0.1); replaces the scenario's "
                    "pointer_delta, which a config file cannot set here")
     p.add_argument("--window-a", metavar="T1,T2")
@@ -458,19 +467,19 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, scenario=False)
     _add_model_flags(p)
     p.add_argument("--input", help="pair_index,a,b CSV (default: simulate the model flags)")
-    p.add_argument("--sigma0", type=float, default=1.0, help="calibrated noise width")
-    p.add_argument("--alpha", type=float, default=0.05)
+    p.add_argument("--sigma0", type=finite, default=1.0, help="calibrated noise width")
+    p.add_argument("--alpha", type=finite, default=0.05)
     p.add_argument("--test-seed", type=int, default=0, help="bootstrap resampling seed")
     p.add_argument("--resamples", type=int, default=10_000)
     p.set_defaults(func=_cmd_corpuscle_test)
 
     p = subs.add_parser("scatter", help="stationary amplitudes over an energy sweep")
     _add_common(p, scenario=False)
-    p.add_argument("--e-min", type=float, default=0.05)
-    p.add_argument("--e-max", type=float, default=0.95)
+    p.add_argument("--e-min", type=finite, default=0.05)
+    p.add_argument("--e-max", type=finite, default=0.95)
     p.add_argument("--n-e", type=int, default=19)
-    p.add_argument("--v0", type=float, default=1.0)
-    p.add_argument("--d", type=float, default=10.0)
+    p.add_argument("--v0", type=finite, default=1.0)
+    p.add_argument("--d", type=finite, default=10.0)
     p.set_defaults(func=_cmd_scatter)
 
     return parser

@@ -115,11 +115,12 @@ class ScenarioConfig:
         )
 
     def record_times(self) -> tuple[float, ...]:
-        """n_record evenly spaced times ending at the final time."""
-        step = self.n_steps // self.n_record
-        if step == 0:
+        """n_record times on the step grid, as evenly spaced as it allows,
+        ending at the final time."""
+        if self.n_record > self.n_steps:
             raise ConfigError("n_record exceeds n_steps")
-        return tuple(j * step * self.dt for j in range(1, self.n_record + 1))
+        return tuple((j * self.n_steps // self.n_record) * self.dt
+                     for j in range(1, self.n_record + 1))
 
     def propagator(self, record_times: tuple[float, ...] | None = None) -> PropagatorConfig:
         return PropagatorConfig(

@@ -12,13 +12,15 @@ intermediate time but is not non-negative; its real part is the natural
 reading of "where was the particle, given where it ended up".  The imaginary
 part is kept in a companion channel.
 
-The conditional distribution and the probe shifts of pointer.two_probe_run
-read one history per pre/post pair.  Building a pair (make_pair for an
-explicit final state, transmitted_pair for post-selection on transmission)
-runs the forward leg from |i> once, takes the post-selected state from its
-last snapshot, and runs the backward leg from <f| once.  The pair keeps the
-forward kets, the backward bras and their overlaps at every recorded time,
-so whoever builds the pair fixes the time resolution of its readouts.
+The conditional distribution, the barrier occupation and the probe shifts
+of pointer.two_probe_run read one history per pre/post pair.  Building a
+pair (make_pair for an explicit final state, transmitted_pair for
+post-selection on transmission) runs the forward leg from |i> once, takes
+the post-selected state from its last snapshot, and runs the backward leg
+from <f| once.  At every recorded time the pair keeps the overlap and the
+cell-projector conditional values conj(f(t)) i(t) / <f(t)|i(t)>, not the
+states, so whoever builds the pair fixes the time resolution of its
+readouts.
 
 One window rule serves every time integral of a conditional value: a window
 [t1, t2] must start and end on nodes of the time grid and hold at least two,
@@ -54,13 +56,11 @@ from .tdse import (EDGE_PROBABILITY_LIMIT, PropagatorConfig, propagate,
 __all__ = [
     "OVERLAP_FLOOR",
     "PrePostPair",
-    "ConditionalDistribution",
     "BarrierOccupation",
     "weak_value",
     "weak_moment",
     "make_pair",
     "transmitted_pair",
-    "conditional_distribution",
     "ConditionalDwell",
     "dwell_time",
     "transmitted_dwell_time",
@@ -123,33 +123,30 @@ def weak_moment(op, n: int, pre, post, floor: float = OVERLAP_FLOOR) -> complex:
 
 @dataclass(frozen=True)
 class PrePostPair:
-    """A preparation at t=0, a post-selection at t=duration, and their history.
+    """A preparation at t=0, a post-selection at the duration, and their history.
 
-    ``final`` is the post-selected state expressed at the post-selection time;
-    ``overlap`` is <final| U(duration) |initial>.  At each recorded time t,
-    ``kets`` holds U(t)|initial>, ``bras`` holds U(t - duration)|final> and
-    ``overlaps`` their inner product, which unitarity pins to ``overlap``.
-    ``postselect_prob`` is the probability that the post-selection succeeds.
+    ``overlap`` is <f| U(duration) |i> for the prepared state i and the
+    post-selected state f, and ``postselect_prob`` the probability that the
+    post-selection succeeds.  At each recorded time t, with ket U(t)|i> and
+    bra U(t - duration)|f>, ``overlaps`` holds <bra|ket>, which unitarity
+    pins to ``overlap``, and the read-only (records, n) array ``values``
+    holds conj(bra) * ket / <bra|ket>: the conditional value of each cell
+    projector, in units of 1/length, so that each row times dx sums to one.
     """
 
-    initial: WaveFunction
-    final: WaveFunction
-    duration: float
+    grid: Grid
     overlap: complex
     postselect_prob: float
     times: tuple[float, ...]
-    kets: tuple[WaveFunction, ...]
-    bras: tuple[WaveFunction, ...]
     overlaps: tuple[complex, ...]
+    values: np.ndarray
 
     def window_value(self, region: RegionProjector, window: tuple[float, float]) -> complex:
         """Complex conditional value of the region projector averaged over the
         window: the trapezoid over the records in it, divided by its length."""
         index, weights = _window_nodes(self.times, window)
-        mask = region.mask
-        values = [np.sum(np.conj(self.bras[j].amp[mask]) * self.kets[j].amp[mask])
-                  / self.overlaps[j] for j in index]
-        return complex(np.dot(weights, values) * self.initial.grid.dx / weights.sum())
+        sums = np.sum(self.values[index][:, region.mask], axis=1)
+        return complex(np.dot(weights, sums) * self.grid.dx / weights.sum())
 
 
 def _build_pair(initial: WaveFunction, cfg: PropagatorConfig,
@@ -178,8 +175,9 @@ def _build_pair(initial: WaveFunction, cfg: PropagatorConfig,
     back_cfg = replace(cfg, record_times=tuple(duration - t for t in reversed(records)))
     back_limit = EDGE_PROBABILITY_LIMIT / min(1.0, abs(overlap) ** 2)
     bwd = propagate_backward(final, back_cfg, barrier, edge_limit=back_limit)
-    times, kets, bras, overlaps = [], [], [], []
-    for (t, ket), (tau, bra) in zip(fwd, reversed(bwd)):
+    values = np.empty((len(records), initial.grid.n), dtype=complex)
+    times, overlaps = [], []
+    for j, ((t, ket), (tau, bra)) in enumerate(zip(fwd, reversed(bwd))):
         if abs((duration - tau) - t) > 1e-9 * max(1.0, duration):
             raise ConfigError("forward and backward record times failed to line up")
         record_overlap = bra.inner(ket)
@@ -190,12 +188,11 @@ def _build_pair(initial: WaveFunction, cfg: PropagatorConfig,
                 f"post-selection overlap drifted by {drift:.3e} at t={t}; "
                 "forward and backward evolutions are no longer adjoint"
             )
+        values[j] = np.conj(bra.amp) * ket.amp / record_overlap
         times.append(t)
-        kets.append(ket)
-        bras.append(bra)
         overlaps.append(record_overlap)
-    return PrePostPair(initial, final, duration, overlap, prob, tuple(times),
-                       tuple(kets), tuple(bras), tuple(overlaps))
+    values.flags.writeable = False
+    return PrePostPair(initial.grid, overlap, prob, tuple(times), tuple(overlaps), values)
 
 
 def _onto(final: WaveFunction) -> _Postselect:
@@ -250,27 +247,6 @@ def transmitted_pair(initial: WaveFunction, cfg: PropagatorConfig,
 
 
 @dataclass(frozen=True)
-class ConditionalDistribution:
-    """Re/Im of the cell-projector conditional values on (times x grid).
-
-    values[j, :] has units 1/length; sum(values[j] * dx) = 1 at every time.
-    """
-
-    grid: Grid
-    times: tuple[float, ...]
-    re: np.ndarray
-    im: np.ndarray
-
-    def norm_per_time(self) -> np.ndarray:
-        return np.sum(self.re, axis=1) * self.grid.dx
-
-    def integrate_region(self, a: float, b: float, time_index: int) -> float:
-        """Signed conditional weight of the half-open region [a, b) at one time."""
-        mask = (self.grid.x >= a) & (self.grid.x < b)
-        return float(np.sum(self.re[time_index, mask]) * self.grid.dx)
-
-
-@dataclass(frozen=True)
 class BarrierOccupation:
     """Per-time conditional weight near the barrier faces and at its center.
 
@@ -291,9 +267,8 @@ class BarrierOccupation:
         return float(np.max(np.abs(self.center)) / peak)
 
 
-def barrier_occupation(dist: ConditionalDistribution,
-                       barrier: BarrierSpec) -> BarrierOccupation:
-    """Reduce a conditional distribution to face/center weights per time.
+def barrier_occupation(pair: PrePostPair, barrier: BarrierSpec) -> BarrierOccupation:
+    """Reduce a pair's conditional values to face/center weights per time.
 
     The real part oscillates through zero wherever counter-propagating
     components interfere, so the signed weight of a face window that holds a
@@ -302,30 +277,19 @@ def barrier_occupation(dist: ConditionalDistribution,
     """
     a, b = barrier.x_left, barrier.x_right
     third = (b - a) / 3.0
-    x, dx = dist.grid.x, dist.grid.dx
+    x, dx = pair.grid.x, pair.grid.dx
+    re = pair.values.real
 
     def cells(lo: float, hi: float) -> np.ndarray:
         # compress keeps C order, so each row sums as the 1-D row would
-        return np.compress((x >= lo) & (x < hi), dist.re, axis=1)
+        return np.compress((x >= lo) & (x < hi), re, axis=1)
 
     return BarrierOccupation(
-        times=dist.times,
+        times=pair.times,
         entrance=np.sum(np.abs(cells(a - third, a + third)), axis=1) * dx,
         center=np.sum(cells(a + third, b - third), axis=1) * dx,
         exit=np.sum(np.abs(cells(b - third, b + third)), axis=1) * dx,
     )
-
-
-def conditional_distribution(pair: PrePostPair) -> ConditionalDistribution:
-    """Conditional position distribution at every recorded time of the pair."""
-    grid = pair.initial.grid
-    re = np.empty((len(pair.times), grid.n))
-    im = np.empty_like(re)
-    for row, (ket, bra, overlap) in enumerate(zip(pair.kets, pair.bras, pair.overlaps)):
-        w = np.conj(bra.amp) * ket.amp / overlap
-        re[row] = w.real
-        im[row] = w.imag
-    return ConditionalDistribution(grid=grid, times=pair.times, re=re, im=im)
 
 
 @dataclass(frozen=True)

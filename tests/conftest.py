@@ -5,8 +5,7 @@ import pytest
 
 from weaktunnel.config import DEFAULT_SCENARIO, TRANSMISSION_TRACE_SCENARIO, ScenarioConfig
 from weaktunnel.tdse import PropagatorConfig, propagate
-from weaktunnel.weakval import (barrier_occupation, conditional_distribution,
-                                transmitted_pair)
+from weaktunnel.weakval import barrier_occupation, transmitted_pair
 
 # Small, fast tunneling setup for tests that exercise machinery rather than
 # the production numbers: ~1 s per forward run.  The box is generous because
@@ -21,23 +20,20 @@ SMALL_SCENARIO = ScenarioConfig(
 
 
 def record_region_values(pair, region):
-    """Complex conditional value <bra|region|ket> dx / overlap of the region
-    projector at every record of the pair, from its stored history."""
-    mask, dx = region.mask, pair.initial.grid.dx
-    return np.array([np.sum(np.conj(bra.amp[mask]) * ket.amp[mask]) * dx / overlap
-                     for ket, bra, overlap in zip(pair.kets, pair.bras, pair.overlaps)])
+    """Complex conditional value of the region projector at every record of
+    the pair: its stored cell values summed over the region, times dx."""
+    return np.sum(pair.values[:, region.mask], axis=1) * pair.grid.dx
 
 
 @pytest.fixture(scope="session")
 def trace_run():
-    """Transmitted-subensemble conditional distribution on the trace scenario."""
+    """Transmitted pair on the trace scenario and its barrier occupation."""
     cfg = TRANSMISSION_TRACE_SCENARIO
     barrier = cfg.barrier()
     pair = transmitted_pair(cfg.packet(), cfg.propagator(), barrier, cfg.transmit_cut())
-    dist = conditional_distribution(pair)
-    occ = barrier_occupation(dist, barrier)
+    occ = barrier_occupation(pair, barrier)
     return {"cfg": cfg, "barrier": barrier, "pair": pair,
-            "prob": pair.postselect_prob, "dist": dist, "occ": occ}
+            "prob": pair.postselect_prob, "occ": occ}
 
 
 @pytest.fixture(scope="session")
@@ -57,10 +53,8 @@ def default_scheme_finals():
 
 @pytest.fixture(scope="session")
 def small_pair():
-    """Transmitted pair on the small scenario, with its distribution."""
+    """Transmitted pair on the small scenario."""
     cfg = SMALL_SCENARIO
     barrier = cfg.barrier()
     pair = transmitted_pair(cfg.packet(), cfg.propagator(), barrier, cfg.transmit_cut())
-    dist = conditional_distribution(pair)
-    return {"cfg": cfg, "barrier": barrier, "pair": pair,
-            "prob": pair.postselect_prob, "dist": dist}
+    return {"cfg": cfg, "barrier": barrier, "pair": pair, "prob": pair.postselect_prob}

@@ -92,14 +92,14 @@ def test_checklist_04_erased_normalization_constant_to_1e10():
 
 
 def test_checklist_05_transmitted_trace_norms_and_face_dominance(trace_run):
-    cfg, dist, occ = trace_run["cfg"], trace_run["dist"], trace_run["occ"]
-    grid = dist.grid
-    assert len(dist.times) == cfg.n_record
-    assert np.all(np.abs(dist.norm_per_time() - 1.0) <= 1e-8)
+    cfg, pair, occ = trace_run["cfg"], trace_run["pair"], trace_run["occ"]
+    grid, re = pair.grid, pair.values.real
+    assert len(pair.times) == cfg.n_record
+    assert np.all(np.abs(np.sum(re, axis=1) * grid.dx - 1.0) <= 1e-8)
     assert trace_run["prob"] == pytest.approx(1.3044421208656991e-08, rel=1e-6)
     # the conditioned particle starts left of the barrier and ends right
-    assert dist.integrate_region(grid.x_min, 0.0, 0) > 0.9
-    assert dist.integrate_region(0.0, grid.x_max, len(dist.times) - 1) > 0.9
+    assert np.sum(re[0, grid.x < 0.0]) * grid.dx > 0.9
+    assert np.sum(re[-1, grid.x >= 0.0]) * grid.dx > 0.9
     assert np.all(occ.entrance >= 0.0) and np.all(occ.exit >= 0.0)
     # The claim holds at the n_record = 20 recorded times (0.0421 there);
     # on a 1300-record grid the same ratio is 0.0472.

@@ -3,11 +3,13 @@ byte-for-byte reproducibility of a seeded run."""
 
 import hashlib
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from weaktunnel.cli import main
+from weaktunnel.config import TRANSMISSION_TRACE_SCENARIO
 from weaktunnel.corpuscle import (CorpuscularModel, corpuscularity_test,
                                   simulate_corpuscular)
 
@@ -211,6 +213,38 @@ def test_two_probe_fast_scenario(tmp_path):
     tp = read_json(coarse, "twoprobe.json")
     assert tp["moments"]["postselect_prob"] == tp["transmit_prob"]
 
+
+
+def test_dwell_records_end_at_the_duration_when_n_record_does_not_divide_n_steps(tmp_path):
+    tiny = [*FAST, "--set", "packet_energy=4.5", "--set", "dt=0.05"]
+    out = tmp_path / "d"
+    assert main(["dwell", *tiny, "--set", "n_steps=401", "--set", "n_record=10",
+                 "--out", str(out)]) == 0
+    assert read_json(out, "dwell.json")["n_record"] == 11
+    uneven = replace(TRANSMISSION_TRACE_SCENARIO, dt=0.05, n_steps=401, n_record=10)
+    assert uneven.record_times()[-1] == uneven.duration
+    # when n_record divides n_steps the records are the evenly spaced j * step * dt
+    even = replace(uneven, n_steps=400)
+    assert even.record_times() == tuple(j * 40 * 0.05 for j in range(1, 11))
+
+
+@pytest.mark.parametrize("argv", [
+    ["variance", "--delta", "nan"], ["variance", "--sigma", "nan"],
+    ["certain", "--delta-a", "inf"],
+    ["hartman", "--e", "nan"], ["hartman", "--v0", "nan"], ["hartman", "--d", "10,nan"],
+    ["scatter", "--d", "nan"], ["scatter", "--v0", "nan"],
+    ["corpuscle-sim", "--sigma", "nan"], ["corpuscle-sim", "--delta-a", "inf"],
+    ["corpuscle-test", "--sigma0", "nan"],
+    ["dwell", "--region", "nan,2"],
+], ids=" ".join)
+def test_non_finite_flags_exit_2(tmp_path, argv):
+    out = tmp_path / "x"
+    try:
+        code = main([*argv, "--out", str(out)])
+    except SystemExit as exc:  # argparse rejects a bad flag type itself
+        code = exc.code
+    assert code == 2
+    assert not (out / "manifest.json").exists()
 
 def test_two_probe_record_count_guards_only_default_windows(tmp_path):
     cheap = ["--set", "n_points=1024", "--set", "packet_energy=4.5",

@@ -12,8 +12,8 @@ from weaktunnel.core import (WaveFunction, gaussian_packet, region_projector,
                              spin_eigenstate, spin_ops)
 from weaktunnel.errors import ConfigError, OverlapFloorError
 from weaktunnel.pointer import WeakProbe, two_probe_run
-from weaktunnel.tdse import PropagatorConfig, propagate
-from weaktunnel.weakval import (conditional_distribution, dwell_time, make_pair,
+from weaktunnel.tdse import PropagatorConfig, propagate, propagate_backward
+from weaktunnel.weakval import (barrier_occupation, dwell_time, make_pair,
                                 transmitted_dwell_time, transmitted_pair,
                                 weak_moment, weak_value)
 
@@ -34,12 +34,31 @@ def counted(legs, name, fn):
     return wrapper
 
 
-def pair_dwell_oracle(pair, region):
+def pair_dwell_oracle(pair, region, duration):
     """The dwell as the trapezoid over the pair's records of Re of the
     conditional region weight; the records must span [0, duration]."""
     times = pair.times
-    assert times[0] == 0.0 and times[-1] == pytest.approx(pair.duration)
+    assert times[0] == 0.0 and times[-1] == pytest.approx(duration)
     return float(np.trapezoid(record_region_values(pair, region).real, times))
+
+
+def standalone_values(psi, final, prop, barrier):
+    """conj(bra) * ket / <bra|ket> at every record of prop, from a forward leg
+    from psi and a backward leg from final, each run on its own."""
+    kets = propagate(psi, prop, barrier)
+    back = replace(prop, record_times=tuple(prop.duration - t
+                                            for t in reversed(prop.record_times)))
+    bras = reversed(propagate_backward(final, back, barrier))
+    return np.array([np.conj(bra.amp) * ket.amp / bra.inner(ket)
+                     for (_, ket), (_, bra) in zip(kets, bras, strict=True)])
+
+
+def transmitted_final(psi, cfg):
+    """The normalized state beyond the cut at the duration: the bra that
+    transmitted_pair post-selects."""
+    (_, evolved), = propagate(psi, cfg.propagator(record_times=()), cfg.barrier())
+    beyond = region_projector(cfg.grid(), cfg.transmit_cut(), cfg.x_max)
+    return beyond.apply(evolved).normalized()
 
 
 def test_spin_anomaly_value_and_second_moment():
@@ -122,12 +141,15 @@ def test_transmitted_pair_cut_validation():
 @pytest.mark.parametrize("builder", ["transmitted", "explicit"])
 def test_one_forward_and_one_backward_leg_per_pair(builder, monkeypatch):
     """Building a pair and reducing it with every conditional observable runs
-    each propagation leg once, and the stored kets are the forward leg."""
+    each propagation leg once, and the stored values are those of the two
+    legs run on their own, bit for bit."""
     cfg = FAST_TRANSMISSION
     barrier = cfg.barrier()
     prop = cfg.propagator(record_times=(0.0,) + cfg.record_times())
     psi = cfg.packet()
     standalone = propagate(psi, prop, barrier)
+    final = transmitted_final(psi, cfg) if builder == "transmitted" else standalone[-1].psi
+    want = standalone_values(psi, final, prop, barrier)
 
     legs = Counter()
     monkeypatch.setattr(weakval, "propagate", counted(legs, "forward", weakval.propagate))
@@ -136,16 +158,16 @@ def test_one_forward_and_one_backward_leg_per_pair(builder, monkeypatch):
     if builder == "transmitted":
         pair = transmitted_pair(psi, prop, barrier, cfg.transmit_cut())
     else:
-        pair = make_pair(psi, standalone[-1].psi, prop, barrier)
+        pair = make_pair(psi, final, prop, barrier)
     region = region_projector(cfg.grid(), cfg.barrier_left, cfg.barrier_right)
-    conditional_distribution(pair)
+    barrier_occupation(pair, barrier)
     probe = WeakProbe(region, 0.01, (pair.times[1], pair.times[5]))
     two_probe_run(pair, probe, probe, pointer_sigma=1.0)
     assert legs == {"forward": 1, "backward": 1}
 
     assert pair.times == tuple(s.t for s in standalone)
-    for ket, snap in zip(pair.kets, standalone, strict=True):
-        assert np.array_equal(ket.amp, snap.psi.amp)
+    assert np.array_equal(pair.values, want)
+    assert not pair.values.flags.writeable
 
 
 @pytest.mark.parametrize("builder", ["transmitted", "explicit"])
@@ -177,9 +199,10 @@ def test_records_may_stop_before_the_post_selection():
     assert early.times == full.times[:3]
     assert early.overlap == full.overlap
     assert early.postselect_prob == full.postselect_prob
-    for j in range(3):
-        assert np.array_equal(early.kets[j].amp, full.kets[j].amp)
-        assert np.array_equal(early.bras[j].amp, full.bras[j].amp)
+    prop = cfg.propagator(record_times=early.times)
+    want = standalone_values(cfg.packet(), transmitted_final(cfg.packet(), cfg), prop, barrier)
+    assert np.array_equal(early.values, want)
+    assert np.array_equal(early.values, full.values[:3])
 
 
 def test_implicit_fd_dwell_and_center_to_peak_are_pinned():
@@ -195,19 +218,19 @@ def test_implicit_fd_dwell_and_center_to_peak_are_pinned():
                                    cfg.transmit_cut(), region)
     assert dwell.time == pytest.approx(1.4695316986960907, rel=1e-11)
     pair = transmitted_pair(cfg.packet(), cfg.propagator(), barrier, cfg.transmit_cut())
-    occupation = weakval.barrier_occupation(conditional_distribution(pair), barrier)
+    occupation = barrier_occupation(pair, barrier)
     assert occupation.center_to_peak() == pytest.approx(0.1506331687434938, rel=1e-11)
 
 
 def test_conditional_distribution_completeness(small_pair):
-    dist = small_pair["dist"]
-    dx = dist.grid.dx
-    assert np.all(np.abs(dist.norm_per_time() - 1.0) <= 1e-8)
-    assert np.all(np.abs(np.sum(dist.im, axis=1) * dx) <= 1e-8)
-    for j in range(len(dist.times)):
-        split = (dist.integrate_region(dist.grid.x_min, 0.0, j)
-                 + dist.integrate_region(0.0, dist.grid.x_max, j))
-        assert split == pytest.approx(1.0, abs=1e-8)
+    pair = small_pair["pair"]
+    grid = pair.grid
+    norms = np.sum(pair.values, axis=1) * grid.dx
+    assert np.all(np.abs(norms.real - 1.0) <= 1e-8)
+    assert np.all(np.abs(norms.imag) <= 1e-8)
+    left = np.sum(pair.values.real[:, grid.x < 0.0], axis=1) * grid.dx
+    right = np.sum(pair.values.real[:, grid.x >= 0.0], axis=1) * grid.dx
+    assert np.all(np.abs(left + right - 1.0) <= 1e-8)
 
 
 def test_unconditioned_distribution_reduces_to_density():
@@ -217,10 +240,9 @@ def test_unconditioned_distribution_reduces_to_density():
     psi = cfg.packet()
     snaps = propagate(psi, prop, barrier)
     pair = make_pair(psi, snaps[-1].psi, prop, barrier)
-    dist = conditional_distribution(pair)
     for j, (_, state) in enumerate(snaps):
-        assert np.max(np.abs(dist.re[j] - state.density())) <= 1e-6
-        assert np.max(np.abs(dist.im[j])) <= 1e-6
+        assert np.max(np.abs(pair.values.real[j] - state.density())) <= 1e-6
+        assert np.max(np.abs(pair.values.imag[j])) <= 1e-6
 
 
 def test_postselected_distribution_is_time_reversal_symmetric():
@@ -235,20 +257,19 @@ def test_postselected_distribution_is_time_reversal_symmetric():
     psi = cfg.packet()
     target = gaussian_packet(grid, 15.0, 4.0, cfg.k0)
     pair = make_pair(psi, target, prop, barrier)
-    dist = conditional_distribution(pair)
 
     flipped = make_pair(WaveFunction(grid, np.conj(target.amp)),
                         WaveFunction(grid, np.conj(psi.amp)), prop, barrier)
     assert abs(flipped.overlap - pair.overlap) <= 1e-9 * abs(pair.overlap)
-    dist2 = conditional_distribution(flipped)
 
     # conjugating both boundary states makes the full complex value replay:
     # the reversed run's numerator at s is the original's at duration - s
     n = len(times)
     for j in range(n):
-        assert dist2.times[j] == pytest.approx(cfg.duration - times[n - 1 - j])
-        assert np.max(np.abs(dist2.re[j] - dist.re[n - 1 - j])) <= 1e-6
-        assert np.max(np.abs(dist2.im[j] - dist.im[n - 1 - j])) <= 1e-6
+        assert flipped.times[j] == pytest.approx(cfg.duration - times[n - 1 - j])
+        gap = flipped.values[j] - pair.values[n - 1 - j]
+        assert np.max(np.abs(gap.real)) <= 1e-6
+        assert np.max(np.abs(gap.imag)) <= 1e-6
 
 
 def test_dwell_time_whole_domain_is_the_duration():
@@ -295,7 +316,8 @@ def test_forward_leg_dwell_matches_pair_trapezoid_oracle(scheme):
                             barrier, cfg.transmit_cut())
     drift = max(abs(o - pair.overlap) for o in pair.overlaps) / abs(pair.overlap)
     assert dwell.postselect_prob == pytest.approx(pair.postselect_prob, rel=1e-13)
-    assert dwell.time == pytest.approx(pair_dwell_oracle(pair, region), rel=1e-12 + drift)
+    assert dwell.time == pytest.approx(pair_dwell_oracle(pair, region, cfg.duration),
+                                       rel=1e-12 + drift)
 
 
 def test_free_crossing_dwell_matches_density_integral():
@@ -317,14 +339,14 @@ def test_free_crossing_dwell_matches_density_integral():
 
 
 def test_tunneling_trace_structure(trace_run):
-    cfg, dist, occ = trace_run["cfg"], trace_run["dist"], trace_run["occ"]
-    grid = dist.grid
-    assert len(dist.times) == cfg.n_record
-    assert np.all(np.abs(dist.norm_per_time() - 1.0) <= 1e-8)
+    cfg, pair, occ = trace_run["cfg"], trace_run["pair"], trace_run["occ"]
+    grid, re = pair.grid, pair.values.real
+    assert len(pair.times) == cfg.n_record
+    assert np.all(np.abs(np.sum(re, axis=1) * grid.dx - 1.0) <= 1e-8)
     assert trace_run["prob"] == pytest.approx(1.3044421208656991e-08, rel=1e-6)
     # the conditioned particle starts on the left and ends on the right
-    assert dist.integrate_region(grid.x_min, 0.0, 0) > 0.9
-    assert dist.integrate_region(0.0, grid.x_max, len(dist.times) - 1) > 0.9
+    assert np.sum(re[0, grid.x < 0.0]) * grid.dx > 0.9
+    assert np.sum(re[-1, grid.x >= 0.0]) * grid.dx > 0.9
     # interior weight never rivals the face fringes
     assert occ.center_to_peak() < 0.05
     assert np.all(occ.entrance >= 0.0) and np.all(occ.exit >= 0.0)
