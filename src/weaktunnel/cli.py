@@ -207,7 +207,12 @@ def _cmd_two_probe(args) -> int:
         "region_a": list(region_a), "region_b": list(region_b),
         "sign_b": args.sign_b,
     })
-    pair = transmitted_pair(cfg.packet(), cfg.propagator(), barrier, cfg.transmit_cut())
+    # the windows read no record before the earliest start (to a window's
+    # 1e-9 slack), so the pair's backward leg stops there
+    start = min(window_a[0], window_b[0])
+    read = tuple(t for t in records if t >= start - 1e-9 * max(1.0, abs(start)))
+    pair = transmitted_pair(cfg.packet(), cfg.propagator(record_times=read), barrier,
+                            cfg.transmit_cut())
     probe_a = WeakProbe(region_projector(grid, *region_a), cfg.pointer_delta, window_a)
     probe_b = WeakProbe(region_projector(grid, *region_b), cfg.pointer_delta, window_b,
                         sign=args.sign_b)

@@ -23,39 +23,38 @@ each other:
     error dominates the cross-scheme comparison (measured on the default
     grid: 2nd order disagrees at the 1e-2 level, 6th at 2e-5, 16th at 5e-6).
     With tau = dt/2 and A = 1 + i tau H, the step is x = 2 A^{-1} b - b,
-    because 1 - i tau H = 2 - A: one solve per step and no matvec.  A is
-    banded (8 diagonals each side) apart from the stencil entries that wrap
-    around the periodic boundary.  The solve is a banded LU of A without
-    those corner entries (LAPACK zgbtrf, factored once per run) plus a
-    rank-16 Woodbury correction that restores them (Golub & Van Loan, Matrix
-    Computations, 4.3 and 2.1.4).  The correction's columns Z = B^-1 U decay
-    geometrically away from the corners, so a step corrects only the rows
-    where Z reaches eps times its largest entry: 58 of 4096 on the default
-    scenario, and on its 1024-point test grid 58, 88 and 242 at dt = 0.02,
-    0.5 and 5.  The terms left out are below the roundoff of the
-    correction, which is itself at the edge amplitude, so the step equals
-    the fully corrected one to float64 roundoff.  The grid needs more than
-    16 points for the stencil to fit.
+    because 1 - i tau H = 2 - A: one solve per step and no matvec.  The
+    kinetic part C = 1 + i tau (-Laplacian/2) is circulant on the periodic
+    grid, so an FFT diagonalizes it, wrap-around entries included, and the
+    barrier cells (v != 0) enter through a Woodbury correction of rank equal
+    to their number (Golub & Van Loan, Matrix Computations, 4.8 and 2.1.4).
+    The correction's columns, shifted copies of the first column of C^-1,
+    decay geometrically away from the cells, so a step corrects only the
+    rows where they reach eps times their peak: 145 of 4096 around the
+    default scenario's 103 cells.  The two schemes share the FFT but not the
+    discretization: spectral kinetic energy and Strang splitting against a
+    16th-order stencil and the Cayley form.  The tests check the linear
+    algebra against a sparse LU of the full periodic operator.  The grid
+    needs more than 16 points for the stencil to fit.
 
-A leg steps a stack of rows at once: one batched FFT along the last axis,
-or one band solve with the rows as right-hand sides (the corner correction
-is applied row by row).  Row 0 is the state; propagate_with_source adds a
-second row that collects a weighted region source at the record times, so
-a conditional dwell needs one forward leg and no backward one.
+A leg steps a stack of rows at once: one batched FFT along the last axis
+(implicit-fd applies its barrier correction row by row).  Row 0 is the
+state; propagate_with_source adds a second row that collects a weighted
+region source at the record times, so a conditional dwell needs one
+forward leg and no backward one.
 
 Runtime guards watch row 0: probability reaching the domain edges, checked
 after every step (wrap-around would silently corrupt the run, and a packet
 can cross the boundary and come back between two records), and norm drift
-at every record (a broken factorization or unstable step shows up there
+at every record (a broken solve or unstable step shows up there
 first).  A NaN trips either guard.  Under split-step the edge guard reads
 the carried state before its exit kick; the kick is unimodular, so the cell
 magnitudes are the same up to roundoff.  Snapshots keep their global phase
 and are never renormalized.
 
-scipy is imported when a stepper is built, not with this module: scipy.fft
-by spectral-split-step, scipy.linalg.lapack by implicit-fd.  Importing the
-package then costs numpy alone, and a leg loads only its own scheme's
-routines, which the stepper keeps for its steps.
+scipy.fft is imported when a stepper is built, not with this module, so
+importing the package costs numpy alone; the stepper keeps the routines for
+its steps.
 """
 
 from __future__ import annotations
@@ -180,17 +179,16 @@ class _SplitStep:
         return x.copy() if self.exit is None else self.exit * x
 
 
-def _lapack_check(routine: str, info: int) -> None:
-    if info != 0:
-        raise SchemeInstabilityError(
-            f"Crank-Nicolson {routine} failed with info={info}"
-            + (" (singular matrix)" if info > 0 else "")
-        )
-
-
 class _CrankNicolson:
+    """Cayley steps x <- 2 A^-1 x - x with A = C + i tau diag(v).
+
+    C = 1 + i tau (-Laplacian/2) is circulant, so an FFT diagonalizes it and
+    a step is y = IFFT(FFT(x) 2/eig) followed by a Woodbury correction on the
+    cells where v != 0.
+    """
+
     def __init__(self, grid: Grid, v: np.ndarray, dt: float) -> None:
-        from scipy.linalg.lapack import zgbtrf, zgbtrs, zgesv
+        import scipy.fft
 
         n = grid.n
         m = STENCIL_HALF_WIDTH
@@ -200,54 +198,45 @@ class _CrankNicolson:
                 f"{2 * m}th-order periodic stencil, got n={n}"
             )
         tau = 0.5 * dt
-        # i tau (-Laplacian/2) at offsets -m..m; the diagonal adds 1 + i tau v
-        coupling = (-0.5j * tau / grid.dx**2) * _second_derivative_stencil(m)
+        self.fft, self.ifft = scipy.fft.fft, scipy.fft.ifft
+        # first column of -Laplacian/2; its spectrum is real since the
+        # stencil is symmetric
+        column = np.zeros(n)
+        column[np.arange(-m, m + 1) % n] = (-0.5 / grid.dx**2) * _second_derivative_stencil(m)
+        eig = 1.0 + 1j * tau * self.fft(column).real
+        self.scale = 2.0 / eig
+        g = self.ifft(1.0 / eig)  # first column of C^-1: C^-1[i, j] = g[i - j]
 
-        # LAPACK band storage: A[i, j] sits at ab[2m + i - j, j]; rows 0..m-1
-        # are room for the fill-in of partial pivoting.
-        ab = np.zeros((3 * m + 1, n), dtype=np.complex128)
-        for k in range(-m, m + 1):
-            ab[2 * m - k, max(k, 0):n + min(k, 0)] = coupling[m + k]
-        ab[2 * m] += 1.0 + 1j * tau * v
-        self.lu, self.piv, info = zgbtrf(ab, m, m)
-        _lapack_check("zgbtrf", info)
-
-        # The wrapped entries: A = B + U W, U selecting the corner rows and
-        # W reading only the corner columns, which are the same 2m indices.
-        self.corner = np.r_[:m, n - m:n]
-        cols = self.corner[:, None] + np.arange(-m, m + 1)
-        row, tap = np.nonzero((cols < 0) | (cols >= n))
-        w = np.zeros((2 * m, 2 * m), dtype=np.complex128)
-        w[row, np.searchsorted(self.corner, cols[row, tap] % n)] = coupling[tap]
-        unit = np.zeros((n, 2 * m), dtype=np.complex128, order="F")
-        unit[self.corner, np.arange(2 * m)] = 1.0
-        z, info = zgbtrs(self.lu, m, m, unit, self.piv, overwrite_b=1)
-        _lapack_check("zgbtrs", info)
-        # Z = B^-1 U decays geometrically away from the corners, down into
-        # subnormal numbers, which make a dense product up to 100x slower.
-        # Zeroing them moves no entry of a step by more than
-        # 2m * 2.2e-308 * max|k @ y[corner]|.
-        z[np.abs(z) < np.finfo(np.float64).tiny] = 0.0
-        _, _, k_mat, info = zgesv(np.eye(2 * m) + w @ z[self.corner], w)
-        _lapack_check("zgesv", info)
-        # A step corrects only the rows of Z with an entry of at least eps
-        # times max|Z|.  A dropped row's correction is below
-        # 2m * eps * max|Z| * max|k @ y[corner]|, roundoff on the largest
-        # terms of a correction that is itself at the edge amplitude.
-        size = np.abs(z).max(axis=1)
-        self.rows = np.flatnonzero(size >= np.finfo(np.float64).eps * size.max())
-        self.z, self.k, self.zgbtrs = z[self.rows], k_mat, zgbtrs
+        # A = C + U D U^T with U selecting the barrier cells and D = i tau v
+        # there, so A^-1 = C^-1 - C^-1 U K U^T C^-1 with K = M^-1 D and the
+        # capacitance matrix M = I + D C^-1[cells, cells].  det A = det C det M,
+        # and A = 1 + i tau H and C are invertible for Hermitian H, so M is.
+        self.cells = np.flatnonzero(v)
+        d = 1j * tau * v[self.cells]
+        inner = g[(self.cells[:, None] - self.cells) % n]
+        self.k = np.linalg.solve(np.eye(self.cells.size) + d[:, None] * inner, np.diag(d))
+        # |g| decays geometrically away from offset 0, so a step corrects only
+        # the rows nearer a cell than the first offset r where |g| falls below
+        # eps times its peak; the terms left out are roundoff on the
+        # correction's largest.  Beyond r the FFT's own roundoff can exceed
+        # that level at a large tau, so it is not read.
+        size = np.abs(g[:n // 2 + 1])
+        below = size < np.finfo(np.float64).eps * size.max()
+        r = int(np.argmax(below)) if below.any() else n // 2 + 1
+        self.rows = np.unique((self.cells[:, None] + np.arange(1 - r, r)) % n)
+        self.g = g[(self.rows[:, None] - self.cells) % n]
 
     def step(self, x: np.ndarray) -> np.ndarray:
-        # the rows of the stack are the columns of one multi-right-hand-side
-        # solve; the corner correction goes one column at a time, so a row
-        # stepped in a stack comes out bit for bit as stepped alone
-        m = STENCIL_HALF_WIDTH
-        y, info = self.zgbtrs(self.lu, m, m, 2.0 * x.T, self.piv, overwrite_b=1)
-        _lapack_check("zgbtrs", info)
-        for column in y.T:
-            column[self.rows] -= self.z @ (self.k @ column[self.corner])
-        return (y - x.T).T
+        # one batched FFT pair over the stack's rows; the correction goes one
+        # row at a time, so a row stepped in a stack comes out bit for bit as
+        # stepped alone
+        y = self.fft(x)
+        y *= self.scale
+        y = self.ifft(y, overwrite_x=True)
+        for row in y:
+            row[self.rows] -= self.g @ (self.k @ row[self.cells])
+        y -= x
+        return y
 
     def state(self, x: np.ndarray) -> np.ndarray:
         return x.copy()

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from weaktunnel import tdse
 from weaktunnel.config import DEFAULT_SCENARIO, TRANSMISSION_TRACE_SCENARIO, ScenarioConfig
 from weaktunnel.tdse import PropagatorConfig, propagate
 from weaktunnel.weakval import barrier_occupation, transmitted_pair
@@ -17,6 +18,26 @@ SMALL_SCENARIO = ScenarioConfig(
     packet_center=-20.0, packet_sigma=4.0, packet_energy=0.5,
     dt=0.001, n_steps=35_000, n_record=10,
 )
+
+
+def patch_steps(monkeypatch, after_step):
+    """Make every stepper built from now on call after_step(x) on the stack
+    each of its steps returns."""
+    make = tdse._make_stepper
+
+    def patched(*args):
+        stepper = make(*args)
+        step = stepper.step
+
+        def patched_step(x):
+            x = step(x)
+            after_step(x)
+            return x
+
+        stepper.step = patched_step
+        return stepper
+
+    monkeypatch.setattr(tdse, "_make_stepper", patched)
 
 
 def record_region_values(pair, region):

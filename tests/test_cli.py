@@ -8,6 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import patch_steps
 from weaktunnel.cli import main
 from weaktunnel.config import TRANSMISSION_TRACE_SCENARIO
 from weaktunnel.corpuscle import (CorpuscularModel, corpuscularity_test,
@@ -255,6 +256,20 @@ def test_two_probe_record_count_guards_only_default_windows(tmp_path):
     # eight records would give the overlapping defaults [5, 15] and [10, 20]
     assert main(["two-probe", *cheap, "--set", "n_record=8",
                  "--out", str(tmp_path / "defaults")]) == 2
+
+
+def test_two_probe_backward_leg_stops_at_the_earliest_window_start(tmp_path, monkeypatch):
+    """Records at 2, 4, ..., 20 and default windows [4, 12] and [12, 20]: the
+    forward leg takes 400 steps of 0.05 and the backward leg 320 (16 time
+    units back to t=4), not 360 (back to the first record)."""
+    steps = []
+    patch_steps(monkeypatch, lambda x: steps.append(1))
+    cheap = ["--set", "n_points=1024", "--set", "packet_energy=4.5",
+             "--set", "dt=0.05", "--set", "n_steps=400", "--set", "n_record=10"]
+    out = tmp_path / "tp"
+    assert main(["two-probe", *cheap, "--out", str(out)]) == 0
+    assert read_json(out, "config.json")["options"]["window_a"] == [4.0, 12.0]
+    assert len(steps) == 400 + 320
 
 
 def test_small_run_determinism_cheap_commands(tmp_path):

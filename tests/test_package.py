@@ -48,7 +48,7 @@ def test_import_and_leg_free_subcommands_load_no_scipy(tmp_path):
 
 @pytest.mark.parametrize("scheme, loads, spares", [
     ("spectral-split-step", "scipy.fft", "scipy.linalg"),
-    ("implicit-fd", "scipy.linalg", "scipy.fft"),
+    ("implicit-fd", "scipy.fft", "scipy.linalg"),
 ])
 def test_a_leg_loads_only_its_own_schemes_scipy_module(tmp_path, scheme, loads, spares):
     code = (

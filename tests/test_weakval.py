@@ -207,10 +207,11 @@ def test_records_may_stop_before_the_post_selection():
 
 def test_implicit_fd_dwell_and_center_to_peak_are_pinned():
     """The dwell and center_to_peak of the bench trace-cn scenario under
-    Crank-Nicolson.  The bench's reference values, recorded from the earlier
-    sparse-LU step, sit 3.1e-13 and 4.6e-15 relative away; rel 1e-11 admits
-    such a reordering of the arithmetic, while halving dt moves
-    center_to_peak by 1.6e-3."""
+    Crank-Nicolson, recorded from the band LU step.  The circulant FFT solve
+    sits 4.4e-14 and 4.1e-13 relative away from these, and 2.7e-13 and
+    4.0e-13 from the bench's reference values, recorded from the sparse-LU
+    step; rel 1e-11 admits such a reordering of the arithmetic, while
+    halving dt moves center_to_peak by 1.6e-3."""
     cfg = replace(SMALL_SCENARIO, dt=0.02, n_steps=1750, scheme="implicit-fd")
     barrier = cfg.barrier()
     region = region_projector(cfg.grid(), barrier.x_left, barrier.x_right)
