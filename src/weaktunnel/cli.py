@@ -35,7 +35,8 @@ from .errors import ConfigError, NumericalGuardError
 from .pointer import (JointPointerState, WeakProbe, certain_shift_state,
                       erase_and_postselect, two_probe_run, which_path_state)
 from .scatter import delay_vs_width, scattering_amplitudes
-from .weakval import barrier_occupation, transmitted_dwell_time, transmitted_pair
+from .weakval import (barrier_occupation, transmitted_dwell_time, transmitted_pair,
+                      window_nodes)
 
 OUT_ROOT_ENV = "WEAKTUNNEL_OUT"
 
@@ -200,6 +201,12 @@ def _cmd_two_probe(args) -> int:
     window_b = pick(args.window_b, "--window-b", records[-5::4])
     region_a = pick(args.region_a, "--region-a", (grid.x_min, barrier.x_left))
     region_b = pick(args.region_b, "--region-b", (barrier.x_right, grid.x_max))
+    probe_a = WeakProbe(region_projector(grid, *region_a), cfg.pointer_delta, window_a)
+    probe_b = WeakProbe(region_projector(grid, *region_b), cfg.pointer_delta, window_b,
+                        sign=args.sign_b)
+    # the windows read no record before the earliest start, so the pair's
+    # backward leg stops there
+    first = min(window_nodes(records, window)[0][0] for window in (window_a, window_b))
 
     writer = RunWriter(_out_dir(args))
     _echo_config(writer, args, cfg, {
@@ -207,15 +214,8 @@ def _cmd_two_probe(args) -> int:
         "region_a": list(region_a), "region_b": list(region_b),
         "sign_b": args.sign_b,
     })
-    # the windows read no record before the earliest start (to a window's
-    # 1e-9 slack), so the pair's backward leg stops there
-    start = min(window_a[0], window_b[0])
-    read = tuple(t for t in records if t >= start - 1e-9 * max(1.0, abs(start)))
-    pair = transmitted_pair(cfg.packet(), cfg.propagator(record_times=read), barrier,
-                            cfg.transmit_cut())
-    probe_a = WeakProbe(region_projector(grid, *region_a), cfg.pointer_delta, window_a)
-    probe_b = WeakProbe(region_projector(grid, *region_b), cfg.pointer_delta, window_b,
-                        sign=args.sign_b)
+    pair = transmitted_pair(cfg.packet(), cfg.propagator(record_times=records[first:]),
+                            barrier, cfg.transmit_cut())
     run = two_probe_run(pair, probe_a, probe_b, cfg.pointer_sigma)
     wa, wb = run.window_values
     writer.write_json("twoprobe.json", {

@@ -38,6 +38,8 @@ __all__ = [
     "spin_eigenstate",
 ]
 
+EIGENVALUE_ATOL = 1e-9  # how far spin_eigenstate's value may sit from the spectrum
+
 
 def _readonly(a: np.ndarray) -> np.ndarray:
     a = np.asarray(a)
@@ -261,13 +263,13 @@ def spin_ops(j: float) -> SpinOps:
     return SpinOps(sx=_readonly(sx), sy=_readonly(sy), sz=_readonly(sz))
 
 
-def spin_eigenstate(op: np.ndarray, value: float, atol: float = 1e-9) -> np.ndarray:
+def spin_eigenstate(op: np.ndarray, value: float) -> np.ndarray:
     """Normalized eigenvector of a Hermitian matrix for the eigenvalue closest to value."""
     vals, vecs = np.linalg.eigh(op)
     idx = int(np.argmin(np.abs(vals - value)))
-    if abs(vals[idx] - value) > atol:
+    if abs(vals[idx] - value) > EIGENVALUE_ATOL:
         raise ConfigError(
-            f"no eigenvalue within {atol} of {value}; spectrum is {vals}"
+            f"no eigenvalue within {EIGENVALUE_ATOL} of {value}; spectrum is {vals}"
         )
     v = vecs[:, idx]
     # Fix the overall phase so the largest component is real positive.

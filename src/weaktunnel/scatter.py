@@ -52,7 +52,6 @@ class ScatterResult:
 
     energy: float
     k: float
-    kappa: float
     t: complex
     r: complex
 
@@ -153,10 +152,7 @@ def scattering_amplitudes(energy: float, barrier: BarrierSpec) -> ScatterResult:
     span = barrier.x_right - barrier.x_left
     t = t_local * cmath.exp(-1j * k * span)
     r = r_local * cmath.exp(2j * k * barrier.x_left)
-
-    top = barrier.max_height
-    kappa = math.sqrt(2.0 * (top - energy)) if energy < top else 0.0
-    return ScatterResult(energy=float(energy), k=k, kappa=kappa, t=t, r=r)
+    return ScatterResult(energy=float(energy), k=k, t=t, r=r)
 
 
 def group_delay(energy: float, barrier: BarrierSpec) -> float:

@@ -37,11 +37,14 @@ each other:
     algebra against a sparse LU of the full periodic operator.  The grid
     needs more than 16 points for the stencil to fit.
 
-A leg steps a stack of rows at once: one batched FFT along the last axis
-(implicit-fd applies its barrier correction row by row).  Row 0 is the
-state; propagate_with_source adds a second row that collects a weighted
-region source at the record times, so a conditional dwell needs one
-forward leg and no backward one.
+PropagatorConfig puts its record times on the step grid (record_steps) by
+same_instant, the one rule for two times naming the same instant, and a leg
+counts in steps.  It steps a stack of rows at once, one batched FFT along
+the last axis (implicit-fd applies its barrier correction row by row), and
+stops at its last record.  Row 0 is the state; propagate_with_source adds a
+second row that collects a weighted region source at the record times and
+is read at the last record, so a conditional dwell needs one forward leg
+and no backward one.
 
 Runtime guards watch row 0: probability reaching the domain edges, checked
 after every step (wrap-around would silently corrupt the run, and a packet
@@ -69,6 +72,7 @@ from .errors import ConfigError, EdgeDensityError, SchemeInstabilityError
 
 __all__ = [
     "SCHEMES",
+    "same_instant",
     "PropagatorConfig",
     "Snapshot",
     "propagate",
@@ -100,6 +104,12 @@ def _second_derivative_stencil(m: int) -> np.ndarray:
     return c
 
 
+def same_instant(a, b):
+    """Whether times a and b name the same instant: they differ by at most
+    1e-9 times the larger of 1, |a| and |b|.  Elementwise on arrays."""
+    return np.abs(a - b) <= 1e-9 * np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
+
+
 class Snapshot(NamedTuple):
     t: float
     psi: WaveFunction
@@ -109,16 +119,16 @@ class Snapshot(NamedTuple):
 class PropagatorConfig:
     """Time step, duration, scheme, and which times to record.
 
-    record_times must be (near-)integer multiples of dt inside [0, n_steps*dt];
-    they are interpreted as elapsed time along the run, for both the forward
-    and the backward direction.
+    Each record time must be the same instant as a step j * dt with 0 <= j <=
+    n_steps, and record_steps holds the j.  Record times are elapsed time
+    along the run, for both the forward and the backward direction.
     """
 
     dt: float
     n_steps: int
     scheme: str = "spectral-split-step"
     record_times: tuple[float, ...] = ()
-    _record_steps: tuple[int, ...] = field(init=False, repr=False)
+    record_steps: tuple[int, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if not 0 < self.dt < np.inf:  # NaN fails it too
@@ -128,18 +138,16 @@ class PropagatorConfig:
         if self.scheme not in SCHEMES:
             raise ConfigError(f"unknown scheme {self.scheme!r}; choose from {SCHEMES}")
         times = tuple(float(t) for t in self.record_times) or (self.duration,)
-        steps = []
-        for t in times:
-            j = round(t / self.dt)
-            if abs(j * self.dt - t) > 1e-9 * max(1.0, abs(t)) or not 0 <= j <= self.n_steps:
+        steps = [round(t / self.dt) for t in times]
+        for t, j in zip(times, steps):
+            if not (same_instant(j * self.dt, t) and 0 <= j <= self.n_steps):
                 raise ConfigError(
                     f"record time {t} is not a step multiple inside [0, {self.duration}]"
                 )
-            steps.append(j)
         if sorted(steps) != steps or len(set(steps)) != len(steps):
             raise ConfigError("record_times must be strictly increasing")
         object.__setattr__(self, "record_times", times)
-        object.__setattr__(self, "_record_steps", tuple(steps))
+        object.__setattr__(self, "record_steps", tuple(steps))
 
     @property
     def duration(self) -> float:
@@ -252,11 +260,10 @@ def _run(psi: WaveFunction, cfg: PropagatorConfig, barrier: BarrierSpec | None,
          dt_sign: float, edge_limit: float | None,
          source: tuple[np.ndarray, np.ndarray] | None = None,
          ) -> tuple[list[Snapshot], np.ndarray]:
-    """Step the stack (psi, source row) and return psi's snapshots and the
-    final stack.  Only psi is guarded and recorded; a source (mask, weights)
-    adds weights[j] * mask * psi to the source row at the j-th record.  A
-    leg without a source stops at its last record; with one it runs to the
-    duration, where the source row is read."""
+    """Step the stack (psi, source row) to the last record and return psi's
+    snapshots and the stack there.  Only psi is guarded and recorded; a
+    source (mask, weights) adds weights[j] * mask * psi to the source row at
+    the j-th record."""
     grid = psi.grid
     norm0 = psi.norm()
     if not np.isfinite(norm0):
@@ -267,7 +274,7 @@ def _run(psi: WaveFunction, cfg: PropagatorConfig, barrier: BarrierSpec | None,
         edge_limit = EDGE_PROBABILITY_LIMIT
     stepper = _make_stepper(cfg.scheme, grid, _potential(grid, barrier), dt_sign * cfg.dt)
 
-    wanted = {step: j for j, step in enumerate(cfg._record_steps)}
+    wanted = {step: j for j, step in enumerate(cfg.record_steps)}
     out: list[Snapshot] = []
     edge_scale = grid.dx / norm0**2
 
@@ -295,8 +302,7 @@ def _run(psi: WaveFunction, cfg: PropagatorConfig, barrier: BarrierSpec | None,
 
     x = np.zeros((1 if source is None else 2, grid.n), dtype=np.complex128)
     x[0] = psi.amp
-    last = cfg.n_steps if source is not None else cfg._record_steps[-1]
-    for step in range(last + 1):
+    for step in range(cfg.record_steps[-1] + 1):
         if step:
             x = stepper.step(x)
         check_edge(step, x[0])
@@ -338,9 +344,10 @@ def propagate_with_source(psi: WaveFunction, cfg: PropagatorConfig,
     """Evolve psi forward beside a source row phi, in the same steps.
 
     phi starts at zero and gains weights[j] * mask * psi(t_j) at the j-th of
-    cfg.record_times t_j, so at the duration T it is
-    sum_j weights[j] U(T - t_j) mask psi(t_j).  Returns psi's snapshots at
-    cfg.record_times and phi(T).  The guards watch psi alone.
+    cfg.record_times t_j.  Like propagate, the leg stops at the last record
+    t_J, so phi is read at the instant of the last snapshot: returns psi's
+    snapshots and phi(t_J) = sum_j weights[j] U(t_J - t_j) mask psi(t_j).
+    The guards watch psi alone.
     """
     weights = np.asarray(weights, dtype=np.float64)
     if weights.shape != (len(cfg.record_times),):

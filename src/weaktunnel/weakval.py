@@ -22,12 +22,13 @@ cell-projector conditional values conj(f(t)) i(t) / <f(t)|i(t)>, not the
 states, so whoever builds the pair fixes the time resolution of its
 readouts.
 
-One window rule serves every time integral of a conditional value: a window
-[t1, t2] must start and end on nodes of the time grid and hold at least two,
-and the integral is the trapezoid over the nodes inside it.  A probe window
-(PrePostPair.window_value) reads the pair's records; the dwell clock
-(dwell_time, transmitted_dwell_time) is the window [0, T] over t=0 plus the
-records.  The dwell reads one forward leg and no backward one.  Beside the
+One window rule, window_nodes, serves every time integral of a conditional
+value: a window [t1, t2] must start and end on nodes of the time grid, by
+tdse.same_instant, and hold at least two, and the integral is the trapezoid
+over the nodes inside it.  A probe window (PrePostPair.window_value) reads
+the pair's records; the dwell clock (dwell_time, transmitted_dwell_time) is
+the window [0, T] over t=0 plus the records.  The dwell reads one forward
+leg and no backward one.  Beside the
 state the leg carries a source row that gains w_j * region * psi(t_j) at each
 node t_j, w_j its trapezoid weight; post-selecting f from the final state
 then gives the trapezoid of the conditional region weight as
@@ -35,7 +36,7 @@ Re <f|source(T)> / <f|psi(T)>.  Both kinds of readout post-select through
 the same two rules.
 
 The post-selection overlap enters as a denominator, so it is guarded by a
-floor on |<f|i>|^2 (default 1e-12) below which conditional values are
+floor on |<f|i>|^2 (OVERLAP_FLOOR, 1e-12) below which conditional values are
 numerically meaningless.  Unitarity pins a pair's <f(t)|i(t)> to <f|U|i> at
 every recorded time; a relative drift beyond 1e-6 means the two legs are no
 longer adjoint and the pair is refused.
@@ -51,10 +52,11 @@ import numpy as np
 from .core import Grid, BarrierSpec, RegionProjector, WaveFunction, region_projector
 from .errors import ConfigError, OverlapFloorError, SchemeInstabilityError
 from .tdse import (EDGE_PROBABILITY_LIMIT, PropagatorConfig, propagate,
-                   propagate_backward, propagate_with_source)
+                   propagate_backward, propagate_with_source, same_instant)
 
 __all__ = [
     "OVERLAP_FLOOR",
+    "window_nodes",
     "PrePostPair",
     "BarrierOccupation",
     "weak_value",
@@ -73,48 +75,46 @@ OVERLAP_FLOOR = 1e-12
 _Postselect = Callable[[WaveFunction], tuple[WaveFunction, float]]
 
 
-def _check_floor(overlap: complex, floor: float) -> None:
-    if abs(overlap) ** 2 < floor:
+def _check_floor(overlap: complex) -> None:
+    if abs(overlap) ** 2 < OVERLAP_FLOOR:
         raise OverlapFloorError(
-            f"post-selection overlap too small: |<f|i>|^2 = {abs(overlap)**2:.3e} < {floor:.3e}"
+            f"post-selection overlap |<f|i>|^2 = {abs(overlap)**2:.3e} < {OVERLAP_FLOOR:.3e}"
         )
 
 
-def _window_nodes(times, window: tuple[float, float]) -> tuple[np.ndarray, np.ndarray]:
+def window_nodes(times, window: tuple[float, float]) -> tuple[np.ndarray, np.ndarray]:
     """Indices of the nodes in [t1, t2] and their trapezoid weights.
 
-    The window must start and end on nodes, to the 1e-9 relative slack of a
-    record time on the step grid, and hold at least two of them.
+    The window must start and end on nodes, each end the same instant as its
+    node by tdse.same_instant, and hold at least two of them.
     """
     t = np.asarray(times, dtype=float)
     t1, t2 = window
-    slack = 1e-9 * max(1.0, abs(t1), abs(t2))
-    index = np.flatnonzero((t >= t1 - slack) & (t <= t2 + slack))
-    if (index.size < 2 or abs(t[index[0]] - t1) > slack
-            or abs(t[index[-1]] - t2) > slack):
+    at_t1, at_t2 = same_instant(t, t1), same_instant(t, t2)
+    index = np.flatnonzero(((t >= t1) & (t <= t2)) | at_t1 | at_t2)
+    if index.size < 2 or not (at_t1[index[0]] and at_t2[index[-1]]):
         raise ConfigError(
-            f"window {window} must start and end on recorded times "
-            "and hold at least two"
+            f"window {window} must start and end on recorded times and hold at least two"
         )
     gaps = np.diff(t[index])
     return index, 0.5 * (np.append(gaps, 0.0) + np.insert(gaps, 0, 0.0))
 
 
-def weak_value(op, pre, post, floor: float = OVERLAP_FLOOR) -> complex:
+def weak_value(op, pre, post) -> complex:
     """<post|op|pre> / <post|pre>; complex in general.
 
     pre/post are complex vectors and op a matrix acting on them, e.g. spin
     states and a spin operator.  Both states must refer to the same instant.
     """
-    return weak_moment(op, 1, pre, post, floor)
+    return weak_moment(op, 1, pre, post)
 
 
-def weak_moment(op, n: int, pre, post, floor: float = OVERLAP_FLOOR) -> complex:
+def weak_moment(op, n: int, pre, post) -> complex:
     """n-th conditional moment <post|op^n|pre> / <post|pre>."""
     if n < 1:
         raise ConfigError(f"moment order must be >= 1, got {n}")
     overlap = complex(np.vdot(post, pre))
-    _check_floor(overlap, floor)
+    _check_floor(overlap)
     state = pre
     for _ in range(n):
         state = np.asarray(op) @ state
@@ -144,14 +144,13 @@ class PrePostPair:
     def window_value(self, region: RegionProjector, window: tuple[float, float]) -> complex:
         """Complex conditional value of the region projector averaged over the
         window: the trapezoid over the records in it, divided by its length."""
-        index, weights = _window_nodes(self.times, window)
+        index, weights = window_nodes(self.times, window)
         sums = np.sum(self.values[index][:, region.mask], axis=1)
         return complex(np.dot(weights, sums) * self.grid.dx / weights.sum())
 
 
 def _build_pair(initial: WaveFunction, cfg: PropagatorConfig,
-                barrier: BarrierSpec | None, floor: float,
-                postselect: _Postselect) -> PrePostPair:
+                barrier: BarrierSpec | None, postselect: _Postselect) -> PrePostPair:
     """Run the forward leg once, post-select its last state, run the backward leg.
 
     The forward leg records cfg.record_times, plus the duration when the last
@@ -163,25 +162,23 @@ def _build_pair(initial: WaveFunction, cfg: PropagatorConfig,
     may therefore carry up to 1e-8/p of relative edge weight before its
     history stops being trustworthy.
     """
-    duration = cfg.duration
-    records = cfg.record_times
-    tail = (duration,) if round(records[-1] / cfg.dt) < cfg.n_steps else ()
+    records, steps = cfg.record_times, cfg.record_steps
+    tail = (cfg.duration,) if steps[-1] < cfg.n_steps else ()
     fwd = propagate(initial, replace(cfg, record_times=records + tail), barrier)
     evolved = fwd[-1].psi
     final, prob = postselect(evolved)
     overlap = final.inner(evolved)
-    _check_floor(overlap, floor)
+    _check_floor(overlap)
 
-    back_cfg = replace(cfg, record_times=tuple(duration - t for t in reversed(records)))
+    back_times = tuple((cfg.n_steps - j) * cfg.dt for j in reversed(steps))
     back_limit = EDGE_PROBABILITY_LIMIT / min(1.0, abs(overlap) ** 2)
-    bwd = propagate_backward(final, back_cfg, barrier, edge_limit=back_limit)
+    bwd = propagate_backward(final, replace(cfg, record_times=back_times), barrier,
+                             edge_limit=back_limit)
     values = np.empty((len(records), initial.grid.n), dtype=complex)
     times, overlaps = [], []
-    for j, ((t, ket), (tau, bra)) in enumerate(zip(fwd, reversed(bwd))):
-        if abs((duration - tau) - t) > 1e-9 * max(1.0, duration):
-            raise ConfigError("forward and backward record times failed to line up")
+    for j, ((t, ket), (_, bra)) in enumerate(zip(fwd, reversed(bwd))):
         record_overlap = bra.inner(ket)
-        _check_floor(record_overlap, floor)
+        _check_floor(record_overlap)
         drift = abs(record_overlap - overlap) / abs(overlap)
         if drift > 1e-6:
             raise SchemeInstabilityError(
@@ -203,7 +200,7 @@ def _onto(final: WaveFunction) -> _Postselect:
     return postselect
 
 
-def _transmission(grid: Grid, barrier: BarrierSpec, cut: float, floor: float) -> _Postselect:
+def _transmission(grid: Grid, barrier: BarrierSpec, cut: float) -> _Postselect:
     """Post-select on x >= cut, with the probability of finding the particle there."""
     if not barrier.x_right < cut < grid.x_max:
         raise ConfigError(
@@ -214,9 +211,10 @@ def _transmission(grid: Grid, barrier: BarrierSpec, cut: float, floor: float) ->
     def postselect(evolved: WaveFunction) -> tuple[WaveFunction, float]:
         projected = region_projector(grid, cut, grid.x_max).apply(evolved)
         prob = projected.norm() ** 2
-        if prob < floor:
+        if prob < OVERLAP_FLOOR:
             raise OverlapFloorError(
-                f"transmission probability {prob:.3e} below the overlap floor {floor:.3e}"
+                f"transmission probability {prob:.3e} below the overlap floor "
+                f"{OVERLAP_FLOOR:.3e}"
             )
         return projected.normalized(), float(prob)
 
@@ -224,26 +222,23 @@ def _transmission(grid: Grid, barrier: BarrierSpec, cut: float, floor: float) ->
 
 
 def make_pair(initial: WaveFunction, final: WaveFunction, cfg: PropagatorConfig,
-              barrier: BarrierSpec | None = None,
-              floor: float = OVERLAP_FLOOR) -> PrePostPair:
+              barrier: BarrierSpec | None = None) -> PrePostPair:
     """Pair explicit unit-norm states, recording their history at cfg.record_times.
 
     The post-selection probability is |<final|U(duration)|initial>|^2.
     """
-    return _build_pair(initial, cfg, barrier, floor, _onto(final))
+    return _build_pair(initial, cfg, barrier, _onto(final))
 
 
 def transmitted_pair(initial: WaveFunction, cfg: PropagatorConfig,
-                     barrier: BarrierSpec, cut: float,
-                     floor: float = OVERLAP_FLOOR) -> PrePostPair:
+                     barrier: BarrierSpec, cut: float) -> PrePostPair:
     """Post-select on transmission: project the evolved state onto x >= cut.
 
     The cut should sit beyond the barrier exit by a couple of packet widths so
     the projector does not clip barrier-edge structure.  The pair's
     postselect_prob is the probability of finding the particle beyond the cut.
     """
-    return _build_pair(initial, cfg, barrier, floor,
-                       _transmission(initial.grid, barrier, cut, floor))
+    return _build_pair(initial, cfg, barrier, _transmission(initial.grid, barrier, cut))
 
 
 @dataclass(frozen=True)
@@ -308,7 +303,7 @@ class ConditionalDwell:
 
 def _forward_dwell(initial: WaveFunction, cfg: PropagatorConfig,
                    barrier: BarrierSpec | None, region: RegionProjector,
-                   floor: float, postselect: _Postselect) -> ConditionalDwell:
+                   postselect: _Postselect) -> ConditionalDwell:
     """The dwell of the region from one forward leg that carries a source row.
 
     The leg adds w_j * region * psi(t_j) to the source row at each node t_j,
@@ -318,20 +313,19 @@ def _forward_dwell(initial: WaveFunction, cfg: PropagatorConfig,
     trapezoid of the conditional region value without a backward leg.
     """
     records = cfg.record_times
-    times = records if records[0] == 0.0 else (0.0,) + records
-    _, weights = _window_nodes(times, (0.0, cfg.duration))
+    times = records if cfg.record_steps[0] == 0 else (0.0,) + records
+    _, weights = window_nodes(times, (0.0, cfg.duration))
     snaps, source = propagate_with_source(initial, replace(cfg, record_times=times),
                                           barrier, region.mask, weights)
     evolved = snaps[-1].psi
     final, prob = postselect(evolved)
     overlap = final.inner(evolved)
-    _check_floor(overlap, floor)
+    _check_floor(overlap)
     return ConditionalDwell(float((final.inner(source) / overlap).real), prob, times)
 
 
 def dwell_time(initial: WaveFunction, final: WaveFunction, cfg: PropagatorConfig,
-               region: RegionProjector, barrier: BarrierSpec | None = None,
-               floor: float = OVERLAP_FLOOR) -> ConditionalDwell:
+               region: RegionProjector, barrier: BarrierSpec | None = None) -> ConditionalDwell:
     """Time integral of Re of the conditional region weight over [0, duration].
 
     The trapezoid rule runs over t=0 and cfg.record_times, which must end at
@@ -339,15 +333,15 @@ def dwell_time(initial: WaveFunction, final: WaveFunction, cfg: PropagatorConfig
     ordinary sojourn time integral of the region probability; with region =
     whole domain it returns the duration.
     """
-    return _forward_dwell(initial, cfg, barrier, region, floor, _onto(final))
+    return _forward_dwell(initial, cfg, barrier, region, _onto(final))
 
 
 def transmitted_dwell_time(initial: WaveFunction, cfg: PropagatorConfig,
                            barrier: BarrierSpec, cut: float, region: RegionProjector,
-                           floor: float = OVERLAP_FLOOR) -> ConditionalDwell:
+                           ) -> ConditionalDwell:
     """dwell_time of the region for the subensemble found beyond the cut.
 
     The post-selection is transmitted_pair's.
     """
-    return _forward_dwell(initial, cfg, barrier, region, floor,
-                          _transmission(initial.grid, barrier, cut, floor))
+    return _forward_dwell(initial, cfg, barrier, region,
+                          _transmission(initial.grid, barrier, cut))

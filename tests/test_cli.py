@@ -272,6 +272,25 @@ def test_two_probe_backward_leg_stops_at_the_earliest_window_start(tmp_path, mon
     assert len(steps) == 400 + 320
 
 
+@pytest.mark.parametrize("flags", [
+    ["--window-a", "12,4"],        # reversed
+    ["--region-a", "3,3"],         # empty region
+    ["--window-a", "5,12"],        # starts between records
+    ["--window-b", "12,22"],       # ends past the duration
+], ids=" ".join)
+def test_two_probe_rejects_bad_probes_before_the_first_step(tmp_path, monkeypatch, flags):
+    """Records at 2, 4, ..., 20: each bad probe exits 2 before either leg
+    takes a step and before anything is written."""
+    steps = []
+    patch_steps(monkeypatch, lambda x: steps.append(1))
+    cheap = ["--set", "n_points=1024", "--set", "packet_energy=4.5",
+             "--set", "dt=0.05", "--set", "n_steps=400", "--set", "n_record=10"]
+    out = tmp_path / "tp"
+    assert main(["two-probe", *cheap, *flags, "--out", str(out)]) == 2
+    assert steps == []
+    assert not (out / "manifest.json").exists()
+
+
 def test_small_run_determinism_cheap_commands(tmp_path):
     for cmd in (["variance"], ["hartman"], ["corpuscle-test", "--n", "500",
                                             "--resamples", "200"]):

@@ -15,7 +15,7 @@ from weaktunnel.pointer import WeakProbe, two_probe_run
 from weaktunnel.tdse import PropagatorConfig, propagate, propagate_backward
 from weaktunnel.weakval import (barrier_occupation, dwell_time, make_pair,
                                 transmitted_dwell_time, transmitted_pair,
-                                weak_moment, weak_value)
+                                weak_moment, weak_value, window_nodes)
 
 from conftest import SMALL_SCENARIO, record_region_values
 
@@ -117,6 +117,27 @@ def test_moment_order_and_floor_guards():
         weak_moment(ops.sx, 0, up, up)
     with pytest.raises(OverlapFloorError):
         weak_value(ops.sx, up, down)
+
+
+@pytest.mark.parametrize("rel, same", [(0.5e-9, True), (-0.5e-9, True),
+                                       (2e-9, False), (-2e-9, False)])
+def test_record_steps_and_window_ends_share_one_time_rule(rel, same):
+    """A time 4 * (1 + rel) names the record at t=4 for the propagator and
+    for either end of a window alike: at 0.5e-9 relative, and not at 2e-9."""
+    t = 4.0 * (1.0 + rel)
+    times = (2.0, 4.0, 6.0)
+    uses = [
+        (lambda: PropagatorConfig(dt=0.05, n_steps=120, record_times=(t,)).record_steps,
+         (80,)),
+        (lambda: window_nodes(times, (t, 6.0))[0].tolist(), [1, 2]),
+        (lambda: window_nodes(times, (2.0, t))[0].tolist(), [0, 1]),
+    ]
+    for use, expected in uses:
+        if same:
+            assert use() == expected
+        else:
+            with pytest.raises(ConfigError):
+                use()
 
 
 def test_make_pair_rejects_orthogonal_postselection():
