@@ -27,4 +27,4 @@ class SchemeInstabilityError(NumericalGuardError):
 
 
 class OverlapFloorError(NumericalGuardError):
-    """A pre/post-selection overlap fell below the configured floor."""
+    """A post-selection probability fell below weakval.OVERLAP_FLOOR."""

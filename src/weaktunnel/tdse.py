@@ -50,10 +50,14 @@ Runtime guards watch row 0: probability reaching the domain edges, checked
 after every step (wrap-around would silently corrupt the run, and a packet
 can cross the boundary and come back between two records), and norm drift
 at every record (a broken solve or unstable step shows up there
-first).  A NaN trips either guard.  Under split-step the edge guard reads
-the carried state before its exit kick; the kick is unimodular, so the cell
-magnitudes are the same up to roundoff.  Snapshots keep their global phase
-and are never renormalized.
+first).  The edge weight is absolute, sum |psi|^2 dx over the edge cells
+against EDGE_PROBABILITY_LIMIT, so a leg from a projected state P psi of
+norm^2 p may carry 1e-8/p of relative edge weight: contamination competes
+with the physics at the scale of the unprojected state.  Norm drift is
+relative to the leg's starting norm.  A NaN trips either guard.  Under
+split-step the edge guard reads the carried state before its exit kick; the
+kick is unimodular, so the cell magnitudes are the same up to roundoff.
+Snapshots keep their global phase and are never renormalized.
 
 scipy.fft is imported when a stepper is built, not with this module, so
 importing the package costs numpy alone; the stepper keeps the routines for
@@ -138,7 +142,8 @@ class PropagatorConfig:
         if self.scheme not in SCHEMES:
             raise ConfigError(f"unknown scheme {self.scheme!r}; choose from {SCHEMES}")
         times = tuple(float(t) for t in self.record_times) or (self.duration,)
-        steps = [round(t / self.dt) for t in times]
+        # a non-finite t / dt has no step; -1 sends it to the range check
+        steps = [round(q) if np.isfinite(q) else -1 for q in (t / self.dt for t in times)]
         for t, j in zip(times, steps):
             if not (same_instant(j * self.dt, t) and 0 <= j <= self.n_steps):
                 raise ConfigError(
@@ -257,8 +262,7 @@ def _make_stepper(scheme: str, grid: Grid, v: np.ndarray, dt: float):
 
 
 def _run(psi: WaveFunction, cfg: PropagatorConfig, barrier: BarrierSpec | None,
-         dt_sign: float, edge_limit: float | None,
-         source: tuple[np.ndarray, np.ndarray] | None = None,
+         dt_sign: float, source: tuple[np.ndarray, np.ndarray] | None = None,
          ) -> tuple[list[Snapshot], np.ndarray]:
     """Step the stack (psi, source row) to the last record and return psi's
     snapshots and the stack there.  Only psi is guarded and recorded; a
@@ -270,18 +274,15 @@ def _run(psi: WaveFunction, cfg: PropagatorConfig, barrier: BarrierSpec | None,
         raise ConfigError("cannot propagate a state with a non-finite norm")
     if norm0 == 0.0:
         raise ConfigError("cannot propagate the zero state")
-    if edge_limit is None:
-        edge_limit = EDGE_PROBABILITY_LIMIT
     stepper = _make_stepper(cfg.scheme, grid, _potential(grid, barrier), dt_sign * cfg.dt)
 
     wanted = {step: j for j, step in enumerate(cfg.record_steps)}
     out: list[Snapshot] = []
-    edge_scale = grid.dx / norm0**2
 
     def check_edge(step: int, amp: np.ndarray) -> None:
         head, tail = amp[:EDGE_CELLS], amp[-EDGE_CELLS:]
-        edge = (np.vdot(head, head) + np.vdot(tail, tail)).real * edge_scale
-        if not edge <= edge_limit:  # NaN trips it too
+        edge = (np.vdot(head, head) + np.vdot(tail, tail)).real * grid.dx
+        if not edge <= EDGE_PROBABILITY_LIMIT:  # NaN trips it too
             raise EdgeDensityError(
                 f"probability {edge:.3e} reached the domain edge at t={step * cfg.dt}; "
                 "enlarge the domain or shorten the run"
@@ -312,29 +313,25 @@ def _run(psi: WaveFunction, cfg: PropagatorConfig, barrier: BarrierSpec | None,
 
 
 def propagate(psi: WaveFunction, cfg: PropagatorConfig,
-              barrier: BarrierSpec | None = None, *,
-              edge_limit: float | None = None) -> list[Snapshot]:
+              barrier: BarrierSpec | None = None) -> list[Snapshot]:
     """Evolve psi forward, returning snapshots at cfg.record_times.
 
     The leg stops at the last record time, which may fall short of the
-    duration.  edge_limit overrides the default edge-density threshold.
-    Renormalized post-selected states legitimately carry more relative
-    weight near the boundary than a unit-norm packet, so callers that
-    rescale states may rescale the guard with them.
+    duration.  The edge guard reads absolute probability, so a state of
+    norm below one may carry proportionally more relative edge weight.
     """
-    return _run(psi, cfg, barrier, dt_sign=+1.0, edge_limit=edge_limit)[0]
+    return _run(psi, cfg, barrier, dt_sign=+1.0)[0]
 
 
 def propagate_backward(psi: WaveFunction, cfg: PropagatorConfig,
-                       barrier: BarrierSpec | None = None, *,
-                       edge_limit: float | None = None) -> list[Snapshot]:
+                       barrier: BarrierSpec | None = None) -> list[Snapshot]:
     """Evolve psi backward; snapshot times are elapsed backward time.
 
     Like propagate, the leg stops at the last record time.  Composing
     propagate_backward after propagate with the same config recovers the
     initial state up to the scheme's roundoff.
     """
-    return _run(psi, cfg, barrier, dt_sign=-1.0, edge_limit=edge_limit)[0]
+    return _run(psi, cfg, barrier, dt_sign=-1.0)[0]
 
 
 def propagate_with_source(psi: WaveFunction, cfg: PropagatorConfig,
@@ -355,7 +352,7 @@ def propagate_with_source(psi: WaveFunction, cfg: PropagatorConfig,
             f"need one source weight per record time ({len(cfg.record_times)}), "
             f"got shape {weights.shape}"
         )
-    snaps, last = _run(psi, cfg, barrier, dt_sign=+1.0, edge_limit=None,
+    snaps, last = _run(psi, cfg, barrier, dt_sign=+1.0,
                        source=(np.asarray(mask, dtype=bool), weights))
     return snaps, WaveFunction(psi.grid, last[1])
 

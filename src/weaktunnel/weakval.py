@@ -15,11 +15,15 @@ part is kept in a companion channel.
 The conditional distribution, the barrier occupation and the probe shifts
 of pointer.two_probe_run read one history per pre/post pair.  Building a
 pair (make_pair for an explicit final state, transmitted_pair for
-post-selection on transmission) runs the forward leg from |i> once, takes
-the post-selected state from its last snapshot, and runs the backward leg
-from <f| once.  At every recorded time the pair keeps the overlap and the
-cell-projector conditional values conj(f(t)) i(t) / <f(t)|i(t)>, not the
-states, so whoever builds the pair fixes the time resolution of its
+post-selection on transmission) runs the forward leg from |i> once,
+applies the post-selection to its last snapshot, and runs the backward leg
+from the projected state once.  A post-selection is a projector P: onto x >=
+cut for transmission, onto |f> for an explicit unit-norm final state.  The
+bra is P U(T)|i> itself, not a renormalized copy, so <bra|ket> is the
+post-selection probability <i|U^dag P U|i> at every time, and P may have any
+rank.  At every recorded time the pair keeps the overlap and the
+cell-projector conditional values conj(bra(t)) ket(t) / <bra(t)|ket(t)>, not
+the states, so whoever builds the pair fixes the time resolution of its
 readouts.
 
 One window rule, window_nodes, serves every time integral of a conditional
@@ -28,18 +32,18 @@ tdse.same_instant, and hold at least two, and the integral is the trapezoid
 over the nodes inside it.  A probe window (PrePostPair.window_value) reads
 the pair's records; the dwell clock (dwell_time, transmitted_dwell_time) is
 the window [0, T] over t=0 plus the records.  The dwell reads one forward
-leg and no backward one.  Beside the
-state the leg carries a source row that gains w_j * region * psi(t_j) at each
-node t_j, w_j its trapezoid weight; post-selecting f from the final state
-then gives the trapezoid of the conditional region weight as
-Re <f|source(T)> / <f|psi(T)>.  Both kinds of readout post-select through
-the same two rules.
+leg and no backward one.  Beside the state the leg carries a source row that
+gains w_j * region * psi(t_j) at each node t_j, w_j its trapezoid weight;
+projecting the final state then gives the trapezoid of the conditional
+region weight as Re <P psi(T)|source(T)> / <P psi(T)|psi(T)>.  Both kinds of
+readout post-select through the same two projectors.
 
-The post-selection overlap enters as a denominator, so it is guarded by a
-floor on |<f|i>|^2 (OVERLAP_FLOOR, 1e-12) below which conditional values are
-numerically meaningless.  Unitarity pins a pair's <f(t)|i(t)> to <f|U|i> at
-every recorded time; a relative drift beyond 1e-6 means the two legs are no
-longer adjoint and the pair is refused.
+The post-selection probability enters as a denominator, so each engine
+checks it once against a floor (OVERLAP_FLOOR, 1e-12) below which
+conditional values are numerically meaningless.  Unitarity pins a pair's
+<bra(t)|ket(t)> to that probability at every recorded time; a relative
+drift beyond 1e-6 means the two legs are no longer adjoint and the pair is
+refused.
 """
 
 from __future__ import annotations
@@ -51,8 +55,8 @@ import numpy as np
 
 from .core import Grid, BarrierSpec, RegionProjector, WaveFunction, region_projector
 from .errors import ConfigError, OverlapFloorError, SchemeInstabilityError
-from .tdse import (EDGE_PROBABILITY_LIMIT, PropagatorConfig, propagate,
-                   propagate_backward, propagate_with_source, same_instant)
+from .tdse import (PropagatorConfig, propagate, propagate_backward, propagate_with_source,
+                   same_instant)
 
 __all__ = [
     "OVERLAP_FLOOR",
@@ -71,14 +75,14 @@ __all__ = [
 
 OVERLAP_FLOOR = 1e-12
 
-# a post-selection maps the evolved state to the selected state and its probability
-_Postselect = Callable[[WaveFunction], tuple[WaveFunction, float]]
+# a post-selection is a projector P, applied to the evolved state
+_Postselect = Callable[[WaveFunction], WaveFunction]
 
 
-def _check_floor(overlap: complex) -> None:
-    if abs(overlap) ** 2 < OVERLAP_FLOOR:
+def _check_floor(prob: float) -> None:
+    if prob < OVERLAP_FLOOR:
         raise OverlapFloorError(
-            f"post-selection overlap |<f|i>|^2 = {abs(overlap)**2:.3e} < {OVERLAP_FLOOR:.3e}"
+            f"post-selection probability <i|P|i> = {prob:.3e} < {OVERLAP_FLOOR:.3e}"
         )
 
 
@@ -114,7 +118,7 @@ def weak_moment(op, n: int, pre, post) -> complex:
     if n < 1:
         raise ConfigError(f"moment order must be >= 1, got {n}")
     overlap = complex(np.vdot(post, pre))
-    _check_floor(overlap)
+    _check_floor(abs(overlap) ** 2)
     state = pre
     for _ in range(n):
         state = np.asarray(op) @ state
@@ -125,17 +129,16 @@ def weak_moment(op, n: int, pre, post) -> complex:
 class PrePostPair:
     """A preparation at t=0, a post-selection at the duration, and their history.
 
-    ``overlap`` is <f| U(duration) |i> for the prepared state i and the
-    post-selected state f, and ``postselect_prob`` the probability that the
-    post-selection succeeds.  At each recorded time t, with ket U(t)|i> and
-    bra U(t - duration)|f>, ``overlaps`` holds <bra|ket>, which unitarity
-    pins to ``overlap``, and the read-only (records, n) array ``values``
+    ``postselect_prob`` is the probability <i|U^dag P U|i> that the
+    post-selection P succeeds on the prepared state i.  At each recorded
+    time t, with ket U(t)|i> and bra U(t - duration) P U(duration)|i>,
+    ``overlaps`` holds <bra|ket>, which unitarity pins to
+    ``postselect_prob``, and the read-only (records, n) array ``values``
     holds conj(bra) * ket / <bra|ket>: the conditional value of each cell
     projector, in units of 1/length, so that each row times dx sums to one.
     """
 
     grid: Grid
-    overlap: complex
     postselect_prob: float
     times: tuple[float, ...]
     overlaps: tuple[complex, ...]
@@ -151,35 +154,27 @@ class PrePostPair:
 
 def _build_pair(initial: WaveFunction, cfg: PropagatorConfig,
                 barrier: BarrierSpec | None, postselect: _Postselect) -> PrePostPair:
-    """Run the forward leg once, post-select its last state, run the backward leg.
+    """Run the forward leg once, project its last state, and run the backward
+    leg from the projected state.
 
     The forward leg records cfg.record_times, plus the duration when the last
-    record falls short of it.  The backward leg runs with the edge-density
-    threshold divided by |overlap|^2.  Conditional values are invariant
-    under rescaling the bra, so boundary contamination competes with the
-    physics at the pre-projection amplitude scale, not at the unit norm the
-    bra was renormalized to; a post-selected bra with success probability p
-    may therefore carry up to 1e-8/p of relative edge weight before its
-    history stops being trustworthy.
+    record falls short of it.
     """
     records, steps = cfg.record_times, cfg.record_steps
     tail = (cfg.duration,) if steps[-1] < cfg.n_steps else ()
     fwd = propagate(initial, replace(cfg, record_times=records + tail), barrier)
-    evolved = fwd[-1].psi
-    final, prob = postselect(evolved)
-    overlap = final.inner(evolved)
-    _check_floor(overlap)
+    projected = postselect(fwd[-1].psi)
+    prob = projected.norm() ** 2
+    _check_floor(prob)
 
     back_times = tuple((cfg.n_steps - j) * cfg.dt for j in reversed(steps))
-    back_limit = EDGE_PROBABILITY_LIMIT / min(1.0, abs(overlap) ** 2)
-    bwd = propagate_backward(final, replace(cfg, record_times=back_times), barrier,
-                             edge_limit=back_limit)
+    bwd = propagate_backward(projected, replace(cfg, record_times=back_times), barrier)
     values = np.empty((len(records), initial.grid.n), dtype=complex)
     times, overlaps = [], []
     for j, ((t, ket), (_, bra)) in enumerate(zip(fwd, reversed(bwd))):
         record_overlap = bra.inner(ket)
-        _check_floor(record_overlap)
-        drift = abs(record_overlap - overlap) / abs(overlap)
+        _check_floor(abs(record_overlap))
+        drift = abs(record_overlap - prob) / prob
         if drift > 1e-6:
             raise SchemeInstabilityError(
                 f"post-selection overlap drifted by {drift:.3e} at t={t}; "
@@ -189,36 +184,25 @@ def _build_pair(initial: WaveFunction, cfg: PropagatorConfig,
         times.append(t)
         overlaps.append(record_overlap)
     values.flags.writeable = False
-    return PrePostPair(initial.grid, overlap, prob, tuple(times), tuple(overlaps), values)
+    return PrePostPair(initial.grid, prob, tuple(times), tuple(overlaps), values)
 
 
 def _onto(final: WaveFunction) -> _Postselect:
-    """Post-select an explicit unit-norm state, with probability |<final|U|i>|^2."""
-    def postselect(evolved: WaveFunction) -> tuple[WaveFunction, float]:
-        return final, abs(final.inner(evolved)) ** 2
+    """The projector onto an explicit unit-norm state: psi -> <final|psi> final."""
+    def postselect(evolved: WaveFunction) -> WaveFunction:
+        return WaveFunction(final.grid, final.inner(evolved) * final.amp)
 
     return postselect
 
 
 def _transmission(grid: Grid, barrier: BarrierSpec, cut: float) -> _Postselect:
-    """Post-select on x >= cut, with the probability of finding the particle there."""
+    """The projector onto x >= cut."""
     if not barrier.x_right < cut < grid.x_max:
         raise ConfigError(
             f"transmission cut {cut} must lie between the barrier exit "
             f"{barrier.x_right} and the domain edge {grid.x_max}"
         )
-
-    def postselect(evolved: WaveFunction) -> tuple[WaveFunction, float]:
-        projected = region_projector(grid, cut, grid.x_max).apply(evolved)
-        prob = projected.norm() ** 2
-        if prob < OVERLAP_FLOOR:
-            raise OverlapFloorError(
-                f"transmission probability {prob:.3e} below the overlap floor "
-                f"{OVERLAP_FLOOR:.3e}"
-            )
-        return projected.normalized(), float(prob)
-
-    return postselect
+    return region_projector(grid, cut, grid.x_max).apply
 
 
 def make_pair(initial: WaveFunction, final: WaveFunction, cfg: PropagatorConfig,
@@ -308,9 +292,9 @@ def _forward_dwell(initial: WaveFunction, cfg: PropagatorConfig,
 
     The leg adds w_j * region * psi(t_j) to the source row at each node t_j,
     with w_j the trapezoid weights of the nodes, so at the duration the row
-    is phi = sum_j w_j U(T - t_j) region psi(t_j), and
-    <f|phi> / <f|psi(T)> = sum_j w_j <f(t_j)|region|psi(t_j)> / <f|U|i>: the
-    trapezoid of the conditional region value without a backward leg.
+    is phi = sum_j w_j U(T - t_j) region psi(t_j), and with the projected
+    state P psi(T) as bra, <P psi|phi> / <P psi|psi(T)> is the trapezoid of
+    the conditional region value without a backward leg.
     """
     records = cfg.record_times
     times = records if cfg.record_steps[0] == 0 else (0.0,) + records
@@ -318,10 +302,11 @@ def _forward_dwell(initial: WaveFunction, cfg: PropagatorConfig,
     snaps, source = propagate_with_source(initial, replace(cfg, record_times=times),
                                           barrier, region.mask, weights)
     evolved = snaps[-1].psi
-    final, prob = postselect(evolved)
-    overlap = final.inner(evolved)
-    _check_floor(overlap)
-    return ConditionalDwell(float((final.inner(source) / overlap).real), prob, times)
+    projected = postselect(evolved)
+    prob = projected.norm() ** 2
+    _check_floor(prob)
+    return ConditionalDwell(float((projected.inner(source) / projected.inner(evolved)).real),
+                            prob, times)
 
 
 def dwell_time(initial: WaveFunction, final: WaveFunction, cfg: PropagatorConfig,

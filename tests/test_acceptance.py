@@ -96,6 +96,11 @@ def test_checklist_05_transmitted_trace_norms_and_face_dominance(trace_run):
     grid, re = pair.grid, pair.values.real
     assert len(pair.times) == cfg.n_record
     assert np.all(np.abs(np.sum(re, axis=1) * grid.dx - 1.0) <= 1e-8)
+    # Step error of the pin: with the duration 130 kept, the trace P moves
+    # 8.72e-6, 4.60e-5 and 2.82e-4 relative at dt = 0.002, 0.004 and 0.008
+    # against dt = 0.001.  Read as second order, the two finest steps put
+    # dt = 0.001 about 2.9e-6 from the dt -> 0 limit, so rel 1e-6 pins this
+    # discretization, not the limit.
     assert trace_run["prob"] == pytest.approx(1.3044421208656991e-08, rel=1e-6)
     # the conditioned particle starts left of the barrier and ends right
     assert np.sum(re[0, grid.x < 0.0]) * grid.dx > 0.9

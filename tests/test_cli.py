@@ -358,13 +358,14 @@ def test_scenario_has_no_statistics_fields(tmp_path, item):
     assert main(["variance", "--set", item, "--out", str(tmp_path / "x")]) == 2
 
 
-def test_exit_code_3_on_numerical_guard(tmp_path):
+def test_exit_code_3_on_numerical_guard(tmp_path, capsys):
     # a tall barrier passes nothing, so the transmission post-selection
     # lands under the overlap floor within the first few steps
     out = str(tmp_path / "g")
     argv = ["fig2", "--set", "barrier_height=50", "--set", "n_steps=1000",
             "--set", "n_record=2", "--out", out]
     assert main(argv) == 3
+    assert "post-selection probability" in capsys.readouterr().err
 
 
 def test_exit_code_4_on_unwritable_target(tmp_path):

@@ -250,7 +250,7 @@ def test_unconditioned_probe_shift_matches_density_integral():
     final = snaps[-1].psi
 
     pair = make_pair(psi, final, prop, barrier)
-    assert abs(pair.overlap) == pytest.approx(1.0, abs=1e-8)
+    assert pair.postselect_prob == pytest.approx(1.0, abs=1e-8)
 
     grid = cfg.grid()
     proj_in = region_projector(grid, cfg.barrier_left, cfg.barrier_right)

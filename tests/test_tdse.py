@@ -75,6 +75,9 @@ def test_record_time_validation():
         PropagatorConfig(dt=0.01, n_steps=100, record_times=(0.5, 0.2))
     with pytest.raises(ConfigError):
         PropagatorConfig(dt=0.01, n_steps=100, record_times=(0.5, 0.5))
+    for t in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ConfigError):
+            PropagatorConfig(dt=0.1, n_steps=10, record_times=(t,))
     with pytest.raises(ConfigError):
         PropagatorConfig(dt=-0.01, n_steps=100)
     for dt in (float("nan"), float("inf")):
@@ -117,13 +120,23 @@ def test_edge_guard_catches_wrap_around_between_records():
         propagate(psi, cfg)
 
 
-def test_edge_limit_override_is_respected():
-    psi = gaussian_packet(FREE_GRID, 80.0, 6.0, 1.0)
-    cfg = PropagatorConfig(dt=0.01, n_steps=2000, record_times=(20.0,))
-    with pytest.raises(EdgeDensityError):
-        propagate(psi, cfg, edge_limit=1e-30)
-    snaps = propagate(psi, cfg, edge_limit=1.0)
-    assert len(snaps) == 1
+@pytest.mark.parametrize("norm_sq", [1e-6, 1.0, 1e6])
+@pytest.mark.parametrize("factor, trips", [(0.5, False), (2.0, True)])
+def test_edge_guard_reads_absolute_weight_whatever_the_norm(norm_sq, factor, trips):
+    """A state whose edge cells hold factor * EDGE_PROBABILITY_LIMIT of
+    absolute probability trips the guard at step 0 exactly when factor > 1,
+    whether its norm^2 is 1e-6 (relative edge weight up to 1e-2) or 1e6."""
+    bulk = gaussian_packet(FREE_GRID, 0.0, 4.0, 1.0).amp * np.sqrt(norm_sq)
+    amp = bulk.astype(np.complex128)
+    amp[0] = np.sqrt(factor * tdse.EDGE_PROBABILITY_LIMIT / FREE_GRID.dx)
+    psi = WaveFunction(FREE_GRID, amp)
+    cfg = PropagatorConfig(dt=0.01, n_steps=0)
+    if trips:
+        with pytest.raises(EdgeDensityError, match=r"t=0\.0;"):
+            propagate(psi, cfg)
+    else:
+        (snap,) = propagate(psi, cfg)
+        assert np.array_equal(snap.psi.amp, amp)
 
 
 def test_cross_scheme_agreement_on_default_scenario(default_scheme_finals):
@@ -203,26 +216,28 @@ def sparse_crank_nicolson(psi, barrier, dt, n_steps):
 
 def assert_matches_sparse_oracle(run, sign, barrier):
     """Step a packet centred on the wrap point 200 times at dt = 0.02, 0.5
-    and 5 and compare each final state with the sparse oracle's."""
+    and 5 and compare each final state with the sparse oracle's.  The packet
+    sits on the domain edge, so the caller lifts the edge guard."""
     grid = SMALL_SCENARIO.grid()
     centred = gaussian_packet(grid, 0.0, 4.0, 1.0)
     psi = WaveFunction(grid, np.roll(centred.amp, grid.n // 2))
     n_steps = 200
     for dt in (0.02, 0.5, 5.0):
         cfg = PropagatorConfig(dt=dt, n_steps=n_steps, scheme="implicit-fd")
-        (_, final), = run(psi, cfg, barrier, edge_limit=1.0)
+        (_, final), = run(psi, cfg, barrier)
         expected = sparse_crank_nicolson(psi, barrier, sign * dt, n_steps)
         l2 = np.sqrt(np.sum(np.abs(final.amp - expected) ** 2) * grid.dx)
         assert l2 <= 1e-12, f"dt={dt}: L2 gap {l2:.3e}"
 
 
 @pytest.mark.parametrize("run, sign", [(propagate, 1.0), (propagate_backward, -1.0)])
-def test_implicit_fd_matches_sparse_oracle_across_the_periodic_wrap(run, sign):
+def test_implicit_fd_matches_sparse_oracle_across_the_periodic_wrap(run, sign, monkeypatch):
     """A packet centred on the wrap point puts its weight on the stencil
     entries that wrap around the periodic boundary, which the circulant FFT
     solve carries exactly.  A stiffer step spreads the barrier's Woodbury
     correction over more rows; each dt is checked against the full periodic
     operator."""
+    monkeypatch.setattr(tdse, "EDGE_PROBABILITY_LIMIT", np.inf)
     assert_matches_sparse_oracle(run, sign, SMALL_SCENARIO.barrier())
 
 
@@ -232,10 +247,11 @@ def test_implicit_fd_matches_sparse_oracle_across_the_periodic_wrap(run, sign):
     BarrierSpec([(-256.0, -250.0, 1.5), (-3.0, 3.0, -0.7), (250.0, 256.0, 0.8)]),
     BarrierSpec([(-60.0, 60.0, 0.3)]),
 ], ids=["free", "wrap-and-well", "240-cells"])
-def test_implicit_fd_woodbury_matches_sparse_oracle(run, sign, barrier):
+def test_implicit_fd_woodbury_matches_sparse_oracle(run, sign, barrier, monkeypatch):
     """The barrier-cell Woodbury correction against the sparse oracle: no
     cells (the circulant solve alone), cells on both sides of the wrap point
     beside a well, and a 240-cell barrier."""
+    monkeypatch.setattr(tdse, "EDGE_PROBABILITY_LIMIT", np.inf)
     assert_matches_sparse_oracle(run, sign, barrier)
 
 
@@ -250,15 +266,16 @@ def test_implicit_fd_transmit_probability_is_pinned():
     assert transmitted.norm() ** 2 == pytest.approx(0.0023647107239550924, rel=1e-9)
 
 
-def test_implicit_fd_rejects_grids_too_small_for_the_stencil():
+def test_implicit_fd_rejects_grids_too_small_for_the_stencil(monkeypatch):
     """At n <= 16 the periodic stencil's +8 and -8 entries wrap onto the same
     column, so the operator would lose a term."""
+    monkeypatch.setattr(tdse, "EDGE_PROBABILITY_LIMIT", np.inf)
     grid = Grid.from_domain(-8.0, 8.0, 2 * STENCIL_HALF_WIDTH)
     psi = WaveFunction(grid, np.exp(-grid.x**2 / 8.0))
     cfg = PropagatorConfig(dt=0.01, n_steps=1, scheme="implicit-fd")
     with pytest.raises(ConfigError, match="more than 16 grid points"):
-        propagate(psi, cfg, edge_limit=1.0)
-    propagate(psi, replace(cfg, scheme="spectral-split-step"), edge_limit=1.0)
+        propagate(psi, cfg)
+    propagate(psi, replace(cfg, scheme="spectral-split-step"))
 
 
 @pytest.mark.parametrize("scheme", ["spectral-split-step", "implicit-fd"])
@@ -281,7 +298,7 @@ def test_stacked_step_matches_row_by_row_steps(scheme):
 
 
 @pytest.mark.parametrize("scheme", ["spectral-split-step", "implicit-fd"])
-def test_source_row_collects_the_weighted_region_history(scheme):
+def test_source_row_collects_the_weighted_region_history(scheme, monkeypatch):
     """The source row at the duration is sum_j w_j U(T - t_j) mask psi(t_j),
     rebuilt here from one standalone leg per record."""
     psi = free_packet(k0=1.0, x0=-10.0)
@@ -294,10 +311,13 @@ def test_source_row_collects_the_weighted_region_history(scheme):
     for snap, plain in zip(snaps, propagate(psi, cfg), strict=True):
         assert np.array_equal(snap.psi.amp, plain.psi.amp)
     expected = np.zeros(FREE_GRID.n, dtype=np.complex128)
+    # the guards watch psi alone, not the source row, so the oracle's legs
+    # from the masked states run unguarded too
+    monkeypatch.setattr(tdse, "EDGE_PROBABILITY_LIMIT", np.inf)
     for w, (t, state) in zip(weights, snaps):
         rest = replace(cfg, n_steps=round((cfg.duration - t) / cfg.dt), record_times=())
         (_, moved), = propagate(WaveFunction(FREE_GRID, w * np.where(mask, state.amp, 0.0)),
-                                rest, edge_limit=1.0)
+                                rest)
         expected += moved.amp
     assert np.max(np.abs(phi.amp - expected)) <= 1e-12 * np.max(np.abs(expected))
     with pytest.raises(ConfigError):
