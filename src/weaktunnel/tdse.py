@@ -352,8 +352,12 @@ def propagate_with_source(psi: WaveFunction, cfg: PropagatorConfig,
             f"need one source weight per record time ({len(cfg.record_times)}), "
             f"got shape {weights.shape}"
         )
+    mask = np.asarray(mask, dtype=bool)
+    if mask.shape != (psi.grid.n,):
+        raise ConfigError(f"need one mask cell per grid point ({psi.grid.n}), "
+                          f"got shape {mask.shape}")
     snaps, last = _run(psi, cfg, barrier, dt_sign=+1.0,
-                       source=(np.asarray(mask, dtype=bool), weights))
+                       source=(mask, weights))
     return snaps, WaveFunction(psi.grid, last[1])
 
 

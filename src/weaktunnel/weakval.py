@@ -13,15 +13,15 @@ reading of "where was the particle, given where it ended up".  The imaginary
 part is kept in a companion channel.
 
 The conditional distribution, the barrier occupation and the probe shifts
-of pointer.two_probe_run read one history per pre/post pair.  Building a
-pair (make_pair for an explicit final state, transmitted_pair for
-post-selection on transmission) runs the forward leg from |i> once,
-applies the post-selection to its last snapshot, and runs the backward leg
-from the projected state once.  A post-selection is a projector P: onto x >=
-cut for transmission, onto |f> for an explicit unit-norm final state.  The
-bra is P U(T)|i> itself, not a renormalized copy, so <bra|ket> is the
-post-selection probability <i|U^dag P U|i> at every time, and P may have any
-rank.  At every recorded time the pair keeps the overlap and the
+of pointer.two_probe_run read one history per pre/post pair.  A
+post-selection is a region projector P (core.RegionProjector) on the grid of
+the prepared state: onto x >= cut for transmission (transmitted_pair), and
+onto the whole domain for the unconditioned history, since P U(T)|i> is then
+U(T)|i> itself.  Building a pair (make_pair) runs the forward leg from |i>
+once, applies P to its last snapshot, and runs the backward leg from the
+projected state once.  The bra is P U(T)|i> itself, not a renormalized copy,
+so <bra|ket> is the post-selection probability <i|U^dag P U|i> at every
+time.  At every recorded time the pair keeps the overlap and the
 cell-projector conditional values conj(bra(t)) ket(t) / <bra(t)|ket(t)>, not
 the states, so whoever builds the pair fixes the time resolution of its
 readouts.
@@ -35,8 +35,9 @@ the window [0, T] over t=0 plus the records.  The dwell reads one forward
 leg and no backward one.  Beside the state the leg carries a source row that
 gains w_j * region * psi(t_j) at each node t_j, w_j its trapezoid weight;
 projecting the final state then gives the trapezoid of the conditional
-region weight as Re <P psi(T)|source(T)> / <P psi(T)|psi(T)>.  Both kinds of
-readout post-select through the same two projectors.
+region weight as Re <P psi(T)|source(T)> / <P psi(T)|psi(T)>.  Every
+projector an engine is handed, post-selection or region, must live on the
+grid of the prepared state; anything else is refused before the first step.
 
 The post-selection probability enters as a denominator, so each engine
 checks it once against a floor (OVERLAP_FLOOR, 1e-12) below which
@@ -49,7 +50,6 @@ refused.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable
 
 import numpy as np
 
@@ -75,15 +75,17 @@ __all__ = [
 
 OVERLAP_FLOOR = 1e-12
 
-# a post-selection is a projector P, applied to the evolved state
-_Postselect = Callable[[WaveFunction], WaveFunction]
-
 
 def _check_floor(prob: float) -> None:
     if prob < OVERLAP_FLOOR:
         raise OverlapFloorError(
             f"post-selection probability <i|P|i> = {prob:.3e} < {OVERLAP_FLOOR:.3e}"
         )
+
+
+def _check_region(region: RegionProjector, grid: Grid, role: str) -> None:
+    if not isinstance(region, RegionProjector) or region.grid != grid:
+        raise ConfigError(f"{role} must be a RegionProjector on the grid {grid}")
 
 
 def window_nodes(times, window: tuple[float, float]) -> tuple[np.ndarray, np.ndarray]:
@@ -146,24 +148,41 @@ class PrePostPair:
 
     def window_value(self, region: RegionProjector, window: tuple[float, float]) -> complex:
         """Complex conditional value of the region projector averaged over the
-        window: the trapezoid over the records in it, divided by its length."""
+        window: the trapezoid over the records in it, divided by its length.
+        The region must live on the pair's grid."""
+        _check_region(region, self.grid, "probe region")
         index, weights = window_nodes(self.times, window)
         sums = np.sum(self.values[index][:, region.mask], axis=1)
         return complex(np.dot(weights, sums) * self.grid.dx / weights.sum())
 
 
-def _build_pair(initial: WaveFunction, cfg: PropagatorConfig,
-                barrier: BarrierSpec | None, postselect: _Postselect) -> PrePostPair:
-    """Run the forward leg once, project its last state, and run the backward
-    leg from the projected state.
+def _transmission(grid: Grid, barrier: BarrierSpec, cut: float) -> RegionProjector:
+    """The projector onto x >= cut."""
+    if not barrier.x_right < cut < grid.x_max:
+        raise ConfigError(
+            f"transmission cut {cut} must lie between the barrier exit "
+            f"{barrier.x_right} and the domain edge {grid.x_max}"
+        )
+    return region_projector(grid, cut, grid.x_max)
 
-    The forward leg records cfg.record_times, plus the duration when the last
-    record falls short of it.
+
+def make_pair(initial: WaveFunction, post: RegionProjector, cfg: PropagatorConfig,
+              barrier: BarrierSpec | None = None) -> PrePostPair:
+    """Pair a preparation with the post-selection onto a region, recording
+    their history at cfg.record_times.
+
+    Runs the forward leg once, projects its last state with post, and runs
+    the backward leg from the projected state.  The forward leg records
+    cfg.record_times, plus the duration when the last record falls short of
+    it.  The post-selection probability is the norm squared of post
+    U(duration)|initial>; post-selecting on the whole domain gives the
+    unconditioned history.
     """
+    _check_region(post, initial.grid, "post-selection")
     records, steps = cfg.record_times, cfg.record_steps
     tail = (cfg.duration,) if steps[-1] < cfg.n_steps else ()
     fwd = propagate(initial, replace(cfg, record_times=records + tail), barrier)
-    projected = postselect(fwd[-1].psi)
+    projected = post.apply(fwd[-1].psi)
     prob = projected.norm() ** 2
     _check_floor(prob)
 
@@ -187,33 +206,6 @@ def _build_pair(initial: WaveFunction, cfg: PropagatorConfig,
     return PrePostPair(initial.grid, prob, tuple(times), tuple(overlaps), values)
 
 
-def _onto(final: WaveFunction) -> _Postselect:
-    """The projector onto an explicit unit-norm state: psi -> <final|psi> final."""
-    def postselect(evolved: WaveFunction) -> WaveFunction:
-        return WaveFunction(final.grid, final.inner(evolved) * final.amp)
-
-    return postselect
-
-
-def _transmission(grid: Grid, barrier: BarrierSpec, cut: float) -> _Postselect:
-    """The projector onto x >= cut."""
-    if not barrier.x_right < cut < grid.x_max:
-        raise ConfigError(
-            f"transmission cut {cut} must lie between the barrier exit "
-            f"{barrier.x_right} and the domain edge {grid.x_max}"
-        )
-    return region_projector(grid, cut, grid.x_max).apply
-
-
-def make_pair(initial: WaveFunction, final: WaveFunction, cfg: PropagatorConfig,
-              barrier: BarrierSpec | None = None) -> PrePostPair:
-    """Pair explicit unit-norm states, recording their history at cfg.record_times.
-
-    The post-selection probability is |<final|U(duration)|initial>|^2.
-    """
-    return _build_pair(initial, cfg, barrier, _onto(final))
-
-
 def transmitted_pair(initial: WaveFunction, cfg: PropagatorConfig,
                      barrier: BarrierSpec, cut: float) -> PrePostPair:
     """Post-select on transmission: project the evolved state onto x >= cut.
@@ -222,7 +214,7 @@ def transmitted_pair(initial: WaveFunction, cfg: PropagatorConfig,
     the projector does not clip barrier-edge structure.  The pair's
     postselect_prob is the probability of finding the particle beyond the cut.
     """
-    return _build_pair(initial, cfg, barrier, _transmission(initial.grid, barrier, cut))
+    return make_pair(initial, _transmission(initial.grid, barrier, cut), cfg, barrier)
 
 
 @dataclass(frozen=True)
@@ -285,40 +277,34 @@ class ConditionalDwell:
     times: tuple[float, ...]
 
 
-def _forward_dwell(initial: WaveFunction, cfg: PropagatorConfig,
-                   barrier: BarrierSpec | None, region: RegionProjector,
-                   postselect: _Postselect) -> ConditionalDwell:
-    """The dwell of the region from one forward leg that carries a source row.
+def dwell_time(initial: WaveFunction, post: RegionProjector, cfg: PropagatorConfig,
+               region: RegionProjector, barrier: BarrierSpec | None = None) -> ConditionalDwell:
+    """Time integral of Re of the conditional region weight over [0, duration],
+    from one forward leg that carries a source row.
 
-    The leg adds w_j * region * psi(t_j) to the source row at each node t_j,
-    with w_j the trapezoid weights of the nodes, so at the duration the row
-    is phi = sum_j w_j U(T - t_j) region psi(t_j), and with the projected
-    state P psi(T) as bra, <P psi|phi> / <P psi|psi(T)> is the trapezoid of
-    the conditional region value without a backward leg.
+    The trapezoid rule runs over t=0 and cfg.record_times, which must end at
+    the duration.  The leg adds w_j * region * psi(t_j) to the source row at
+    each node t_j, with w_j the trapezoid weights of the nodes, so at the
+    duration the row is phi = sum_j w_j U(T - t_j) region psi(t_j), and with
+    the projected state post psi(T) as bra, <post psi|phi> / <post psi|psi(T)>
+    is the trapezoid of the conditional region value without a backward leg.
+    Post-selecting on the whole domain gives the ordinary sojourn time
+    integral of the region probability; with region = whole domain it
+    returns the duration.
     """
+    _check_region(post, initial.grid, "post-selection")
+    _check_region(region, initial.grid, "dwell region")
     records = cfg.record_times
     times = records if cfg.record_steps[0] == 0 else (0.0,) + records
     _, weights = window_nodes(times, (0.0, cfg.duration))
     snaps, source = propagate_with_source(initial, replace(cfg, record_times=times),
                                           barrier, region.mask, weights)
     evolved = snaps[-1].psi
-    projected = postselect(evolved)
+    projected = post.apply(evolved)
     prob = projected.norm() ** 2
     _check_floor(prob)
     return ConditionalDwell(float((projected.inner(source) / projected.inner(evolved)).real),
                             prob, times)
-
-
-def dwell_time(initial: WaveFunction, final: WaveFunction, cfg: PropagatorConfig,
-               region: RegionProjector, barrier: BarrierSpec | None = None) -> ConditionalDwell:
-    """Time integral of Re of the conditional region weight over [0, duration].
-
-    The trapezoid rule runs over t=0 and cfg.record_times, which must end at
-    the duration.  With the full evolved state as post-selection this is the
-    ordinary sojourn time integral of the region probability; with region =
-    whole domain it returns the duration.
-    """
-    return _forward_dwell(initial, cfg, barrier, region, _onto(final))
 
 
 def transmitted_dwell_time(initial: WaveFunction, cfg: PropagatorConfig,
@@ -328,5 +314,4 @@ def transmitted_dwell_time(initial: WaveFunction, cfg: PropagatorConfig,
 
     The post-selection is transmitted_pair's.
     """
-    return _forward_dwell(initial, cfg, barrier, region,
-                          _transmission(initial.grid, barrier, cut))
+    return dwell_time(initial, _transmission(initial.grid, barrier, cut), cfg, region, barrier)

@@ -206,8 +206,8 @@ def test_two_probe_fast_scenario(tmp_path):
     assert len(tp["window_value_a"]) == 2
     assert tp["transmit_prob"] == pytest.approx(2.3662422783212265e-3, rel=1e-6)
     assert tp["moments"]["postselect_prob"] == tp["transmit_prob"]
-    # on the n=4096, dt=0.01 grid |<f|i>|^2 and the projected norm differ in
-    # the last bits, so both keys must be read from the same one
+    # both keys report the one projected norm |P psi(T)|^2, so they agree
+    # bit for bit on the n=4096, dt=0.01 grid too
     coarse = tmp_path / "tp-coarse"
     assert main(["two-probe", *FAST, "--set", "n_points=4096", "--set", "dt=0.01",
                  "--set", "n_steps=3500", "--out", str(coarse)]) == 0

@@ -212,9 +212,8 @@ def _tiny_free_pair():
         dt=0.01, n_steps=100, n_record=4,
     )
     prop = cfg.propagator(record_times=(0.0, 0.25, 0.5, 0.75, 1.0))
-    psi = cfg.packet()
-    (_, fin), = propagate(psi, cfg.propagator(record_times=(1.0,)))
-    return cfg, make_pair(psi, fin, prop)
+    grid = cfg.grid()
+    return cfg, make_pair(cfg.packet(), region_projector(grid, grid.x_min, grid.x_max), prop)
 
 
 def test_strong_probe_warns():
@@ -239,20 +238,19 @@ def test_probe_window_must_hit_recorded_times():
 
 
 def test_unconditioned_probe_shift_matches_density_integral():
-    """With post-selection equal to the evolved state, the probe shift is
-    the probe strength times the window-averaged probability in the region."""
+    """With post-selection on the whole domain, the probe shift is the probe
+    strength times the window-averaged probability in the region."""
     cfg = SMALL_SCENARIO
     barrier = cfg.barrier()
     times = (0.0,) + cfg.record_times()
     prop = cfg.propagator(record_times=times)
     psi = cfg.packet()
     snaps = propagate(psi, prop, barrier)
-    final = snaps[-1].psi
+    grid = cfg.grid()
 
-    pair = make_pair(psi, final, prop, barrier)
+    pair = make_pair(psi, region_projector(grid, grid.x_min, grid.x_max), prop, barrier)
     assert pair.postselect_prob == pytest.approx(1.0, abs=1e-8)
 
-    grid = cfg.grid()
     proj_in = region_projector(grid, cfg.barrier_left, cfg.barrier_right)
     proj_out = region_projector(grid, cfg.barrier_right, grid.x_max)
     win_a = (7.0, 21.0)

@@ -1,5 +1,5 @@
-"""Propagator checks: analytic free motion, unitarity, reversibility, a
-momentum-resolved transmission oracle through a thin barrier, and a sparse
+"""Propagator checks: analytic free motion, unitarity, reversibility,
+time-reversal symmetry of the transition amplitude, a momentum-resolved transmission oracle through a thin barrier, and a sparse
 Crank-Nicolson oracle across the periodic wrap."""
 
 from dataclasses import replace
@@ -56,6 +56,22 @@ def test_forward_then_backward_recovers_initial_state(scheme):
     (_, back), = propagate_backward(final, cfg, barrier)
     l2 = np.sqrt(np.sum(np.abs(back.amp - psi.amp) ** 2) * FREE_GRID.dx)
     assert l2 < 1e-9
+
+
+@pytest.mark.parametrize("scheme", ["spectral-split-step", "implicit-fd"])
+def test_transition_amplitude_is_time_reversal_symmetric(scheme):
+    """Conjugating and swapping the boundary states leaves the amplitude
+    unchanged: <f|U|i> = <conj i|U|conj f> for a real potential."""
+    cfg = replace(SMALL_SCENARIO, scheme=scheme)
+    barrier = cfg.barrier()
+    psi = cfg.packet()
+    target = gaussian_packet(cfg.grid(), 15.0, 4.0, cfg.k0)
+    end = cfg.propagator(record_times=())
+    (_, evolved), = propagate(psi, end, barrier)
+    (_, flipped_evolved), = propagate(WaveFunction(cfg.grid(), np.conj(target.amp)), end, barrier)
+    amplitude = target.inner(evolved)
+    flipped = WaveFunction(cfg.grid(), np.conj(psi.amp)).inner(flipped_evolved)
+    assert abs(flipped - amplitude) <= 1e-9 * abs(amplitude)
 
 
 def test_time_zero_record_is_the_initial_state():
@@ -322,6 +338,8 @@ def test_source_row_collects_the_weighted_region_history(scheme, monkeypatch):
     assert np.max(np.abs(phi.amp - expected)) <= 1e-12 * np.max(np.abs(expected))
     with pytest.raises(ConfigError):
         propagate_with_source(psi, cfg, None, mask, weights[:2])
+    with pytest.raises(ConfigError):
+        propagate_with_source(psi, cfg, None, mask[::2], weights)
 
 
 @pytest.mark.parametrize("scheme", ["spectral-split-step", "implicit-fd"])

@@ -1,5 +1,6 @@
 """Conditional (two-state) values: spin anomaly, completeness, reduction to
-the ordinary density, time-reversal symmetry, and the conditional dwell."""
+the ordinary density under whole-domain post-selection, and the conditional
+dwell."""
 
 from collections import Counter
 from dataclasses import replace
@@ -8,8 +9,7 @@ import numpy as np
 import pytest
 
 from weaktunnel import weakval
-from weaktunnel.core import (WaveFunction, gaussian_packet, region_projector,
-                             spin_eigenstate, spin_ops)
+from weaktunnel.core import Grid, gaussian_packet, region_projector, spin_eigenstate, spin_ops
 from weaktunnel.errors import ConfigError, OverlapFloorError
 from weaktunnel.pointer import WeakProbe, two_probe_run
 from weaktunnel.tdse import PropagatorConfig, propagate, propagate_backward
@@ -17,7 +17,7 @@ from weaktunnel.weakval import (barrier_occupation, dwell_time, make_pair,
                                 transmitted_dwell_time, transmitted_pair,
                                 weak_moment, weak_value, window_nodes)
 
-from conftest import SMALL_SCENARIO, record_region_values
+from conftest import SMALL_SCENARIO, patch_steps, record_region_values
 
 # A packet well above the barrier that clears the transmission cut within
 # 400 coarse steps: every stage of a transmitted pair at almost no cost.
@@ -141,10 +141,12 @@ def test_record_steps_and_window_ends_share_one_time_rule(rel, same):
 
 
 def test_make_pair_rejects_orthogonal_postselection():
-    cfg = SMALL_SCENARIO
-    grid = cfg.grid()
-    psi = gaussian_packet(grid, -20.0, 4.0, 1.0)
-    far = gaussian_packet(grid, 200.0, 4.0, 1.0)
+    """A region the packet never reaches: after SMALL_SCENARIO's full 35 time
+    units even [150, 200) holds 9.1e-10, above the floor, so the leg is
+    100 steps long."""
+    cfg = replace(SMALL_SCENARIO, n_steps=100)
+    psi = gaussian_packet(cfg.grid(), -20.0, 4.0, 1.0)
+    far = region_projector(cfg.grid(), 150.0, 200.0)
     prop = cfg.propagator(record_times=(cfg.duration,))
     with pytest.raises(OverlapFloorError, match="post-selection probability"):
         make_pair(psi, far, prop, cfg.barrier())
@@ -159,7 +161,44 @@ def test_transmitted_pair_cut_validation():
         transmitted_pair(cfg.packet(), prop, cfg.barrier(), cut=cfg.x_max)
 
 
-@pytest.mark.parametrize("builder", ["transmitted", "explicit"])
+@pytest.mark.parametrize("grid", [Grid.from_domain(0.0, 512.0, 1024),
+                                  Grid.from_domain(-256.0, 256.0, 512)],
+                         ids=["shifted", "half-n"])
+def test_projectors_on_another_grid_are_refused_before_a_step(grid, monkeypatch):
+    """A post-selection or region built on a grid other than the state's, or
+    a state passed as post-selection, raises ConfigError before any step."""
+    cfg = FAST_TRANSMISSION
+    barrier = cfg.barrier()
+    psi = cfg.packet()
+    home = cfg.grid()
+    prop = cfg.propagator()
+    pair = transmitted_pair(psi, prop, barrier, cfg.transmit_cut())
+    steps = []
+    patch_steps(monkeypatch, lambda x: steps.append(1))
+
+    whole = region_projector(home, home.x_min, home.x_max)
+    region = region_projector(home, cfg.barrier_left, cfg.barrier_right)
+    other_whole = region_projector(grid, grid.x_min, grid.x_max)
+    other = region_projector(grid, cfg.barrier_left, cfg.barrier_right)
+    window = (pair.times[0], pair.times[-1])
+    calls = [
+        lambda: make_pair(psi, other_whole, prop, barrier),
+        lambda: make_pair(psi, psi, prop, barrier),
+        lambda: dwell_time(psi, other_whole, prop, region, barrier),
+        lambda: dwell_time(psi, psi, prop, region, barrier),
+        lambda: dwell_time(psi, whole, prop, other, barrier),
+        lambda: transmitted_dwell_time(psi, prop, barrier, cfg.transmit_cut(), other),
+        lambda: pair.window_value(other, window),
+        lambda: two_probe_run(pair, WeakProbe(region, 0.01, window),
+                              WeakProbe(other, 0.01, window), pointer_sigma=1.0),
+    ]
+    for call in calls:
+        with pytest.raises(ConfigError):
+            call()
+    assert steps == []
+
+
+@pytest.mark.parametrize("builder", ["transmitted", "whole-domain"])
 def test_one_forward_and_one_backward_leg_per_pair(builder, monkeypatch):
     """Building a pair and reducing it with every conditional observable runs
     each propagation leg once, and the stored values are those of the two
@@ -170,10 +209,8 @@ def test_one_forward_and_one_backward_leg_per_pair(builder, monkeypatch):
     psi = cfg.packet()
     standalone = propagate(psi, prop, barrier)
     final = standalone[-1].psi
-    if builder == "transmitted":
-        bra = transmitted_final(psi, cfg)
-    else:
-        bra = WaveFunction(final.grid, final.inner(final) * final.amp)  # <f|psi(T)> f
+    grid = cfg.grid()
+    bra = transmitted_final(psi, cfg) if builder == "transmitted" else final
     want = standalone_values(psi, bra, prop, barrier)
 
     legs = Counter()
@@ -183,8 +220,8 @@ def test_one_forward_and_one_backward_leg_per_pair(builder, monkeypatch):
     if builder == "transmitted":
         pair = transmitted_pair(psi, prop, barrier, cfg.transmit_cut())
     else:
-        pair = make_pair(psi, final, prop, barrier)
-    region = region_projector(cfg.grid(), cfg.barrier_left, cfg.barrier_right)
+        pair = make_pair(psi, region_projector(grid, grid.x_min, grid.x_max), prop, barrier)
+    region = region_projector(grid, cfg.barrier_left, cfg.barrier_right)
     barrier_occupation(pair, barrier)
     probe = WeakProbe(region, 0.01, (pair.times[1], pair.times[5]))
     two_probe_run(pair, probe, probe, pointer_sigma=1.0)
@@ -195,21 +232,22 @@ def test_one_forward_and_one_backward_leg_per_pair(builder, monkeypatch):
     assert not pair.values.flags.writeable
 
 
-@pytest.mark.parametrize("builder", ["transmitted", "explicit"])
+@pytest.mark.parametrize("builder", ["transmitted", "whole-domain"])
 def test_dwell_runs_one_forward_leg_and_no_backward_leg(builder, monkeypatch):
     cfg = FAST_TRANSMISSION
     barrier = cfg.barrier()
     psi = cfg.packet()
-    (_, evolved), = propagate(psi, cfg.propagator(record_times=()), barrier)
+    grid = cfg.grid()
     legs = Counter()
 
     for name in ("propagate", "propagate_backward", "propagate_with_source"):
         monkeypatch.setattr(weakval, name, counted(legs, name, getattr(weakval, name)))
-    region = region_projector(cfg.grid(), cfg.barrier_left, cfg.barrier_right)
+    region = region_projector(grid, cfg.barrier_left, cfg.barrier_right)
     if builder == "transmitted":
         transmitted_dwell_time(psi, cfg.propagator(), barrier, cfg.transmit_cut(), region)
     else:
-        dwell_time(psi, evolved, cfg.propagator(), region, barrier)
+        whole = region_projector(grid, grid.x_min, grid.x_max)
+        dwell_time(psi, whole, cfg.propagator(), region, barrier)
     assert legs == {"propagate_with_source": 1}
 
 
@@ -264,42 +302,11 @@ def test_unconditioned_distribution_reduces_to_density():
     prop = cfg.propagator(record_times=(0.0, 17.5, 35.0))
     psi = cfg.packet()
     snaps = propagate(psi, prop, barrier)
-    pair = make_pair(psi, snaps[-1].psi, prop, barrier)
+    grid = cfg.grid()
+    pair = make_pair(psi, region_projector(grid, grid.x_min, grid.x_max), prop, barrier)
     for j, (_, state) in enumerate(snaps):
         assert np.max(np.abs(pair.values.real[j] - state.density())) <= 1e-6
         assert np.max(np.abs(pair.values.imag[j])) <= 1e-6
-
-
-def test_postselected_distribution_is_time_reversal_symmetric():
-    """Conjugating and swapping the boundary states replays the conditional
-    distribution backwards, and the two amplitudes <f|U|i> coincide."""
-    cfg = SMALL_SCENARIO
-    grid = cfg.grid()
-    barrier = cfg.barrier()
-    times = (0.0,) + cfg.record_times()
-    prop = cfg.propagator(record_times=times)
-
-    psi = cfg.packet()
-    target = gaussian_packet(grid, 15.0, 4.0, cfg.k0)
-    pair = make_pair(psi, target, prop, barrier)
-
-    flipped_psi = WaveFunction(grid, np.conj(target.amp))
-    flipped_target = WaveFunction(grid, np.conj(psi.amp))
-    flipped = make_pair(flipped_psi, flipped_target, prop, barrier)
-    end = cfg.propagator(record_times=())
-    (_, evolved), = propagate(psi, end, barrier)
-    (_, flipped_evolved), = propagate(flipped_psi, end, barrier)
-    amplitude = target.inner(evolved)
-    assert abs(flipped_target.inner(flipped_evolved) - amplitude) <= 1e-9 * abs(amplitude)
-
-    # conjugating both boundary states makes the full complex value replay:
-    # the reversed run's numerator at s is the original's at duration - s
-    n = len(times)
-    for j in range(n):
-        assert flipped.times[j] == pytest.approx(cfg.duration - times[n - 1 - j])
-        gap = flipped.values[j] - pair.values[n - 1 - j]
-        assert np.max(np.abs(gap.real)) <= 1e-6
-        assert np.max(np.abs(gap.imag)) <= 1e-6
 
 
 def test_dwell_time_whole_domain_is_the_duration():
@@ -360,7 +367,7 @@ def test_free_crossing_dwell_matches_density_integral():
     snaps = propagate(psi, prop)
     region = region_projector(grid, -5.0, 5.0)
 
-    dwell = dwell_time(psi, snaps[-1].psi, prop, region)
+    dwell = dwell_time(psi, region_projector(grid, grid.x_min, grid.x_max), prop, region)
     assert dwell.times == times
     occupancy = [region.expectation(s.psi) for s in snaps]
     oracle = float(np.trapezoid(occupancy, times))
