@@ -32,8 +32,8 @@ from .config import (
     ScenarioConfig,
     load_config,
 )
-from .tdse import (PropagatorConfig, Snapshot, energy_expectation, propagate,
-                   propagate_backward, propagate_with_source)
+from .tdse import (PropagatorConfig, Snapshot, propagate, propagate_backward,
+                   propagate_with_source)
 from .weakval import (
     BarrierOccupation,
     PrePostPair,
@@ -53,7 +53,6 @@ from .pointer import (
     certain_shift_state,
     difference_variance,
     erase_and_postselect,
-    pointer_overlap,
     two_probe_run,
     which_path_state,
 )

@@ -4,7 +4,9 @@ Every run resolves a flat scenario config (defaults, then an optional JSON
 config file, then flags), echoes the resolved config into its output
 directory, writes plot-ready CSV/JSON files, and finishes with a manifest of
 content checksums.  Runs are deterministic given the seed, so re-running a
-scenario must reproduce the manifest byte for byte.
+scenario must reproduce the manifest byte for byte.  The manifest digests
+each file's bytes as they were written.  ``main`` may be called repeatedly in
+one process: it builds one parser, on its first call, and reuses it.
 
 JSON goes through ``json.dumps`` and every CSV cell through ``str``, so each
 float is written as Python's shortest round-trip decimal: it reads back to
@@ -17,11 +19,13 @@ included), 3 numerical guard tripped, 4 output I/O failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
 import os
 import sys
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -42,16 +46,17 @@ OUT_ROOT_ENV = "WEAKTUNNEL_OUT"
 
 
 class RunWriter:
-    """Serialized writer for one output directory, checksummed at the end."""
+    """Serialized writer for one output directory, checksummed as it writes."""
 
     def __init__(self, out_dir: Path):
         self.out_dir = out_dir
-        self.names: list[str] = []
+        self.digests: dict[str, str] = {}
         out_dir.mkdir(parents=True, exist_ok=True)
 
     def write_text(self, name: str, text: str) -> None:
-        (self.out_dir / name).write_text(text)
-        self.names.append(name)
+        data = text.encode()
+        (self.out_dir / name).write_bytes(data)
+        self.digests[name] = hashlib.sha256(data).hexdigest()
 
     def write_json(self, name: str, obj) -> None:
         self.write_text(name, json.dumps(obj, indent=2) + "\n")
@@ -61,12 +66,8 @@ class RunWriter:
         self.write_text(name, "\n".join(lines) + "\n")
 
     def finish(self) -> None:
-        files = {}
-        for name in sorted(self.names):
-            digest = hashlib.sha256((self.out_dir / name).read_bytes())
-            files[name] = digest.hexdigest()
-        manifest = json.dumps({"files": files}, indent=2) + "\n"
-        (self.out_dir / "manifest.json").write_text(manifest)
+        manifest = json.dumps({"files": dict(sorted(self.digests.items()))}, indent=2)
+        (self.out_dir / "manifest.json").write_text(manifest + "\n")
 
 
 def _out_dir(args) -> Path:
@@ -137,9 +138,8 @@ def _cmd_fig2(args) -> int:
     lines = ["t,x,re_value,im_value"]
     for t, re_row, im_row in zip(pair.times, pair.values.real.tolist(),
                                  pair.values.imag.tolist()):
-        t_text = str(t)
-        lines += [f"{t_text},{x},{re_value},{im_value}"
-                  for x, re_value, im_value in zip(x_text, re_row, im_row)]
+        lines += map(",".join, zip(repeat(str(t)), x_text, map(str, re_row),
+                                   map(str, im_row)))
     writer.write_text("conditional.csv", "\n".join(lines) + "\n")
 
     occ = barrier_occupation(pair, barrier)
@@ -336,7 +336,7 @@ def _cmd_corpuscle_sim(args) -> int:
         "sigma": model.sigma, "n": model.n, "seed": model.seed,
     })
     writer.write_csv("samples.csv", ["pair_index", "a", "b"],
-                     zip(range(model.n), a, b))
+                     zip(range(model.n), a.tolist(), b.tolist()))
     writer.finish()
     return 0
 
@@ -490,8 +490,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built on the first main call, not at import, and shared by every later one
+_shared_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -117,21 +117,6 @@ class WaveFunction:
             raise ConfigError("states live on different grids")
         return complex(np.vdot(self.amp, other.amp) * self.grid.dx)
 
-    def expectation_x(self) -> float:
-        d = self.density()
-        return float(np.sum(d * self.grid.x) * self.grid.dx / (np.sum(d) * self.grid.dx))
-
-    def variance_x(self) -> float:
-        d = self.density() * self.grid.dx
-        d = d / np.sum(d)
-        mean = float(np.sum(d * self.grid.x))
-        return float(np.sum(d * (self.grid.x - mean) ** 2))
-
-    def expectation_k(self) -> float:
-        phi = np.fft.fft(self.amp)
-        w = np.abs(phi) ** 2
-        return float(np.sum(w * self.grid.k) / np.sum(w))
-
 
 def gaussian_packet(grid: Grid, x0: float, sigma: float, k0: float) -> WaveFunction:
     """Normalized Gaussian packet centered at x0 with mean momentum k0.
@@ -191,10 +176,6 @@ class BarrierSpec:
     def x_right(self) -> float:
         return self.segments[-1][1]
 
-    @property
-    def max_height(self) -> float:
-        return max(h for _, _, h in self.segments)
-
     def potential(self, grid: Grid) -> np.ndarray:
         v = np.zeros(grid.n)
         for x1, x2, h in self.segments:
@@ -221,12 +202,6 @@ class RegionProjector:
         if psi.grid != self.grid:
             raise ConfigError("state lives on a different grid")
         return WaveFunction(self.grid, np.where(self.mask, psi.amp, 0.0))
-
-    def expectation(self, psi: WaveFunction) -> float:
-        """Probability of finding the particle in the region."""
-        if psi.grid != self.grid:
-            raise ConfigError("state lives on a different grid")
-        return float(np.sum(psi.density()[self.mask]) * self.grid.dx)
 
 
 def region_projector(grid: Grid, a: float, b: float) -> RegionProjector:

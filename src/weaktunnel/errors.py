@@ -23,7 +23,8 @@ class EdgeDensityError(NumericalGuardError):
 
 
 class SchemeInstabilityError(NumericalGuardError):
-    """The propagation scheme lost unitarity beyond the allowed drift."""
+    """The propagation scheme lost unitarity beyond the allowed drift, or
+    produced a non-finite amplitude."""
 
 
 class OverlapFloorError(NumericalGuardError):

@@ -34,7 +34,6 @@ __all__ = [
     "JointPointerState",
     "WeakProbe",
     "TwoProbeRun",
-    "pointer_overlap",
     "which_path_state",
     "erase_and_postselect",
     "certain_shift_state",
@@ -61,11 +60,6 @@ def _moment1(c1: float, c2: float, sigma: float) -> float:
 def _moment2(c1: float, c2: float, sigma: float) -> float:
     m = 0.5 * (c1 + c2)
     return _overlap(c1, c2, sigma) * (sigma**2 + m * m)
-
-
-def pointer_overlap(delta: float, sigma: float) -> float:
-    """<G(0,sigma)|G(delta,sigma)> = exp(-delta^2 / 8 sigma^2)."""
-    return _overlap(0.0, delta, sigma)
 
 
 @dataclass(frozen=True)

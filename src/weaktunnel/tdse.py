@@ -54,10 +54,15 @@ first).  The edge weight is absolute, sum |psi|^2 dx over the edge cells
 against EDGE_PROBABILITY_LIMIT, so a leg from a projected state P psi of
 norm^2 p may carry 1e-8/p of relative edge weight: contamination competes
 with the physics at the scale of the unprojected state.  Norm drift is
-relative to the leg's starting norm.  A NaN trips either guard.  Under
-split-step the edge guard reads the carried state before its exit kick; the
-kick is unimodular, so the cell magnitudes are the same up to roundoff.
-Snapshots keep their global phase and are never renormalized.
+relative to the leg's starting norm.  A non-finite edge weight is a scheme
+failure, not an edge density, and raises SchemeInstabilityError.  Both
+schemes step through an FFT, which spreads a non-finite amplitude anywhere
+to every cell within one step, so the per-step edge check catches it there;
+a finite step is unitary up to roundoff, so norm drift builds up slowly
+enough to be checked at the records only.  Under split-step the edge guard
+reads the carried state before its exit kick; the kick is unimodular, so the
+cell magnitudes are the same up to roundoff.  Snapshots keep their global
+phase and are never renormalized.
 
 scipy.fft is imported when a stepper is built, not with this module, so
 importing the package costs numpy alone; the stepper keeps the routines for
@@ -82,7 +87,6 @@ __all__ = [
     "propagate",
     "propagate_backward",
     "propagate_with_source",
-    "energy_expectation",
 ]
 
 SCHEMES = ("spectral-split-step", "implicit-fd")
@@ -282,7 +286,13 @@ def _run(psi: WaveFunction, cfg: PropagatorConfig, barrier: BarrierSpec | None,
     def check_edge(step: int, amp: np.ndarray) -> None:
         head, tail = amp[:EDGE_CELLS], amp[-EDGE_CELLS:]
         edge = (np.vdot(head, head) + np.vdot(tail, tail)).real * grid.dx
-        if not edge <= EDGE_PROBABILITY_LIMIT:  # NaN trips it too
+        if not edge <= EDGE_PROBABILITY_LIMIT:  # NaN fails it too
+            if not np.isfinite(edge):
+                bad = amp[~np.isfinite(amp)]
+                raise SchemeInstabilityError(
+                    f"non-finite amplitude {bad[0] if bad.size else edge} after "
+                    f"{step} steps of {cfg.scheme} (t={step * cfg.dt})"
+                )
             raise EdgeDensityError(
                 f"probability {edge:.3e} reached the domain edge at t={step * cfg.dt}; "
                 "enlarge the domain or shorten the run"
@@ -359,12 +369,3 @@ def propagate_with_source(psi: WaveFunction, cfg: PropagatorConfig,
     snaps, last = _run(psi, cfg, barrier, dt_sign=+1.0,
                        source=(mask, weights))
     return snaps, WaveFunction(psi.grid, last[1])
-
-
-def energy_expectation(psi: WaveFunction, barrier: BarrierSpec | None = None) -> float:
-    """<H> evaluated with the spectral kinetic operator plus the grid potential."""
-    grid = psi.grid
-    f = np.fft.fft(psi.amp)
-    kinetic = np.sum(0.5 * grid.k**2 * np.abs(f) ** 2) * grid.dx / grid.n
-    potential = np.sum(_potential(grid, barrier) * psi.density()) * grid.dx
-    return float((kinetic + potential) / psi.norm() ** 2)

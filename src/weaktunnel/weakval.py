@@ -134,16 +134,15 @@ class PrePostPair:
     ``postselect_prob`` is the probability <i|U^dag P U|i> that the
     post-selection P succeeds on the prepared state i.  At each recorded
     time t, with ket U(t)|i> and bra U(t - duration) P U(duration)|i>,
-    ``overlaps`` holds <bra|ket>, which unitarity pins to
-    ``postselect_prob``, and the read-only (records, n) array ``values``
-    holds conj(bra) * ket / <bra|ket>: the conditional value of each cell
-    projector, in units of 1/length, so that each row times dx sums to one.
+    unitarity pins <bra|ket> to ``postselect_prob``, and the read-only
+    (records, n) array ``values`` holds conj(bra) * ket / <bra|ket>: the
+    conditional value of each cell projector, in units of 1/length, so that
+    each row times dx sums to one.
     """
 
     grid: Grid
     postselect_prob: float
     times: tuple[float, ...]
-    overlaps: tuple[complex, ...]
     values: np.ndarray
 
     def window_value(self, region: RegionProjector, window: tuple[float, float]) -> complex:
@@ -189,7 +188,7 @@ def make_pair(initial: WaveFunction, post: RegionProjector, cfg: PropagatorConfi
     back_times = tuple((cfg.n_steps - j) * cfg.dt for j in reversed(steps))
     bwd = propagate_backward(projected, replace(cfg, record_times=back_times), barrier)
     values = np.empty((len(records), initial.grid.n), dtype=complex)
-    times, overlaps = [], []
+    times = []
     for j, ((t, ket), (_, bra)) in enumerate(zip(fwd, reversed(bwd))):
         record_overlap = bra.inner(ket)
         _check_floor(abs(record_overlap))
@@ -201,9 +200,8 @@ def make_pair(initial: WaveFunction, post: RegionProjector, cfg: PropagatorConfi
             )
         values[j] = np.conj(bra.amp) * ket.amp / record_overlap
         times.append(t)
-        overlaps.append(record_overlap)
     values.flags.writeable = False
-    return PrePostPair(initial.grid, prob, tuple(times), tuple(overlaps), values)
+    return PrePostPair(initial.grid, prob, tuple(times), values)
 
 
 def transmitted_pair(initial: WaveFunction, cfg: PropagatorConfig,

@@ -40,6 +40,25 @@ def patch_steps(monkeypatch, after_step):
     monkeypatch.setattr(tdse, "_make_stepper", patched)
 
 
+def expectation_x(psi):
+    """<x> of a state, normalized by its own norm."""
+    d = psi.density()
+    return float(np.sum(d * psi.grid.x) * psi.grid.dx / (np.sum(d) * psi.grid.dx))
+
+
+def variance_x(psi):
+    """<x^2> - <x>^2 of a state, normalized by its own norm."""
+    d = psi.density() * psi.grid.dx
+    d = d / np.sum(d)
+    mean = float(np.sum(d * psi.grid.x))
+    return float(np.sum(d * (psi.grid.x - mean) ** 2))
+
+
+def region_probability(region, psi):
+    """Probability of finding the particle in the projector's region."""
+    return float(np.sum(psi.density()[region.mask]) * psi.grid.dx)
+
+
 def record_region_values(pair, region):
     """Complex conditional value of the region projector at every record of
     the pair: its stored cell values summed over the region, times dx."""

@@ -3,7 +3,11 @@ byte-for-byte reproducibility of a seeded run."""
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +25,7 @@ FAST = [
     "--set", "packet_center=-20", "--set", "packet_sigma=4",
     "--set", "n_steps=35000", "--set", "n_record=10",
 ]
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def read_json(d, name):
@@ -176,6 +181,12 @@ def test_fig2_fast_scenario_and_determinism(tmp_path):
     _, occ = read_csv(out1, "occupation.csv")
     assert occ.shape == (10, 4)
     assert_shortest_floats_csv(out1, "conditional.csv")
+    # the digests are taken as the files are written; each must match its file
+    manifest = read_json(out1, "manifest.json")
+    assert list(manifest["files"]) == ["conditional.csv", "config.json",
+                                       "occupation.csv", "summary.json"]
+    for name, digest in manifest["files"].items():
+        assert hashlib.sha256((out1 / name).read_bytes()).hexdigest() == digest
 
     assert main(["fig2", *FAST, "--out", str(out2)]) == 0
     assert snapshot(out1) == snapshot(out2)
@@ -300,6 +311,28 @@ def test_small_run_determinism_cheap_commands(tmp_path):
         assert snapshot(a) == snapshot(b)
         for p in (*a.iterdir(), *b.iterdir()):
             p.unlink()
+
+
+def test_repeated_main_calls_leak_no_state(tmp_path):
+    """main reuses one parser: neither an override nor an argv that argparse
+    rejects may reach a later call, so each run writes the same bytes as the
+    same argv in a fresh interpreter."""
+    runs = [["variance", "--set", "pointer_delta=0.5"], ["variance"], ["hartman"]]
+    here, fresh = tmp_path / "here", tmp_path / "fresh"
+    assert main([*runs[0], "--out", str(here / "0")]) == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["variance", "--set", "pointer_sigma=2", "--delta", "nan",
+              "--out", str(here / "rejected")])
+    assert exc.value.code == 2
+    assert not (here / "rejected").exists()
+    for k, argv in enumerate(runs[1:], start=1):
+        assert main([*argv, "--out", str(here / str(k))]) == 0
+
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    for k, argv in enumerate(runs):
+        subprocess.run([sys.executable, "-m", "weaktunnel.cli", *argv,
+                        "--out", str(fresh / str(k))], env=env, check=True)
+        assert snapshot(here / str(k)) == snapshot(fresh / str(k)), argv
 
 
 def test_out_root_env_var(tmp_path, monkeypatch):

@@ -14,11 +14,11 @@ from weaktunnel.corpuscle import corpuscularity_test
 from weaktunnel.errors import ConfigError
 from weaktunnel.pointer import (JointPointerState, WeakProbe, certain_shift_state,
                                 difference_variance, erase_and_postselect,
-                                pointer_overlap, two_probe_run, which_path_state)
+                                two_probe_run, which_path_state)
 from weaktunnel.tdse import propagate
 from weaktunnel.weakval import make_pair
 
-from conftest import SMALL_SCENARIO, record_region_values
+from conftest import SMALL_SCENARIO, record_region_values, region_probability
 
 SIGMAS = (0.5, 1.0, 2.0)
 DELTAS = (0.5, 1.0, 2.0)
@@ -69,12 +69,18 @@ def _oracle_states(sigma, delta):
     }
 
 
+def branch_overlap(delta, sigma):
+    """<G(0)|G(delta)> read from the norm of G(0) + G(delta), 2 + 2 <G(0)|G(delta)>."""
+    state = JointPointerState(sigma, ((1.0, 0.0, 0.0, 0), (1.0, delta, 0.0, 0)))
+    return 0.5 * (state.norm_squared() - 2.0)
+
+
 def test_overlap_frozen_and_formula():
-    assert pointer_overlap(1.0, 1.0) == pytest.approx(0.8824969025845953, rel=1e-15)
+    assert branch_overlap(1.0, 1.0) == pytest.approx(0.8824969025845953, rel=1e-15)
     for sigma in SIGMAS:
         for delta in (0.0, 0.3, 1.7):
             want = np.exp(-(delta**2) / (8.0 * sigma**2))
-            assert pointer_overlap(delta, sigma) == pytest.approx(want, rel=1e-14)
+            assert branch_overlap(delta, sigma) == pytest.approx(want, rel=1e-14)
 
 
 @pytest.mark.parametrize("sigma", SIGMAS)
@@ -263,7 +269,8 @@ def test_unconditioned_probe_shift_matches_density_integral():
     for shift, proj, (t1, t2) in ((run.mean_shift_a, proj_in, win_a),
                                   (run.mean_shift_b, proj_out, win_b)):
         inside = (t >= t1) & (t <= t2)
-        occ = np.array([proj.expectation(snaps[j].psi) for j in np.where(inside)[0]])
+        occ = np.array([region_probability(proj, snaps[j].psi)
+                        for j in np.where(inside)[0]])
         want = delta * np.trapezoid(occ, t[inside]) / (t2 - t1)
         assert shift == pytest.approx(want, rel=1e-6)
     assert run.state.mean_a() == pytest.approx(run.mean_shift_a, abs=1e-12)

@@ -38,10 +38,10 @@ def shooting_transmission(energy: float, barrier: BarrierSpec) -> float:
     gives 1/|A|^2 for the incident amplitude A.
     """
     k = np.sqrt(2.0 * energy)
-    a, b = barrier.x_left, barrier.x_right
+    (a, b, height), = barrier.segments
 
     def rhs(x, y):
-        v = barrier.max_height if a <= x < b else 0.0
+        v = height if a <= x < b else 0.0
         return [y[1], 2.0 * (v - energy) * y[0]]
 
     y0 = [np.exp(1j * k * b), 1j * k * np.exp(1j * k * b)]

@@ -10,15 +10,14 @@ import pytest
 import scipy.sparse
 import scipy.sparse.linalg
 
-from conftest import SMALL_SCENARIO, patch_steps
+from conftest import SMALL_SCENARIO, expectation_x, patch_steps, variance_x
 from weaktunnel import tdse
 from weaktunnel.core import (BarrierSpec, Grid, WaveFunction, gaussian_packet,
                              region_projector)
 from weaktunnel.errors import ConfigError, EdgeDensityError, SchemeInstabilityError
 from weaktunnel.scatter import scattering_amplitudes
-from weaktunnel.tdse import (EDGE_CELLS, STENCIL_HALF_WIDTH, PropagatorConfig,
-                             energy_expectation, propagate, propagate_backward,
-                             propagate_with_source)
+from weaktunnel.tdse import (EDGE_CELLS, STENCIL_HALF_WIDTH, PropagatorConfig, propagate,
+                             propagate_backward, propagate_with_source)
 
 FREE_GRID = Grid.from_domain(-128.0, 128.0, 1024)
 
@@ -27,15 +26,25 @@ def free_packet(k0=0.5, x0=-40.0, sigma=6.0):
     return gaussian_packet(FREE_GRID, x0, sigma, k0)
 
 
+def energy_expectation(psi, barrier=None):
+    """<H> from the spectral kinetic operator plus the grid potential."""
+    grid = psi.grid
+    f = np.fft.fft(psi.amp)
+    kinetic = np.sum(0.5 * grid.k**2 * np.abs(f) ** 2) * grid.dx / grid.n
+    v = barrier.potential(grid) if barrier is not None else np.zeros(grid.n)
+    potential = np.sum(v * psi.density()) * grid.dx
+    return float((kinetic + potential) / psi.norm() ** 2)
+
+
 @pytest.mark.parametrize("scheme", ["spectral-split-step", "implicit-fd"])
 def test_free_packet_follows_analytic_dispersion(scheme):
     x0, sigma, k0, t = -40.0, 6.0, 0.5, 60.0
     psi = free_packet(k0, x0, sigma)
     cfg = PropagatorConfig(dt=0.01, n_steps=6000, scheme=scheme, record_times=(t,))
     (_, final), = propagate(psi, cfg)
-    assert final.expectation_x() == pytest.approx(x0 + k0 * t, rel=1e-4)
+    assert expectation_x(final) == pytest.approx(x0 + k0 * t, rel=1e-4)
     var_t = sigma**2 + t**2 / (4.0 * sigma**2)
-    assert final.variance_x() == pytest.approx(var_t, rel=1e-4)
+    assert variance_x(final) == pytest.approx(var_t, rel=1e-4)
 
 
 @pytest.mark.parametrize("scheme", ["spectral-split-step", "implicit-fd"])
@@ -363,19 +372,41 @@ def test_a_leg_stops_at_its_last_record(monkeypatch, scheme):
 
 
 @pytest.mark.parametrize("cell, error, message", [
-    (0, EdgeDensityError, r"probability nan .* at t=0\.01;"),
+    (0, SchemeInstabilityError,
+     r"non-finite amplitude \(?nan.* after 1 steps of spectral-split-step \(t=0\.01\)"),
     (FREE_GRID.n // 2, SchemeInstabilityError, "norm drifted by nan after 1 steps"),
 ])
 def test_nan_after_the_first_step_trips_a_guard(monkeypatch, cell, error, message):
     """NaN compares false with every limit, so each guard fails on it: a NaN
-    in an edge cell trips the edge guard, one inside the domain the norm
-    guard at the record after the step."""
+    in an edge cell trips the per-step edge check, which names it a
+    non-finite amplitude, not an edge density; one inside the domain trips
+    the norm guard at the record after the step."""
     def poison(x):
         x[0, cell] = np.nan
 
     patch_steps(monkeypatch, poison)
     cfg = PropagatorConfig(dt=0.01, n_steps=10, record_times=(0.01, 0.1))
     with pytest.raises(error, match=message):
+        propagate(free_packet(), cfg)
+
+
+@pytest.mark.parametrize("scheme", ["spectral-split-step", "implicit-fd"])
+def test_interior_nan_between_records_is_a_scheme_failure(monkeypatch, scheme):
+    """A NaN put in the middle cell after step 5, between the records at
+    steps 1 and 10: the next step's FFT spreads it to every cell, and the
+    edge check after step 6 raises SchemeInstabilityError, not
+    EdgeDensityError."""
+    steps = []
+
+    def poison(x):
+        steps.append(1)
+        if len(steps) == 5:
+            x[0, FREE_GRID.n // 2] = np.nan
+
+    patch_steps(monkeypatch, poison)
+    cfg = PropagatorConfig(dt=0.01, n_steps=10, scheme=scheme, record_times=(0.01, 0.1))
+    with pytest.raises(SchemeInstabilityError,
+                       match=rf"non-finite amplitude .* after 6 steps of {scheme} \(t=0\.06\)"):
         propagate(free_packet(), cfg)
 
 

@@ -17,7 +17,7 @@ from weaktunnel.weakval import (barrier_occupation, dwell_time, make_pair,
                                 transmitted_dwell_time, transmitted_pair,
                                 weak_moment, weak_value, window_nodes)
 
-from conftest import SMALL_SCENARIO, patch_steps, record_region_values
+from conftest import SMALL_SCENARIO, patch_steps, record_region_values, region_probability
 
 # A packet well above the barrier that clears the transmission cut within
 # 400 coarse steps: every stage of a transmitted pair at almost no cost.
@@ -42,15 +42,20 @@ def pair_dwell_oracle(pair, region, duration):
     return float(np.trapezoid(record_region_values(pair, region).real, times))
 
 
-def standalone_values(psi, final, prop, barrier):
-    """conj(bra) * ket / <bra|ket> at every record of prop, from a forward leg
-    from psi and a backward leg from final, each run on its own."""
+def standalone_legs(psi, final, prop, barrier):
+    """(ket, bra) at every record of prop, from a forward leg from psi and a
+    backward leg from final, each run on its own."""
     kets = propagate(psi, prop, barrier)
     back = replace(prop, record_times=tuple(prop.duration - t
                                             for t in reversed(prop.record_times)))
     bras = reversed(propagate_backward(final, back, barrier))
+    return [(ket, bra) for (_, ket), (_, bra) in zip(kets, bras, strict=True)]
+
+
+def standalone_values(psi, final, prop, barrier):
+    """conj(bra) * ket / <bra|ket> at every record of prop, from standalone_legs."""
     return np.array([np.conj(bra.amp) * ket.amp / bra.inner(ket)
-                     for (_, ket), (_, bra) in zip(kets, bras, strict=True)])
+                     for ket, bra in standalone_legs(psi, final, prop, barrier)])
 
 
 def transmitted_final(psi, cfg):
@@ -349,10 +354,12 @@ def test_forward_leg_dwell_matches_pair_trapezoid_oracle(scheme):
     region = region_projector(cfg.grid(), cfg.barrier_left, cfg.barrier_right)
     dwell = transmitted_dwell_time(cfg.packet(), cfg.propagator(), barrier,
                                    cfg.transmit_cut(), region)
-    pair = transmitted_pair(cfg.packet(), cfg.propagator(record_times=dwell.times),
-                            barrier, cfg.transmit_cut())
+    prop = cfg.propagator(record_times=dwell.times)
+    pair = transmitted_pair(cfg.packet(), prop, barrier, cfg.transmit_cut())
     prob = pair.postselect_prob
-    drift = max(abs(o - prob) for o in pair.overlaps) / prob
+    # <bra|ket> at each record, from the pair's two legs rerun on their own
+    legs = standalone_legs(cfg.packet(), transmitted_final(cfg.packet(), cfg), prop, barrier)
+    drift = max(abs(bra.inner(ket) - prob) for ket, bra in legs) / prob
     assert dwell.postselect_prob == pytest.approx(pair.postselect_prob, rel=1e-13)
     assert dwell.time == pytest.approx(pair_dwell_oracle(pair, region, cfg.duration),
                                        rel=1e-12 + drift)
@@ -369,7 +376,7 @@ def test_free_crossing_dwell_matches_density_integral():
 
     dwell = dwell_time(psi, region_projector(grid, grid.x_min, grid.x_max), prop, region)
     assert dwell.times == times
-    occupancy = [region.expectation(s.psi) for s in snaps]
+    occupancy = [region_probability(region, s.psi) for s in snaps]
     oracle = float(np.trapezoid(occupancy, times))
     assert dwell.time == pytest.approx(oracle, rel=1e-8)
     # a unit-speed packet spends about width/speed inside the region
