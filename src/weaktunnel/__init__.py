@@ -61,7 +61,6 @@ from .corpuscle import (
     EnsembleStats,
     corpuscular_min_variance,
     corpuscularity_test,
-    population_difference_variance,
     simulate_corpuscular,
 )
 

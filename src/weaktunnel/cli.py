@@ -8,6 +8,11 @@ scenario must reproduce the manifest byte for byte.  The manifest digests
 each file's bytes as they were written.  ``main`` may be called repeatedly in
 one process: it builds one parser, on its first call, and reuses it.
 
+A subcommand only computes: it checks its inputs, runs its legs and returns
+the text of each file.  ``main`` alone writes, and only after the subcommand
+has returned, so a run that exits 2 or 3 creates no output directory and
+leaves an existing one as it was.
+
 JSON goes through ``json.dumps`` and every CSV cell through ``str``, so each
 float is written as Python's shortest round-trip decimal: it reads back to
 the same double, and any last-bit change of a result changes its text.
@@ -58,16 +63,23 @@ class RunWriter:
         (self.out_dir / name).write_bytes(data)
         self.digests[name] = hashlib.sha256(data).hexdigest()
 
-    def write_json(self, name: str, obj) -> None:
-        self.write_text(name, json.dumps(obj, indent=2) + "\n")
-
-    def write_csv(self, name: str, header: "list[str]", rows) -> None:
-        lines = [",".join(header)] + [",".join(map(str, row)) for row in rows]
-        self.write_text(name, "\n".join(lines) + "\n")
-
     def finish(self) -> None:
         manifest = json.dumps({"files": dict(sorted(self.digests.items()))}, indent=2)
         (self.out_dir / "manifest.json").write_text(manifest + "\n")
+
+
+# what a subcommand returns: its resolved scenario (None if it takes none),
+# the options echoed next to it in config.json, and each file's text by name
+Run = tuple[ScenarioConfig | None, dict, dict[str, str]]
+
+
+def _json(obj) -> str:
+    return json.dumps(obj, indent=2) + "\n"
+
+
+def _csv(header: "list[str]", rows) -> str:
+    lines = [",".join(header)] + [",".join(map(str, row)) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 def _out_dir(args) -> Path:
@@ -114,22 +126,11 @@ def _resolve_scenario(args, base: ScenarioConfig) -> ScenarioConfig:
     return cfg
 
 
-def _echo_config(writer: RunWriter, args, scenario: ScenarioConfig | None,
-                 options: dict) -> None:
-    writer.write_json("config.json", {
-        "subcommand": args.command,
-        "scenario": scenario.to_dict() if scenario is not None else None,
-        "options": options,
-    })
-
-
 # ---------------------------------------------------------------- tunneling
 
 
-def _cmd_fig2(args) -> int:
+def _cmd_fig2(args) -> Run:
     cfg = _resolve_scenario(args, TRANSMISSION_TRACE_SCENARIO)
-    writer = RunWriter(_out_dir(args))
-    _echo_config(writer, args, cfg, {})
     barrier = cfg.barrier()
     pair = transmitted_pair(cfg.packet(), cfg.propagator(), barrier, cfg.transmit_cut())
 
@@ -140,49 +141,42 @@ def _cmd_fig2(args) -> int:
                                  pair.values.imag.tolist()):
         lines += map(",".join, zip(repeat(str(t)), x_text, map(str, re_row),
                                    map(str, im_row)))
-    writer.write_text("conditional.csv", "\n".join(lines) + "\n")
 
     occ = barrier_occupation(pair, barrier)
-    writer.write_csv(
-        "occupation.csv",
-        ["t", "entrance_weight", "center_weight", "exit_weight"],
-        zip(occ.times, occ.entrance, occ.center, occ.exit),
-    )
-    writer.write_json("summary.json", {
-        "transmit_prob": pair.postselect_prob,
-        "center_to_peak": occ.center_to_peak(),
-        "duration": cfg.duration,
-        "n_record": cfg.n_record,
-    })
-    writer.finish()
-    return 0
+    return cfg, {}, {
+        "conditional.csv": "\n".join(lines) + "\n",
+        "occupation.csv": _csv(["t", "entrance_weight", "center_weight", "exit_weight"],
+                               zip(occ.times, occ.entrance, occ.center, occ.exit)),
+        "summary.json": _json({
+            "transmit_prob": pair.postselect_prob,
+            "center_to_peak": occ.center_to_peak(),
+            "duration": cfg.duration,
+            "n_record": cfg.n_record,
+        }),
+    }
 
 
-def _cmd_dwell(args) -> int:
+def _cmd_dwell(args) -> Run:
     cfg = _resolve_scenario(args, TRANSMISSION_TRACE_SCENARIO)
     barrier = cfg.barrier()
     if args.region is not None:
         left, right = _parse_pair(args.region, "--region")
     else:
         left, right = barrier.x_left, barrier.x_right
-    writer = RunWriter(_out_dir(args))
-    _echo_config(writer, args, cfg, {"region": [left, right]})
     region = region_projector(cfg.grid(), left, right)
     dwell = transmitted_dwell_time(cfg.packet(), cfg.propagator(), barrier,
                                    cfg.transmit_cut(), region)
-    writer.write_json("dwell.json", {
+    return cfg, {"region": [left, right]}, {"dwell.json": _json({
         "region_left": left,
         "region_right": right,
         "dwell_time": dwell.time,
         "duration": cfg.duration,
         "transmit_prob": dwell.postselect_prob,
         "n_record": len(dwell.times),
-    })
-    writer.finish()
-    return 0
+    })}
 
 
-def _cmd_two_probe(args) -> int:
+def _cmd_two_probe(args) -> Run:
     cfg = _resolve_scenario(args, TRANSMISSION_TRACE_SCENARIO)
     cfg = ScenarioConfig.from_dict({**cfg.to_dict(), "pointer_delta": args.delta})
     barrier = cfg.barrier()
@@ -207,18 +201,16 @@ def _cmd_two_probe(args) -> int:
     # the windows read no record before the earliest start, so the pair's
     # backward leg stops there
     first = min(window_nodes(records, window)[0][0] for window in (window_a, window_b))
-
-    writer = RunWriter(_out_dir(args))
-    _echo_config(writer, args, cfg, {
-        "window_a": list(window_a), "window_b": list(window_b),
-        "region_a": list(region_a), "region_b": list(region_b),
-        "sign_b": args.sign_b,
-    })
     pair = transmitted_pair(cfg.packet(), cfg.propagator(record_times=records[first:]),
                             barrier, cfg.transmit_cut())
     run = two_probe_run(pair, probe_a, probe_b, cfg.pointer_sigma)
     wa, wb = run.window_values
-    writer.write_json("twoprobe.json", {
+    options = {
+        "window_a": list(window_a), "window_b": list(window_b),
+        "region_a": list(region_a), "region_b": list(region_b),
+        "sign_b": args.sign_b,
+    }
+    return cfg, options, {"twoprobe.json": _json({
         "shift_a": run.mean_shift_a,
         "shift_b": run.mean_shift_b,
         "net_rotation": run.net_rotation,
@@ -226,9 +218,7 @@ def _cmd_two_probe(args) -> int:
         "window_value_b": [wb.real, wb.imag],
         "transmit_prob": pair.postselect_prob,
         "moments": run.state.moment_report(),
-    })
-    writer.finish()
-    return 0
+    })}
 
 
 # ------------------------------------------------------------------ pointer
@@ -241,33 +231,27 @@ def _pointer_args(args) -> tuple[ScenarioConfig, float, float]:
     return cfg, delta, sigma
 
 
-def _write_moments(args, cfg: ScenarioConfig, state: JointPointerState,
-                   options: dict) -> int:
-    writer = RunWriter(_out_dir(args))
-    _echo_config(writer, args, cfg, options)
-    writer.write_json("moments.json", state.moment_report())
-    writer.finish()
-    return 0
+def _moments(state: JointPointerState) -> dict[str, str]:
+    return {"moments.json": _json(state.moment_report())}
 
 
-def _cmd_variance(args) -> int:
+def _cmd_variance(args) -> Run:
     cfg, delta, sigma = _pointer_args(args)
-    return _write_moments(args, cfg, which_path_state(delta, sigma),
-                          {"delta": delta, "sigma": sigma})
+    return cfg, {"delta": delta, "sigma": sigma}, _moments(which_path_state(delta, sigma))
 
 
-def _cmd_erased(args) -> int:
+def _cmd_erased(args) -> Run:
     cfg, delta, sigma = _pointer_args(args)
-    return _write_moments(args, cfg, erase_and_postselect(which_path_state(delta, sigma)),
-                          {"delta": delta, "sigma": sigma})
+    return cfg, {"delta": delta, "sigma": sigma}, _moments(
+        erase_and_postselect(which_path_state(delta, sigma)))
 
 
-def _cmd_certain(args) -> int:
+def _cmd_certain(args) -> Run:
     cfg, delta, sigma = _pointer_args(args)
     delta_a = delta / 2.0 if args.delta_a is None else args.delta_a
     delta_b = delta / 2.0 if args.delta_b is None else args.delta_b
-    return _write_moments(args, cfg, certain_shift_state(delta_a, delta_b, sigma),
-                          {"delta_a": delta_a, "delta_b": delta_b, "sigma": sigma})
+    return (cfg, {"delta_a": delta_a, "delta_b": delta_b, "sigma": sigma},
+            _moments(certain_shift_state(delta_a, delta_b, sigma)))
 
 
 # --------------------------------------------------------------- scattering
@@ -283,26 +267,17 @@ def _parse_widths(text: str) -> list[float]:
     return widths
 
 
-def _cmd_hartman(args) -> int:
+def _cmd_hartman(args) -> Run:
     widths = _parse_widths(args.d)
-    writer = RunWriter(_out_dir(args))
-    _echo_config(writer, args, None, {"e": args.e, "v0": args.v0, "d": widths})
-    writer.write_csv("delays.csv", ["thickness", "delay"],
-                     delay_vs_width(args.e, args.v0, widths))
-    writer.finish()
-    return 0
+    return None, {"e": args.e, "v0": args.v0, "d": widths}, {
+        "delays.csv": _csv(["thickness", "delay"], delay_vs_width(args.e, args.v0, widths))}
 
 
-def _cmd_scatter(args) -> int:
+def _cmd_scatter(args) -> Run:
     if args.n_e < 1:
         raise ConfigError(f"--n-e must be at least 1, got {args.n_e}")
     if not 0.0 < args.e_min <= args.e_max:
         raise ConfigError("need 0 < --e-min <= --e-max")
-    writer = RunWriter(_out_dir(args))
-    _echo_config(writer, args, None, {
-        "e_min": args.e_min, "e_max": args.e_max, "n_e": args.n_e,
-        "v0": args.v0, "d": args.d,
-    })
     barrier = BarrierSpec.rectangular(-args.d / 2.0, args.d / 2.0, args.v0)
     energies = np.linspace(args.e_min, args.e_max, args.n_e)
     rows = []
@@ -310,35 +285,28 @@ def _cmd_scatter(args) -> int:
         res = scattering_amplitudes(float(e), barrier)
         rows.append((res.energy, res.t.real, res.t.imag, res.r.real, res.r.imag,
                      res.transmission, res.reflection))
-    writer.write_csv(
-        "amplitudes.csv",
-        ["energy", "re_t", "im_t", "re_r", "im_r", "transmission", "reflection"],
-        rows,
-    )
-    writer.finish()
-    return 0
+    options = {"e_min": args.e_min, "e_max": args.e_max, "n_e": args.n_e,
+               "v0": args.v0, "d": args.d}
+    return None, options, {"amplitudes.csv": _csv(
+        ["energy", "re_t", "im_t", "re_r", "im_r", "transmission", "reflection"], rows)}
 
 
 # ---------------------------------------------------------------- ensembles
 
 
-def _model_from_args(args) -> CorpuscularModel:
-    return CorpuscularModel(p=args.p, delta_a=args.delta_a, delta_b=args.delta_b,
-                            sigma=args.sigma, n=args.n, seed=args.seed)
+def _model_from_args(args) -> tuple[CorpuscularModel, dict]:
+    """The model the flags describe, and the flags as config.json echoes them."""
+    model = CorpuscularModel(p=args.p, delta_a=args.delta_a, delta_b=args.delta_b,
+                             sigma=args.sigma, n=args.n, seed=args.seed)
+    return model, {"p": model.p, "delta_a": model.delta_a, "delta_b": model.delta_b,
+                   "sigma": model.sigma, "n": model.n, "seed": model.seed}
 
 
-def _cmd_corpuscle_sim(args) -> int:
-    model = _model_from_args(args)
+def _cmd_corpuscle_sim(args) -> Run:
+    model, options = _model_from_args(args)
     a, b = simulate_corpuscular(model)
-    writer = RunWriter(_out_dir(args))
-    _echo_config(writer, args, None, {
-        "p": model.p, "delta_a": model.delta_a, "delta_b": model.delta_b,
-        "sigma": model.sigma, "n": model.n, "seed": model.seed,
-    })
-    writer.write_csv("samples.csv", ["pair_index", "a", "b"],
-                     zip(range(model.n), a.tolist(), b.tolist()))
-    writer.finish()
-    return 0
+    return None, options, {"samples.csv": _csv(
+        ["pair_index", "a", "b"], zip(range(model.n), a.tolist(), b.tolist()))}
 
 
 def _read_samples(path: str) -> tuple[np.ndarray, np.ndarray]:
@@ -349,23 +317,19 @@ def _read_samples(path: str) -> tuple[np.ndarray, np.ndarray]:
     return table[:, 0], table[:, 1]
 
 
-def _cmd_corpuscle_test(args) -> int:
+def _cmd_corpuscle_test(args) -> Run:
     if args.input is not None:
         a, b = _read_samples(args.input)
         source = {"input": args.input}
     else:
-        model = _model_from_args(args)
+        model, source = _model_from_args(args)
         a, b = simulate_corpuscular(model)
-        source = {"p": model.p, "delta_a": model.delta_a, "delta_b": model.delta_b,
-                  "sigma": model.sigma, "n": model.n, "seed": model.seed}
     stats = corpuscularity_test((a, b), sigma0=args.sigma0, alpha=args.alpha,
                                 seed=args.test_seed, n_resamples=args.resamples)
-    writer = RunWriter(_out_dir(args))
-    _echo_config(writer, args, None, {
-        **source, "sigma0": args.sigma0, "alpha": args.alpha,
-        "test_seed": args.test_seed, "resamples": args.resamples,
-    })
-    writer.write_json("report.json", {
+    print(stats.verdict)
+    options = {**source, "sigma0": args.sigma0, "alpha": args.alpha,
+               "test_seed": args.test_seed, "resamples": args.resamples}
+    return None, options, {"report.json": _json({
         "n": stats.n_samples,
         "mean_a": stats.mean_a,
         "mean_b": stats.mean_b,
@@ -375,10 +339,7 @@ def _cmd_corpuscle_test(args) -> int:
         "alpha": stats.alpha,
         "verdict": stats.verdict,
         "seed": stats.seed,
-    })
-    writer.finish()
-    print(stats.verdict)
-    return 0
+    })}
 
 
 # ------------------------------------------------------------------ parsing
@@ -497,7 +458,17 @@ _shared_parser = functools.cache(build_parser)
 def main(argv=None) -> int:
     args = _shared_parser().parse_args(argv)
     try:
-        return args.func(args)
+        scenario, options, files = args.func(args)
+        writer = RunWriter(_out_dir(args))
+        writer.write_text("config.json", _json({
+            "subcommand": args.command,
+            "scenario": scenario.to_dict() if scenario is not None else None,
+            "options": options,
+        }))
+        for name, text in files.items():
+            writer.write_text(name, text)
+        writer.finish()
+        return 0
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

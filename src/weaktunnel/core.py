@@ -108,9 +108,6 @@ class WaveFunction:
             raise ConfigError("cannot normalize the zero state")
         return WaveFunction(self.grid, self.amp / n)
 
-    def density(self) -> np.ndarray:
-        return np.abs(self.amp) ** 2
-
     def inner(self, other: "WaveFunction") -> complex:
         """<self|other> with the left argument conjugated."""
         if other.grid != self.grid:

@@ -33,7 +33,6 @@ __all__ = [
     "EnsembleStats",
     "simulate_corpuscular",
     "corpuscular_min_variance",
-    "population_difference_variance",
     "corpuscularity_test",
 ]
 
@@ -62,9 +61,8 @@ class CorpuscularModel:
             raise ConfigError(f"noise width must be positive, got {self.sigma}")
         if self.n < 1:
             raise ConfigError(f"need at least one pair, got {self.n}")
-
-    def mean_shifts(self) -> tuple[float, float]:
-        return self.p * self.delta_a, (1.0 - self.p) * self.delta_b
+        if self.seed < 0:
+            raise ConfigError(f"sampling seed must be non-negative, got {self.seed}")
 
 
 def simulate_corpuscular(model: CorpuscularModel) -> tuple[np.ndarray, np.ndarray]:
@@ -76,13 +74,6 @@ def simulate_corpuscular(model: CorpuscularModel) -> tuple[np.ndarray, np.ndarra
     a[hits] += model.delta_a
     b[~hits] += model.delta_b
     return a, b
-
-
-def population_difference_variance(model: CorpuscularModel) -> float:
-    """Exact Var(a - b) of the model, no sampling."""
-    mu_a, mu_b = model.mean_shifts()
-    second = model.p * model.delta_a**2 + (1.0 - model.p) * model.delta_b**2
-    return 2.0 * model.sigma**2 + second - (mu_a - mu_b) ** 2
 
 
 def corpuscular_min_variance(mu_a: float, mu_b: float, sigma: float) -> float:
@@ -199,6 +190,8 @@ def corpuscularity_test(samples, sigma0: float, alpha: float = 0.05,
         )
     if n_resamples < 1:
         raise ConfigError(f"need at least one bootstrap resample, got {n_resamples}")
+    if seed < 0:
+        raise ConfigError(f"bootstrap seed must be non-negative, got {seed}")
     diff = a - b
     var_diff = float(np.var(diff, ddof=1))
     mean_a = float(np.mean(a))

@@ -40,15 +40,20 @@ def patch_steps(monkeypatch, after_step):
     monkeypatch.setattr(tdse, "_make_stepper", patched)
 
 
+def density(psi):
+    """|psi(x)|^2 on the grid."""
+    return np.abs(psi.amp) ** 2
+
+
 def expectation_x(psi):
     """<x> of a state, normalized by its own norm."""
-    d = psi.density()
+    d = density(psi)
     return float(np.sum(d * psi.grid.x) * psi.grid.dx / (np.sum(d) * psi.grid.dx))
 
 
 def variance_x(psi):
     """<x^2> - <x>^2 of a state, normalized by its own norm."""
-    d = psi.density() * psi.grid.dx
+    d = density(psi) * psi.grid.dx
     d = d / np.sum(d)
     mean = float(np.sum(d * psi.grid.x))
     return float(np.sum(d * (psi.grid.x - mean) ** 2))
@@ -56,7 +61,19 @@ def variance_x(psi):
 
 def region_probability(region, psi):
     """Probability of finding the particle in the projector's region."""
-    return float(np.sum(psi.density()[region.mask]) * psi.grid.dx)
+    return float(np.sum(density(psi)[region.mask]) * psi.grid.dx)
+
+
+def mean_shifts(model):
+    """Mean readouts (mu_a, mu_b) of a corpuscular model."""
+    return model.p * model.delta_a, (1.0 - model.p) * model.delta_b
+
+
+def population_difference_variance(model):
+    """Exact Var(a - b) of a corpuscular model, no sampling."""
+    mu_a, mu_b = mean_shifts(model)
+    second = model.p * model.delta_a**2 + (1.0 - model.p) * model.delta_b**2
+    return 2.0 * model.sigma**2 + second - (mu_a - mu_b) ** 2
 
 
 def record_region_values(pair, region):

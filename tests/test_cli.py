@@ -376,6 +376,8 @@ def test_exit_code_2_on_bad_input(tmp_path):
                  "--out", out]) == 4  # os error surfaces as i/o, not config
     assert main(["corpuscle-test", "--n", "200", "--resamples", "0", "--out", out]) == 2
     assert main(["corpuscle-test", "--n", "200", "--resamples", "-5", "--out", out]) == 2
+    assert main(["corpuscle-sim", "--seed", "-1", "--out", out]) == 2
+    assert main(["corpuscle-test", "--test-seed", "-1", "--out", out]) == 2
     assert main(["fig2", "--set", "packet_sigma=0", "--out", out]) == 2
     assert main(["fig2", "--set", "n_points=abc", "--out", out]) == 2
     assert main(["fig2", "--set", "dt=x", "--out", out]) == 2
@@ -391,14 +393,34 @@ def test_scenario_has_no_statistics_fields(tmp_path, item):
     assert main(["variance", "--set", item, "--out", str(tmp_path / "x")]) == 2
 
 
+# a tall barrier passes nothing, so the transmission post-selection lands
+# under the overlap floor within the first few steps
+GUARD_TRIP = ["fig2", "--set", "barrier_height=50", "--set", "n_steps=1000",
+              "--set", "n_record=2"]
+
+
 def test_exit_code_3_on_numerical_guard(tmp_path, capsys):
-    # a tall barrier passes nothing, so the transmission post-selection
-    # lands under the overlap floor within the first few steps
-    out = str(tmp_path / "g")
-    argv = ["fig2", "--set", "barrier_height=50", "--set", "n_steps=1000",
-            "--set", "n_record=2", "--out", out]
-    assert main(argv) == 3
+    out = tmp_path / "g"
+    assert main([*GUARD_TRIP, "--out", str(out)]) == 3
     assert "post-selection probability" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_failed_rerun_leaves_the_earlier_run_intact(tmp_path):
+    """A run computes everything before it writes: a rerun that trips a guard
+    into the directory of a finished run changes none of its bytes, so its
+    manifest still checks."""
+    out = tmp_path / "f"
+    assert main(["fig2", "--set", "n_steps=1000", "--set", "n_record=2",
+                 "--set", "packet_energy=4.5", "--set", "packet_center=-30",
+                 "--out", str(out)]) == 0
+    before = snapshot(out)
+    assert main([*GUARD_TRIP, "--out", str(out)]) == 3
+    assert snapshot(out) == before
+    manifest = read_json(out, "manifest.json")
+    assert set(manifest["files"]) == set(before) - {"manifest.json"}
+    for name, digest in manifest["files"].items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
 
 
 def test_exit_code_4_on_unwritable_target(tmp_path):

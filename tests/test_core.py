@@ -7,7 +7,7 @@ from weaktunnel.core import (BarrierSpec, Grid, gaussian_packet, region_projecto
                              spin_eigenstate, spin_ops)
 from weaktunnel.errors import ConfigError
 
-from conftest import expectation_x, region_probability, variance_x
+from conftest import density, expectation_x, region_probability, variance_x
 
 
 def expectation_k(psi):
@@ -54,7 +54,7 @@ def test_wavefunction_inner_and_density():
     # continuum overlap of equal-width displaced Gaussians
     assert a.inner(b).real == pytest.approx(np.exp(-(4.0**2) / (8 * 3.0**2)), rel=1e-9)
     assert a.inner(a).real == pytest.approx(1.0, abs=1e-12)
-    assert np.sum(a.density()) * g.dx == pytest.approx(1.0, abs=1e-12)
+    assert np.sum(density(a)) * g.dx == pytest.approx(1.0, abs=1e-12)
 
 
 def test_region_projector_idempotent_and_complete():

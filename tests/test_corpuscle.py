@@ -12,9 +12,9 @@ import math
 import numpy as np
 import pytest
 
+from conftest import mean_shifts, population_difference_variance
 from weaktunnel.corpuscle import (MIN_TEST_SAMPLES, CorpuscularModel,
                                   corpuscular_min_variance, corpuscularity_test,
-                                  population_difference_variance,
                                   simulate_corpuscular)
 from weaktunnel.errors import ConfigError
 
@@ -54,7 +54,7 @@ def test_sampler_moments_match_population():
     m = CorpuscularModel(p=0.3, delta_a=1.2, delta_b=0.7, sigma=0.8,
                          n=200_000, seed=12)
     a, b = simulate_corpuscular(m)
-    mu_a, mu_b = m.mean_shifts()
+    mu_a, mu_b = mean_shifts(m)
     assert np.mean(a) == pytest.approx(mu_a, abs=0.01)
     assert np.mean(b) == pytest.approx(mu_b, abs=0.01)
     assert np.var(a - b, ddof=1) == pytest.approx(
@@ -106,6 +106,8 @@ def test_model_validation():
         CorpuscularModel(p=0.5, delta_a=0.1, delta_b=0.1, sigma=0.0, n=10, seed=0)
     with pytest.raises(ConfigError):
         CorpuscularModel(p=0.5, delta_a=0.1, delta_b=0.1, sigma=1.0, n=0, seed=0)
+    with pytest.raises(ConfigError, match="seed"):
+        CorpuscularModel(p=0.5, delta_a=0.1, delta_b=0.1, sigma=1.0, n=10, seed=-1)
 
 
 def test_every_family_member_obeys_the_floor():
@@ -118,7 +120,7 @@ def test_every_family_member_obeys_the_floor():
             sigma=float(rng.uniform(0.2, 2.0)),
             n=1, seed=0,
         )
-        mu_a, mu_b = m.mean_shifts()
+        mu_a, mu_b = mean_shifts(m)
         floor = corpuscular_min_variance(mu_a, mu_b, m.sigma)
         assert population_difference_variance(m) >= floor - 1e-9
 

@@ -10,7 +10,7 @@ import pytest
 import scipy.sparse
 import scipy.sparse.linalg
 
-from conftest import SMALL_SCENARIO, expectation_x, patch_steps, variance_x
+from conftest import SMALL_SCENARIO, density, expectation_x, patch_steps, variance_x
 from weaktunnel import tdse
 from weaktunnel.core import (BarrierSpec, Grid, WaveFunction, gaussian_packet,
                              region_projector)
@@ -32,7 +32,7 @@ def energy_expectation(psi, barrier=None):
     f = np.fft.fft(psi.amp)
     kinetic = np.sum(0.5 * grid.k**2 * np.abs(f) ** 2) * grid.dx / grid.n
     v = barrier.potential(grid) if barrier is not None else np.zeros(grid.n)
-    potential = np.sum(v * psi.density()) * grid.dx
+    potential = np.sum(v * density(psi)) * grid.dx
     return float((kinetic + potential) / psi.norm() ** 2)
 
 
@@ -181,7 +181,7 @@ def test_thin_barrier_transmission_matches_momentum_composition():
     cfg = PropagatorConfig(dt=0.0025, n_steps=48_000)  # records only t=120
     (_, final), = propagate(psi, cfg, barrier)
 
-    measured = float(np.sum(final.density()[grid.x >= 1.0]) * grid.dx)
+    measured = float(np.sum(density(final)[grid.x >= 1.0]) * grid.dx)
 
     spectrum = np.fft.fft(psi.amp) * grid.dx / np.sqrt(2.0 * np.pi)
     weights = np.abs(spectrum) ** 2 * (2.0 * np.pi / (grid.n * grid.dx))
@@ -209,7 +209,7 @@ def test_energy_expectation_includes_potential_weight():
     grid = Grid.from_domain(-128.0, 128.0, 1024)
     psi = gaussian_packet(grid, 0.0, 8.0, 0.0)
     barrier = BarrierSpec.rectangular(-4.0, 4.0, 2.0)
-    inside = float(np.sum(psi.density()[(grid.x >= -4.0) & (grid.x < 4.0)]) * grid.dx)
+    inside = float(np.sum(density(psi)[(grid.x >= -4.0) & (grid.x < 4.0)]) * grid.dx)
     expected = energy_expectation(psi) + 2.0 * inside
     assert energy_expectation(psi, barrier) == pytest.approx(expected, rel=1e-12)
 

@@ -17,7 +17,8 @@ from weaktunnel.weakval import (barrier_occupation, dwell_time, make_pair,
                                 transmitted_dwell_time, transmitted_pair,
                                 weak_moment, weak_value, window_nodes)
 
-from conftest import SMALL_SCENARIO, patch_steps, record_region_values, region_probability
+from conftest import (SMALL_SCENARIO, density, patch_steps, record_region_values,
+                      region_probability)
 
 # A packet well above the barrier that clears the transmission cut within
 # 400 coarse steps: every stage of a transmitted pair at almost no cost.
@@ -310,7 +311,7 @@ def test_unconditioned_distribution_reduces_to_density():
     grid = cfg.grid()
     pair = make_pair(psi, region_projector(grid, grid.x_min, grid.x_max), prop, barrier)
     for j, (_, state) in enumerate(snaps):
-        assert np.max(np.abs(pair.values.real[j] - state.density())) <= 1e-6
+        assert np.max(np.abs(pair.values.real[j] - density(state))) <= 1e-6
         assert np.max(np.abs(pair.values.imag[j])) <= 1e-6
 
 
