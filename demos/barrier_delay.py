@@ -7,7 +7,7 @@ would take time d/k to cross, so the transmitted peak's effective traversal
 speed grows without limit.
 """
 
-from weaktunnel import BarrierSpec
+from weaktunnel.core import BarrierSpec
 from weaktunnel.scatter import group_delay, scattering_amplitudes
 
 

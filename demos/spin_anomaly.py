@@ -9,7 +9,7 @@ entirely in the first moment.
 
 import numpy as np
 
-from weaktunnel import spin_eigenstate, spin_ops
+from weaktunnel.core import spin_eigenstate, spin_ops
 from weaktunnel.weakval import weak_moment, weak_value
 
 

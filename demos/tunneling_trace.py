@@ -15,7 +15,8 @@ more forward leg, carrying the barrier source beside the state, serves the
 dwell clock; about 60 s on a 2-vCPU VM.
 """
 
-from weaktunnel import TRANSMISSION_TRACE_SCENARIO, region_projector
+from weaktunnel.config import TRANSMISSION_TRACE_SCENARIO
+from weaktunnel.core import RegionProjector
 from weaktunnel.pointer import WeakProbe, difference_variance, two_probe_run
 from weaktunnel.weakval import (barrier_occupation, transmitted_dwell_time,
                                 transmitted_pair)
@@ -35,7 +36,7 @@ def main() -> None:
         print(f"{t:6.1f}   {ent:8.4f}   {mid:+13.5f}   {ex:7.4f}")
     print(f"\nworst middle-to-peak ratio: {occ.center_to_peak():.4f}")
 
-    region = region_projector(cfg.grid(), barrier.x_left, barrier.x_right)
+    region = RegionProjector(cfg.grid(), barrier.x_left, barrier.x_right)
     dwell = transmitted_dwell_time(cfg.packet(), cfg.propagator(), barrier,
                                    cfg.transmit_cut(), region)
     print(f"conditional barrier dwell: {dwell.time:.3f} of {cfg.duration:.0f} time units")
@@ -45,9 +46,9 @@ def main() -> None:
     # the full probe strength while their difference stays quiet
     records = cfg.record_times()
     grid = cfg.grid()
-    probe_a = WeakProbe(region_projector(grid, grid.x_min, barrier.x_left),
+    probe_a = WeakProbe(RegionProjector(grid, grid.x_min, barrier.x_left),
                         0.1, (records[1], records[5]))
-    probe_b = WeakProbe(region_projector(grid, barrier.x_right, grid.x_max),
+    probe_b = WeakProbe(RegionProjector(grid, barrier.x_right, grid.x_max),
                         0.1, (records[-5], records[-1]))
     run = two_probe_run(pair, probe_a, probe_b, cfg.pointer_sigma)
     print(f"probe shifts: a {run.mean_shift_a:+.5f}, b {run.mean_shift_b:+.5f} "

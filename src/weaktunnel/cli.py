@@ -24,6 +24,7 @@ included), 3 numerical guard tripped, 4 output I/O failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import hashlib
 import json
@@ -37,7 +38,7 @@ import numpy as np
 
 from .config import (DEFAULT_SCENARIO, TRANSMISSION_TRACE_SCENARIO,
                      ScenarioConfig, load_config)
-from .core import BarrierSpec, region_projector
+from .core import BarrierSpec, RegionProjector
 from .corpuscle import (CorpuscularModel, corpuscularity_test,
                         simulate_corpuscular)
 from .errors import ConfigError, NumericalGuardError
@@ -51,21 +52,38 @@ OUT_ROOT_ENV = "WEAKTUNNEL_OUT"
 
 
 class RunWriter:
-    """Serialized writer for one output directory, checksummed as it writes."""
+    """Serialized writer for one output directory, checksummed as it writes.
+
+    Each file, the manifest included, goes to a temporary sibling first;
+    finish then renames the data files into place, then config.json, then
+    the manifest, so a rerun that fails to write keeps the earlier
+    config.json and manifest."""
 
     def __init__(self, out_dir: Path):
         self.out_dir = out_dir
         self.digests: dict[str, str] = {}
         out_dir.mkdir(parents=True, exist_ok=True)
 
+    def _partial(self, name: str) -> Path:
+        return self.out_dir / f".{name}.partial"
+
     def write_text(self, name: str, text: str) -> None:
         data = text.encode()
-        (self.out_dir / name).write_bytes(data)
+        # recorded first, so discard also finds a file whose write failed
         self.digests[name] = hashlib.sha256(data).hexdigest()
+        self._partial(name).write_bytes(data)
 
     def finish(self) -> None:
         manifest = json.dumps({"files": dict(sorted(self.digests.items()))}, indent=2)
-        (self.out_dir / "manifest.json").write_text(manifest + "\n")
+        self._partial("manifest.json").write_text(manifest + "\n")
+        for name in [*sorted(self.digests, key="config.json".__eq__), "manifest.json"]:
+            os.replace(self._partial(name), self.out_dir / name)
+
+    def discard(self) -> None:
+        """Remove every file this run wrote that finish did not rename into place."""
+        for name in [*self.digests, "manifest.json"]:
+            with contextlib.suppress(OSError):
+                self._partial(name).unlink()
 
 
 # what a subcommand returns: its resolved scenario (None if it takes none),
@@ -163,7 +181,7 @@ def _cmd_dwell(args) -> Run:
         left, right = _parse_pair(args.region, "--region")
     else:
         left, right = barrier.x_left, barrier.x_right
-    region = region_projector(cfg.grid(), left, right)
+    region = RegionProjector(cfg.grid(), left, right)
     dwell = transmitted_dwell_time(cfg.packet(), cfg.propagator(), barrier,
                                    cfg.transmit_cut(), region)
     return cfg, {"region": [left, right]}, {"dwell.json": _json({
@@ -195,8 +213,8 @@ def _cmd_two_probe(args) -> Run:
     window_b = pick(args.window_b, "--window-b", records[-5::4])
     region_a = pick(args.region_a, "--region-a", (grid.x_min, barrier.x_left))
     region_b = pick(args.region_b, "--region-b", (barrier.x_right, grid.x_max))
-    probe_a = WeakProbe(region_projector(grid, *region_a), cfg.pointer_delta, window_a)
-    probe_b = WeakProbe(region_projector(grid, *region_b), cfg.pointer_delta, window_b,
+    probe_a = WeakProbe(RegionProjector(grid, *region_a), cfg.pointer_delta, window_a)
+    probe_b = WeakProbe(RegionProjector(grid, *region_b), cfg.pointer_delta, window_b,
                         sign=args.sign_b)
     # the windows read no record before the earliest start, so the pair's
     # backward leg stops there
@@ -363,7 +381,9 @@ def _add_model_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--seed", type=int, default=1234)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser every main call shares, built on the first call, not at import."""
     parser = argparse.ArgumentParser(
         prog="weaktunnel",
         description="Weak measurements on tunneling packets: reproducible runs.",
@@ -451,12 +471,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# built on the first main call, not at import, and shared by every later one
-_shared_parser = functools.cache(build_parser)
-
-
 def main(argv=None) -> int:
-    args = _shared_parser().parse_args(argv)
+    args = build_parser().parse_args(argv)
+    writer = None
     try:
         scenario, options, files = args.func(args)
         writer = RunWriter(_out_dir(args))
@@ -476,6 +493,8 @@ def main(argv=None) -> int:
         print(f"numerical guard: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:
+        if writer is not None:
+            writer.discard()
         print(f"i/o error: {exc}", file=sys.stderr)
         return 4
 

@@ -32,7 +32,6 @@ __all__ = [
     "BarrierSpec",
     "RegionProjector",
     "gaussian_packet",
-    "region_projector",
     "SpinOps",
     "spin_ops",
     "spin_eigenstate",
@@ -182,7 +181,7 @@ class BarrierSpec:
 
 @dataclass(frozen=True)
 class RegionProjector:
-    """Projector onto the half-open spatial region a <= x < b."""
+    """Projector onto the half-open spatial region a <= x < b; it must hold a grid cell."""
 
     grid: Grid
     a: float
@@ -190,19 +189,15 @@ class RegionProjector:
     mask: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.b <= self.a:
-            raise ConfigError(f"empty region: a={self.a} >= b={self.b}")
         mask = (self.grid.x >= self.a) & (self.grid.x < self.b)
+        if not mask.any():
+            raise ConfigError(f"region [{self.a}, {self.b}) holds no grid cell")
         object.__setattr__(self, "mask", _readonly(mask))
 
     def apply(self, psi: WaveFunction) -> WaveFunction:
         if psi.grid != self.grid:
             raise ConfigError("state lives on a different grid")
         return WaveFunction(self.grid, np.where(self.mask, psi.amp, 0.0))
-
-
-def region_projector(grid: Grid, a: float, b: float) -> RegionProjector:
-    return RegionProjector(grid, a, b)
 
 
 class SpinOps(NamedTuple):

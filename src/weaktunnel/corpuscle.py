@@ -155,7 +155,7 @@ def corpuscularity_test(samples, sigma0: float, alpha: float = 0.05,
     relative EXACT_TIE_REL of the floor sits on it and does not reject.
     inconclusive is reserved for degenerate input (non-finite statistics, or
     readouts with zero spread, where the calibrated width cannot describe
-    the data at all).
+    the data at all).  A NaN or infinite readout is refused with ConfigError.
 
     A sample mean that comes out negative is treated as zero shift when the
     floor is evaluated: the model family under test only produces
@@ -184,6 +184,8 @@ def corpuscularity_test(samples, sigma0: float, alpha: float = 0.05,
     a, b = (np.asarray(arr, dtype=float) for arr in samples)
     if a.shape != b.shape or a.ndim != 1:
         raise ConfigError("samples must be two equal-length 1-D arrays")
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ConfigError("readouts must be finite, got a NaN or infinite value")
     if a.size < MIN_TEST_SAMPLES:
         raise ConfigError(
             f"need at least {MIN_TEST_SAMPLES} pairs for the bootstrap, got {a.size}"

@@ -128,8 +128,8 @@ class PropagatorConfig:
     """Time step, duration, scheme, and which times to record.
 
     Each record time must be the same instant as a step j * dt with 0 <= j <=
-    n_steps, and record_steps holds the j.  Record times are elapsed time
-    along the run, for both the forward and the backward direction.
+    n_steps; record_steps holds the j and record_times the j * dt.  Record
+    times are elapsed time along the run, forward and backward alike.
     """
 
     dt: float
@@ -155,7 +155,7 @@ class PropagatorConfig:
                 )
         if sorted(steps) != steps or len(set(steps)) != len(steps):
             raise ConfigError("record_times must be strictly increasing")
-        object.__setattr__(self, "record_times", times)
+        object.__setattr__(self, "record_times", tuple(j * self.dt for j in steps))
         object.__setattr__(self, "record_steps", tuple(steps))
 
     @property

@@ -53,7 +53,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import Grid, BarrierSpec, RegionProjector, WaveFunction, region_projector
+from .core import Grid, BarrierSpec, RegionProjector, WaveFunction
 from .errors import ConfigError, OverlapFloorError, SchemeInstabilityError
 from .tdse import (PropagatorConfig, propagate, propagate_backward, propagate_with_source,
                    same_instant)
@@ -162,7 +162,7 @@ def _transmission(grid: Grid, barrier: BarrierSpec, cut: float) -> RegionProject
             f"transmission cut {cut} must lie between the barrier exit "
             f"{barrier.x_right} and the domain edge {grid.x_max}"
         )
-    return region_projector(grid, cut, grid.x_max)
+    return RegionProjector(grid, cut, grid.x_max)
 
 
 def make_pair(initial: WaveFunction, post: RegionProjector, cfg: PropagatorConfig,
@@ -188,7 +188,6 @@ def make_pair(initial: WaveFunction, post: RegionProjector, cfg: PropagatorConfi
     back_times = tuple((cfg.n_steps - j) * cfg.dt for j in reversed(steps))
     bwd = propagate_backward(projected, replace(cfg, record_times=back_times), barrier)
     values = np.empty((len(records), initial.grid.n), dtype=complex)
-    times = []
     for j, ((t, ket), (_, bra)) in enumerate(zip(fwd, reversed(bwd))):
         record_overlap = bra.inner(ket)
         _check_floor(abs(record_overlap))
@@ -199,9 +198,8 @@ def make_pair(initial: WaveFunction, post: RegionProjector, cfg: PropagatorConfi
                 "forward and backward evolutions are no longer adjoint"
             )
         values[j] = np.conj(bra.amp) * ket.amp / record_overlap
-        times.append(t)
     values.flags.writeable = False
-    return PrePostPair(initial.grid, prob, tuple(times), values)
+    return PrePostPair(initial.grid, prob, records, values)
 
 
 def transmitted_pair(initial: WaveFunction, cfg: PropagatorConfig,

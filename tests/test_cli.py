@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import patch_steps
-from weaktunnel.cli import main
+from weaktunnel.cli import RunWriter, main
 from weaktunnel.config import TRANSMISSION_TRACE_SCENARIO
 from weaktunnel.corpuscle import (CorpuscularModel, corpuscularity_test,
                                   simulate_corpuscular)
@@ -286,6 +286,8 @@ def test_two_probe_backward_leg_stops_at_the_earliest_window_start(tmp_path, mon
 @pytest.mark.parametrize("flags", [
     ["--window-a", "12,4"],        # reversed
     ["--region-a", "3,3"],         # empty region
+    ["--region-a", "300,400"],     # beyond the domain: no grid cell
+    ["--region-b", "3,3.1"],       # between two cells (dx = 0.39)
     ["--window-a", "5,12"],        # starts between records
     ["--window-b", "12,22"],       # ends past the duration
 ], ids=" ".join)
@@ -300,6 +302,18 @@ def test_two_probe_rejects_bad_probes_before_the_first_step(tmp_path, monkeypatc
     assert main(["two-probe", *cheap, *flags, "--out", str(out)]) == 2
     assert steps == []
     assert not (out / "manifest.json").exists()
+
+
+def test_dwell_rejects_a_region_without_a_grid_cell_before_the_first_step(
+        tmp_path, monkeypatch):
+    steps = []
+    patch_steps(monkeypatch, lambda x: steps.append(1))
+    cheap = ["--set", "n_points=1024", "--set", "packet_energy=4.5",
+             "--set", "dt=0.05", "--set", "n_steps=400", "--set", "n_record=10"]
+    out = tmp_path / "d"
+    assert main(["dwell", *cheap, "--region", "300,400", "--out", str(out)]) == 2
+    assert steps == []
+    assert not out.exists()
 
 
 def test_small_run_determinism_cheap_commands(tmp_path):
@@ -374,6 +388,10 @@ def test_exit_code_2_on_bad_input(tmp_path):
                  "--out", out]) == 2
     assert main(["corpuscle-test", "--input", str(tmp_path / "nope.csv"),
                  "--out", out]) == 4  # os error surfaces as i/o, not config
+    spoilt = tmp_path / "nan.csv"
+    spoilt.write_text("pair_index,a,b\n" + "".join(
+        f"{i},{'nan' if i == 7 else i % 3},0.5\n" for i in range(200)))
+    assert main(["corpuscle-test", "--input", str(spoilt), "--out", out]) == 2
     assert main(["corpuscle-test", "--n", "200", "--resamples", "0", "--out", out]) == 2
     assert main(["corpuscle-test", "--n", "200", "--resamples", "-5", "--out", out]) == 2
     assert main(["corpuscle-sim", "--seed", "-1", "--out", out]) == 2
@@ -421,6 +439,33 @@ def test_failed_rerun_leaves_the_earlier_run_intact(tmp_path):
     assert set(manifest["files"]) == set(before) - {"manifest.json"}
     for name, digest in manifest["files"].items():
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("blocker", ["moments.json", ".manifest.json.partial"])
+def test_rerun_that_fails_to_write_keeps_the_earlier_config_and_manifest(tmp_path,
+                                                                         blocker):
+    """A rerun that exits 4, whether renaming a data file into place or
+    writing its manifest, replaces neither config.json nor manifest.json of
+    the earlier run, and removes its temporary files."""
+    out = tmp_path / "v"
+    assert main(["variance", "--out", str(out)]) == 0
+    before = snapshot(out)
+    (out / blocker).unlink(missing_ok=True)
+    (out / blocker).mkdir()
+    assert main(["variance", "--set", "pointer_delta=0.5", "--out", str(out)]) == 4
+    (out / blocker).rmdir()
+    assert snapshot(out) == {k: v for k, v in before.items() if k != blocker}
+
+
+def test_run_that_fails_to_write_into_a_new_directory_leaves_it_empty(tmp_path,
+                                                                       monkeypatch):
+    def no_space(self):
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(RunWriter, "finish", no_space)
+    out = tmp_path / "v"
+    assert main(["variance", "--out", str(out)]) == 4
+    assert list(out.iterdir()) == []
 
 
 def test_exit_code_4_on_unwritable_target(tmp_path):

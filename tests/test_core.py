@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from weaktunnel.core import (BarrierSpec, Grid, gaussian_packet, region_projector,
+from weaktunnel.core import (BarrierSpec, Grid, RegionProjector, gaussian_packet,
                              spin_eigenstate, spin_ops)
 from weaktunnel.errors import ConfigError
 
@@ -60,11 +60,11 @@ def test_wavefunction_inner_and_density():
 def test_region_projector_idempotent_and_complete():
     g = Grid.from_domain(-50.0, 50.0, 512)
     psi = gaussian_packet(g, 5.0, 4.0, 0.3)
-    proj = region_projector(g, 0.0, 50.0)
+    proj = RegionProjector(g, 0.0, 50.0)
     once = proj.apply(psi)
     twice = proj.apply(once)
     assert np.array_equal(once.amp, twice.amp)
-    left = region_projector(g, -50.0, 0.0)
+    left = RegionProjector(g, -50.0, 0.0)
     total = region_probability(left, psi) + region_probability(proj, psi)
     assert total == pytest.approx(1.0, abs=1e-12)
 
@@ -72,7 +72,12 @@ def test_region_projector_idempotent_and_complete():
 def test_region_projector_rejects_empty():
     g = Grid.from_domain(-50.0, 50.0, 512)
     with pytest.raises(ConfigError):
-        region_projector(g, 10.0, 10.0)
+        RegionProjector(g, 10.0, 10.0)
+    # a < b but no cell inside: beyond the domain, or between two cells
+    # (x = 0 and x = dx = 0.195...)
+    for a, b in ((60.0, 70.0), (0.01, 0.1)):
+        with pytest.raises(ConfigError, match="holds no grid cell"):
+            RegionProjector(g, a, b)
 
 
 def test_barrier_potential_covers_half_open_cells():

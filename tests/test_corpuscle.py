@@ -178,6 +178,11 @@ def test_array_path_validation():
     for resamples in (0, -5):
         with pytest.raises(ConfigError, match="resample"):
             corpuscularity_test((good, good), sigma0=1.0, n_resamples=resamples)
+    for bad in (np.nan, np.inf):
+        spoilt = good.copy()
+        spoilt[7] = bad
+        with pytest.raises(ConfigError, match="finite"):
+            corpuscularity_test((good, spoilt), sigma0=1.0)
 
 
 def test_zero_spread_readout_is_inconclusive():

@@ -3,6 +3,7 @@
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +13,7 @@ import pytest
 import weaktunnel
 
 PACKAGE_DIR = Path(weaktunnel.__file__).parent
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def test_no_private_imports_across_modules():
@@ -27,14 +29,53 @@ def test_no_private_imports_across_modules():
     assert offenders == []
 
 
+def test_each_public_name_is_defined_in_its_module():
+    """A module's __all__ is the one declaration of its public surface: it
+    lists names the module defines, none that it imports."""
+    offenders = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        defined, public = set(), []
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = {t.id for t in targets if isinstance(t, ast.Name)}
+                defined |= names
+                if "__all__" in names:
+                    public = ast.literal_eval(node.value)
+        offenders += [f"{path.name}: {name}" for name in public if name not in defined]
+    assert offenders == []
+
+
+def test_package_root_binds_no_public_name_but_its_modules():
+    # a submodule binds its own name; a function, class or constant does not
+    stray = [name for name, value in vars(weaktunnel).items()
+             if not name.startswith("_")
+             and getattr(value, "__name__", None) != f"weaktunnel.{name}"]
+    assert stray == []
+
+
+def run_fresh(code: str, cwd: Path) -> str:
+    """What a fresh interpreter prints running code with the package on its path."""
+    path = os.pathsep.join(filter(None, [str(PACKAGE_DIR.parent), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code], cwd=cwd, capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path}, check=True)
+    return done.stdout
+
+
+def test_readme_quick_start_runs(tmp_path):
+    blocks = re.findall(r"^```python\n(.*?)^```", README.read_text(), re.M | re.S)
+    assert len(blocks) == 1
+    assert run_fresh(blocks[0], tmp_path).startswith("0.7071")
+
+
 def scipy_modules_after(code: str, cwd: Path) -> set[str]:
     """The scipy modules a fresh interpreter holds after running code."""
     probe = code + ("\nimport json, sys\n"
                     "print(json.dumps([m for m in sys.modules if m.split('.')[0] == 'scipy']))\n")
-    path = os.pathsep.join(filter(None, [str(PACKAGE_DIR.parent), os.environ.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-c", probe], cwd=cwd, capture_output=True,
-                          text=True, env={**os.environ, "PYTHONPATH": path}, check=True)
-    return set(json.loads(done.stdout.splitlines()[-1]))
+    return set(json.loads(run_fresh(probe, cwd).splitlines()[-1]))
 
 
 def test_import_and_leg_free_subcommands_load_no_scipy(tmp_path):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from weaktunnel.config import ScenarioConfig
-from weaktunnel.core import region_projector
+from weaktunnel.core import RegionProjector
 from weaktunnel.corpuscle import corpuscularity_test
 from weaktunnel.errors import ConfigError
 from weaktunnel.pointer import (JointPointerState, WeakProbe, certain_shift_state,
@@ -200,7 +200,7 @@ def test_which_path_report_sits_on_the_floor_without_rejecting(sigma, delta):
 
 
 def test_probe_validation():
-    proj = region_projector(SMALL_SCENARIO.grid(), -2.0, 2.0)
+    proj = RegionProjector(SMALL_SCENARIO.grid(), -2.0, 2.0)
     with pytest.raises(ConfigError):
         WeakProbe(proj, 0.1, (2.0, 1.0))
     with pytest.raises(ConfigError):
@@ -219,12 +219,12 @@ def _tiny_free_pair():
     )
     prop = cfg.propagator(record_times=(0.0, 0.25, 0.5, 0.75, 1.0))
     grid = cfg.grid()
-    return cfg, make_pair(cfg.packet(), region_projector(grid, grid.x_min, grid.x_max), prop)
+    return cfg, make_pair(cfg.packet(), RegionProjector(grid, grid.x_min, grid.x_max), prop)
 
 
 def test_strong_probe_warns():
     cfg, pair = _tiny_free_pair()
-    proj = region_projector(cfg.grid(), -20.0, 0.0)
+    proj = RegionProjector(cfg.grid(), -20.0, 0.0)
     strong = WeakProbe(proj, 0.8, (0.0, 1.0))
     weak = WeakProbe(proj, 0.01, (0.0, 1.0))
     with pytest.warns(UserWarning, match="not weak"):
@@ -233,7 +233,7 @@ def test_strong_probe_warns():
 
 def test_probe_window_must_hit_recorded_times():
     cfg, pair = _tiny_free_pair()
-    proj = region_projector(cfg.grid(), -20.0, 0.0)
+    proj = RegionProjector(cfg.grid(), -20.0, 0.0)
     probe = WeakProbe(proj, 0.01, (0.0, 1.0))
     outside = WeakProbe(proj, 0.01, (0.5, 2.0))
     offgrid = WeakProbe(proj, 0.01, (0.1, 0.6))
@@ -254,11 +254,11 @@ def test_unconditioned_probe_shift_matches_density_integral():
     snaps = propagate(psi, prop, barrier)
     grid = cfg.grid()
 
-    pair = make_pair(psi, region_projector(grid, grid.x_min, grid.x_max), prop, barrier)
+    pair = make_pair(psi, RegionProjector(grid, grid.x_min, grid.x_max), prop, barrier)
     assert pair.postselect_prob == pytest.approx(1.0, abs=1e-8)
 
-    proj_in = region_projector(grid, cfg.barrier_left, cfg.barrier_right)
-    proj_out = region_projector(grid, cfg.barrier_right, grid.x_max)
+    proj_in = RegionProjector(grid, cfg.barrier_left, cfg.barrier_right)
+    proj_out = RegionProjector(grid, cfg.barrier_right, grid.x_max)
     win_a = (7.0, 21.0)
     win_b = (21.0, 35.0)
     delta = 0.05
@@ -290,9 +290,9 @@ def test_window_values_match_trapezoid_oracle(small_pair):
     cfg, pair = small_pair["cfg"], small_pair["pair"]
     grid = cfg.grid()
     records = cfg.record_times()
-    probe_a = WeakProbe(region_projector(grid, grid.x_min, cfg.barrier_left), 0.02,
+    probe_a = WeakProbe(RegionProjector(grid, grid.x_min, cfg.barrier_left), 0.02,
                         (records[0], records[4]))
-    probe_b = WeakProbe(region_projector(grid, cfg.barrier_left, cfg.barrier_right),
+    probe_b = WeakProbe(RegionProjector(grid, cfg.barrier_left, cfg.barrier_right),
                         0.02, (records[3], records[-1]))
     run = two_probe_run(pair, probe_a, probe_b, pointer_sigma=1.0)
     for value, probe in zip(run.window_values, (probe_a, probe_b)):
@@ -303,7 +303,7 @@ def test_window_values_match_trapezoid_oracle(small_pair):
 def test_opposite_sign_probes_cancel(small_pair):
     cfg, pair = small_pair["cfg"], small_pair["pair"]
     grid = cfg.grid()
-    proj = region_projector(grid, cfg.barrier_left, cfg.barrier_right)
+    proj = RegionProjector(grid, cfg.barrier_left, cfg.barrier_right)
     window = (cfg.record_times()[2], cfg.record_times()[6])
     plus = WeakProbe(proj, 0.02, window, sign=+1)
     minus = WeakProbe(proj, 0.02, window, sign=-1)

@@ -12,8 +12,8 @@ import scipy.sparse.linalg
 
 from conftest import SMALL_SCENARIO, density, expectation_x, patch_steps, variance_x
 from weaktunnel import tdse
-from weaktunnel.core import (BarrierSpec, Grid, WaveFunction, gaussian_packet,
-                             region_projector)
+from weaktunnel.core import (BarrierSpec, Grid, RegionProjector, WaveFunction,
+                             gaussian_packet)
 from weaktunnel.errors import ConfigError, EdgeDensityError, SchemeInstabilityError
 from weaktunnel.scatter import scattering_amplitudes
 from weaktunnel.tdse import (EDGE_CELLS, STENCIL_HALF_WIDTH, PropagatorConfig, propagate,
@@ -287,7 +287,7 @@ def test_implicit_fd_transmit_probability_is_pinned():
     cfg = replace(SMALL_SCENARIO, dt=0.02, n_steps=1750, scheme="implicit-fd")
     grid = cfg.grid()
     (_, final), = propagate(cfg.packet(), cfg.propagator(record_times=()), cfg.barrier())
-    transmitted = region_projector(grid, cfg.transmit_cut(), grid.x_max).apply(final)
+    transmitted = RegionProjector(grid, cfg.transmit_cut(), grid.x_max).apply(final)
     assert transmitted.norm() ** 2 == pytest.approx(0.0023647107239550924, rel=1e-9)
 
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from weaktunnel import weakval
-from weaktunnel.core import Grid, gaussian_packet, region_projector, spin_eigenstate, spin_ops
+from weaktunnel.core import Grid, RegionProjector, gaussian_packet, spin_eigenstate, spin_ops
 from weaktunnel.errors import ConfigError, OverlapFloorError
 from weaktunnel.pointer import WeakProbe, two_probe_run
 from weaktunnel.tdse import PropagatorConfig, propagate, propagate_backward
@@ -63,7 +63,7 @@ def transmitted_final(psi, cfg):
     """The evolved state projected beyond the cut at the duration: the bra
     transmitted_pair's backward leg starts from."""
     (_, evolved), = propagate(psi, cfg.propagator(record_times=()), cfg.barrier())
-    beyond = region_projector(cfg.grid(), cfg.transmit_cut(), cfg.x_max)
+    beyond = RegionProjector(cfg.grid(), cfg.transmit_cut(), cfg.x_max)
     return beyond.apply(evolved)
 
 
@@ -109,7 +109,7 @@ def test_complementary_region_values_sum_to_one():
     grid = SMALL_SCENARIO.grid()
     pre = gaussian_packet(grid, -20.0, 4.0, 1.0)
     post = gaussian_packet(grid, -16.0, 5.0, 0.8)
-    left, right = (np.diag(region_projector(grid, *ends).mask.astype(float))
+    left, right = (np.diag(RegionProjector(grid, *ends).mask.astype(float))
                    for ends in ((grid.x_min, 0.0), (0.0, grid.x_max)))
     total = weak_value(left, pre.amp, post.amp) + weak_value(right, pre.amp, post.amp)
     assert abs(total - 1.0) <= 1e-12
@@ -152,7 +152,7 @@ def test_make_pair_rejects_orthogonal_postselection():
     100 steps long."""
     cfg = replace(SMALL_SCENARIO, n_steps=100)
     psi = gaussian_packet(cfg.grid(), -20.0, 4.0, 1.0)
-    far = region_projector(cfg.grid(), 150.0, 200.0)
+    far = RegionProjector(cfg.grid(), 150.0, 200.0)
     prop = cfg.propagator(record_times=(cfg.duration,))
     with pytest.raises(OverlapFloorError, match="post-selection probability"):
         make_pair(psi, far, prop, cfg.barrier())
@@ -182,10 +182,10 @@ def test_projectors_on_another_grid_are_refused_before_a_step(grid, monkeypatch)
     steps = []
     patch_steps(monkeypatch, lambda x: steps.append(1))
 
-    whole = region_projector(home, home.x_min, home.x_max)
-    region = region_projector(home, cfg.barrier_left, cfg.barrier_right)
-    other_whole = region_projector(grid, grid.x_min, grid.x_max)
-    other = region_projector(grid, cfg.barrier_left, cfg.barrier_right)
+    whole = RegionProjector(home, home.x_min, home.x_max)
+    region = RegionProjector(home, cfg.barrier_left, cfg.barrier_right)
+    other_whole = RegionProjector(grid, grid.x_min, grid.x_max)
+    other = RegionProjector(grid, cfg.barrier_left, cfg.barrier_right)
     window = (pair.times[0], pair.times[-1])
     calls = [
         lambda: make_pair(psi, other_whole, prop, barrier),
@@ -226,8 +226,8 @@ def test_one_forward_and_one_backward_leg_per_pair(builder, monkeypatch):
     if builder == "transmitted":
         pair = transmitted_pair(psi, prop, barrier, cfg.transmit_cut())
     else:
-        pair = make_pair(psi, region_projector(grid, grid.x_min, grid.x_max), prop, barrier)
-    region = region_projector(grid, cfg.barrier_left, cfg.barrier_right)
+        pair = make_pair(psi, RegionProjector(grid, grid.x_min, grid.x_max), prop, barrier)
+    region = RegionProjector(grid, cfg.barrier_left, cfg.barrier_right)
     barrier_occupation(pair, barrier)
     probe = WeakProbe(region, 0.01, (pair.times[1], pair.times[5]))
     two_probe_run(pair, probe, probe, pointer_sigma=1.0)
@@ -248,11 +248,11 @@ def test_dwell_runs_one_forward_leg_and_no_backward_leg(builder, monkeypatch):
 
     for name in ("propagate", "propagate_backward", "propagate_with_source"):
         monkeypatch.setattr(weakval, name, counted(legs, name, getattr(weakval, name)))
-    region = region_projector(grid, cfg.barrier_left, cfg.barrier_right)
+    region = RegionProjector(grid, cfg.barrier_left, cfg.barrier_right)
     if builder == "transmitted":
         transmitted_dwell_time(psi, cfg.propagator(), barrier, cfg.transmit_cut(), region)
     else:
-        whole = region_projector(grid, grid.x_min, grid.x_max)
+        whole = RegionProjector(grid, grid.x_min, grid.x_max)
         dwell_time(psi, whole, cfg.propagator(), region, barrier)
     assert legs == {"propagate_with_source": 1}
 
@@ -282,7 +282,7 @@ def test_implicit_fd_dwell_and_center_to_peak_are_pinned():
     halving dt moves center_to_peak by 1.6e-3."""
     cfg = replace(SMALL_SCENARIO, dt=0.02, n_steps=1750, scheme="implicit-fd")
     barrier = cfg.barrier()
-    region = region_projector(cfg.grid(), barrier.x_left, barrier.x_right)
+    region = RegionProjector(cfg.grid(), barrier.x_left, barrier.x_right)
     dwell = transmitted_dwell_time(cfg.packet(), cfg.propagator(), barrier,
                                    cfg.transmit_cut(), region)
     assert dwell.time == pytest.approx(1.4695316986960907, rel=1e-11)
@@ -309,7 +309,7 @@ def test_unconditioned_distribution_reduces_to_density():
     psi = cfg.packet()
     snaps = propagate(psi, prop, barrier)
     grid = cfg.grid()
-    pair = make_pair(psi, region_projector(grid, grid.x_min, grid.x_max), prop, barrier)
+    pair = make_pair(psi, RegionProjector(grid, grid.x_min, grid.x_max), prop, barrier)
     for j, (_, state) in enumerate(snaps):
         assert np.max(np.abs(pair.values.real[j] - density(state))) <= 1e-6
         assert np.max(np.abs(pair.values.imag[j])) <= 1e-6
@@ -318,17 +318,32 @@ def test_unconditioned_distribution_reduces_to_density():
 def test_dwell_time_whole_domain_is_the_duration():
     cfg = SMALL_SCENARIO
     grid = cfg.grid()
-    whole = region_projector(grid, grid.x_min, grid.x_max)
+    whole = RegionProjector(grid, grid.x_min, grid.x_max)
     dwell = transmitted_dwell_time(cfg.packet(), cfg.propagator(), cfg.barrier(),
                                    cfg.transmit_cut(), whole)
     assert dwell.times == (0.0,) + cfg.record_times()
     assert dwell.time == pytest.approx(cfg.duration, rel=1e-6)
 
 
+def test_pair_dwell_and_snapshots_read_one_instant_per_record():
+    """Record times that name a step up to roundoff become its j * dt for
+    every reader: 0.3 and 0.7 are 3 and 7 steps of 0.1, which read
+    0.30000000000000004 and 0.7000000000000001."""
+    grid = Grid.from_domain(-64.0, 64.0, 256)
+    psi = gaussian_packet(grid, 0.0, 4.0, 0.5)
+    prop = PropagatorConfig(dt=0.1, n_steps=30, record_times=(0.3, 0.7, 3.0))
+    assert prop.record_times == (3 * 0.1, 7 * 0.1, 30 * 0.1)
+    whole = RegionProjector(grid, grid.x_min, grid.x_max)
+    pair = make_pair(psi, whole, prop)
+    dwell = dwell_time(psi, whole, prop, RegionProjector(grid, -8.0, 8.0))
+    snapshots = tuple(t for t, _ in propagate(psi, prop))
+    assert pair.times == dwell.times[1:] == snapshots == prop.record_times
+
+
 def test_dwell_time_requires_full_time_span():
     cfg = FAST_TRANSMISSION
     grid = cfg.grid()
-    whole = region_projector(grid, grid.x_min, grid.x_max)
+    whole = RegionProjector(grid, grid.x_min, grid.x_max)
     records = cfg.record_times()
     # records that stop before the duration leave the integral short
     with pytest.raises(ConfigError):
@@ -352,7 +367,7 @@ def test_forward_leg_dwell_matches_pair_trapezoid_oracle(scheme):
     bound is 1e-12 plus that drift; measured gaps 1.9e-12 and 4.0e-12."""
     cfg = replace(SMALL_SCENARIO, scheme=scheme)
     barrier = cfg.barrier()
-    region = region_projector(cfg.grid(), cfg.barrier_left, cfg.barrier_right)
+    region = RegionProjector(cfg.grid(), cfg.barrier_left, cfg.barrier_right)
     dwell = transmitted_dwell_time(cfg.packet(), cfg.propagator(), barrier,
                                    cfg.transmit_cut(), region)
     prop = cfg.propagator(record_times=dwell.times)
@@ -373,9 +388,9 @@ def test_free_crossing_dwell_matches_density_integral():
     times = tuple(2.5 * j for j in range(19))
     prop = PropagatorConfig(dt=cfg.dt, n_steps=45_000, record_times=times)
     snaps = propagate(psi, prop)
-    region = region_projector(grid, -5.0, 5.0)
+    region = RegionProjector(grid, -5.0, 5.0)
 
-    dwell = dwell_time(psi, region_projector(grid, grid.x_min, grid.x_max), prop, region)
+    dwell = dwell_time(psi, RegionProjector(grid, grid.x_min, grid.x_max), prop, region)
     assert dwell.times == times
     occupancy = [region_probability(region, s.psi) for s in snaps]
     oracle = float(np.trapezoid(occupancy, times))
