@@ -25,8 +25,9 @@ from weaktunnel.weakval import (barrier_occupation, transmitted_dwell_time,
 def main() -> None:
     cfg = TRANSMISSION_TRACE_SCENARIO
     barrier = cfg.barrier()
+    prop = cfg.propagator()
     # the pair's conditional values serve the occupation and the probes below
-    pair = transmitted_pair(cfg.packet(), cfg.propagator(), barrier, cfg.transmit_cut())
+    pair = transmitted_pair(cfg.packet(), prop, barrier, cfg.transmit_cut())
     print(f"transmission probability: {pair.postselect_prob:.6e}")
 
     occ = barrier_occupation(pair, barrier)
@@ -37,14 +38,13 @@ def main() -> None:
     print(f"\nworst middle-to-peak ratio: {occ.center_to_peak():.4f}")
 
     region = RegionProjector(cfg.grid(), barrier.x_left, barrier.x_right)
-    dwell = transmitted_dwell_time(cfg.packet(), cfg.propagator(), barrier,
-                                   cfg.transmit_cut(), region)
+    dwell = transmitted_dwell_time(cfg.packet(), prop, barrier, cfg.transmit_cut(), region)
     print(f"conditional barrier dwell: {dwell.time:.3f} of {cfg.duration:.0f} time units")
 
     # two weak probes in disjoint windows: the incident side early and the
     # transmitted side late are each near-certain, so both pointers shift by
     # the full probe strength while their difference stays quiet
-    records = cfg.record_times()
+    records = prop.record_times
     grid = cfg.grid()
     probe_a = WeakProbe(RegionProjector(grid, grid.x_min, barrier.x_left),
                         0.1, (records[1], records[5]))

@@ -17,8 +17,8 @@ JSON goes through ``json.dumps`` and every CSV cell through ``str``, so each
 float is written as Python's shortest round-trip decimal: it reads back to
 the same double, and any last-bit change of a result changes its text.
 
-Exit codes: 0 success, 2 invalid configuration (a non-finite number
-included), 3 numerical guard tripped, 4 output I/O failure.
+Exit codes: 0 success, 2 invalid configuration or input (an unreadable file
+or a non-finite number included), 3 numerical guard tripped, 4 output I/O failure.
 """
 
 from __future__ import annotations
@@ -199,7 +199,8 @@ def _cmd_two_probe(args) -> Run:
     cfg = ScenarioConfig.from_dict({**cfg.to_dict(), "pointer_delta": args.delta})
     barrier = cfg.barrier()
     grid = cfg.grid()
-    records = cfg.record_times()
+    prop = cfg.propagator()
+    records = prop.record_times
     if None in (args.window_a, args.window_b) and len(records) < 10:
         raise ConfigError("two-probe default windows need at least 10 recorded times")
 
@@ -219,7 +220,7 @@ def _cmd_two_probe(args) -> Run:
     # the windows read no record before the earliest start, so the pair's
     # backward leg stops there
     first = min(window_nodes(records, window)[0][0] for window in (window_a, window_b))
-    pair = transmitted_pair(cfg.packet(), cfg.propagator(record_times=records[first:]),
+    pair = transmitted_pair(cfg.packet(), cfg.propagator(prop.record_steps[first:]),
                             barrier, cfg.transmit_cut())
     run = two_probe_run(pair, probe_a, probe_b, cfg.pointer_sigma)
     wa, wb = run.window_values
@@ -330,6 +331,8 @@ def _cmd_corpuscle_sim(args) -> Run:
 def _read_samples(path: str) -> tuple[np.ndarray, np.ndarray]:
     try:
         table = np.loadtxt(path, delimiter=",", skiprows=1, usecols=(1, 2), ndmin=2)
+    except OSError as exc:
+        raise ConfigError(f"cannot read sample file {path}: {exc}") from exc
     except ValueError as exc:
         raise ConfigError(f"sample file {path} is not pair_index,a,b CSV: {exc}")
     return table[:, 0], table[:, 1]

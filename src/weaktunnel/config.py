@@ -11,6 +11,10 @@ point falls in [barrier_left, barrier_right), and the effective edges are
 the outer faces of those cells: on the default 4096-point grid 103 cells,
 faces at +-5.0293, width 10.0586.  The frozen transmit probabilities are
 those of this effective barrier.
+
+Time counts in steps of dt: record_steps() spreads n_record steps over the
+step grid, the last at n_steps, and propagator() hands them to a leg, which
+runs to its last record.
 """
 
 from __future__ import annotations
@@ -114,18 +118,19 @@ class ScenarioConfig:
             self.grid(), self.packet_center, self.packet_sigma, self.k0
         )
 
-    def record_times(self) -> tuple[float, ...]:
-        """n_record times on the step grid, as evenly spaced as it allows,
-        ending at the final time."""
+    def record_steps(self) -> tuple[int, ...]:
+        """n_record steps, as evenly spaced as the step grid allows, ending
+        at n_steps."""
         if self.n_record > self.n_steps:
             raise ConfigError("n_record exceeds n_steps")
-        return tuple((j * self.n_steps // self.n_record) * self.dt
-                     for j in range(1, self.n_record + 1))
+        return tuple(j * self.n_steps // self.n_record for j in range(1, self.n_record + 1))
 
-    def propagator(self, record_times: tuple[float, ...] | None = None) -> PropagatorConfig:
+    def propagator(self, record_steps: tuple[int, ...] | None = None) -> PropagatorConfig:
+        """The leg of this scenario, recording record_steps() unless told
+        which steps to record; it runs to the last of them."""
         return PropagatorConfig(
-            dt=self.dt, n_steps=self.n_steps, scheme=self.scheme,
-            record_times=self.record_times() if record_times is None else record_times,
+            dt=self.dt, scheme=self.scheme,
+            record_steps=self.record_steps() if record_steps is None else record_steps,
         )
 
     def transmit_cut(self) -> float:

@@ -11,7 +11,7 @@ each other:
     kick (Feit, Fleck & Steiger, J. Comput. Phys. 47, 412 (1982)), so the
     stepper carries the state before its pending exit kick and a record is
     a side copy with that kick applied; the carried state, and so every
-    later record, does not depend on which times are recorded.
+    later record, does not depend on which steps are recorded.
 
 ``implicit-fd``
     Crank-Nicolson (Cayley) stepping of a finite-difference Hamiltonian.
@@ -37,14 +37,14 @@ each other:
     algebra against a sparse LU of the full periodic operator.  The grid
     needs more than 16 points for the stencil to fit.
 
-PropagatorConfig puts its record times on the step grid (record_steps) by
-same_instant, the one rule for two times naming the same instant, and a leg
-counts in steps.  It steps a stack of rows at once, one batched FFT along
-the last axis (implicit-fd applies its barrier correction row by row), and
-stops at its last record.  Row 0 is the state; propagate_with_source adds a
-second row that collects a weighted region source at the record times and
-is read at the last record, so a conditional dwell needs one forward leg
-and no backward one.
+A leg is its record steps: PropagatorConfig takes the integer steps j to
+record, the leg runs from step 0 to the last of them (its n_steps) and
+returns its state at each, and record_times are j * dt, so no float time is
+rounded here.  A leg steps a stack of rows at once, one batched FFT along
+the last axis (implicit-fd applies its barrier correction row by row).  Row
+0 is the state; propagate_with_source adds a second row that collects a
+weighted region source at the record steps and is read at the last record,
+so a conditional dwell needs one forward leg and no backward one.
 
 Runtime guards watch row 0: probability reaching the domain edges, checked
 after every step (wrap-around would silently corrupt the run, and a packet
@@ -61,8 +61,8 @@ to every cell within one step, so the per-step edge check catches it there;
 a finite step is unitary up to roundoff, so norm drift builds up slowly
 enough to be checked at the records only.  Under split-step the edge guard
 reads the carried state before its exit kick; the kick is unimodular, so the
-cell magnitudes are the same up to roundoff.  Snapshots keep their global
-phase and are never renormalized.
+cell magnitudes are the same up to roundoff.  Recorded states keep their
+global phase and are never renormalized.
 
 scipy.fft is imported when a stepper is built, not with this module, so
 importing the package costs numpy alone; the stepper keeps the routines for
@@ -71,8 +71,9 @@ its steps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+import numbers
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -81,9 +82,7 @@ from .errors import ConfigError, EdgeDensityError, SchemeInstabilityError
 
 __all__ = [
     "SCHEMES",
-    "same_instant",
     "PropagatorConfig",
-    "Snapshot",
     "propagate",
     "propagate_backward",
     "propagate_with_source",
@@ -112,55 +111,42 @@ def _second_derivative_stencil(m: int) -> np.ndarray:
     return c
 
 
-def same_instant(a, b):
-    """Whether times a and b name the same instant: they differ by at most
-    1e-9 times the larger of 1, |a| and |b|.  Elementwise on arrays."""
-    return np.abs(a - b) <= 1e-9 * np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
-
-
-class Snapshot(NamedTuple):
-    t: float
-    psi: WaveFunction
-
-
 @dataclass(frozen=True)
 class PropagatorConfig:
-    """Time step, duration, scheme, and which times to record.
-
-    Each record time must be the same instant as a step j * dt with 0 <= j <=
-    n_steps; record_steps holds the j and record_times the j * dt.  Record
-    times are elapsed time along the run, forward and backward alike.
-    """
+    """Time step, record steps and scheme of a leg, which runs from step 0 to
+    its last record step, n_steps.  Record times j * dt are elapsed time
+    along the leg, forward and backward alike."""
 
     dt: float
-    n_steps: int
+    record_steps: tuple[int, ...]
     scheme: str = "spectral-split-step"
-    record_times: tuple[float, ...] = ()
-    record_steps: tuple[int, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if not 0 < self.dt < np.inf:  # NaN fails it too
             raise ConfigError(f"dt must be positive and finite, got {self.dt}")
-        if self.n_steps < 0:
-            raise ConfigError(f"n_steps must be non-negative, got {self.n_steps}")
         if self.scheme not in SCHEMES:
             raise ConfigError(f"unknown scheme {self.scheme!r}; choose from {SCHEMES}")
-        times = tuple(float(t) for t in self.record_times) or (self.duration,)
-        # a non-finite t / dt has no step; -1 sends it to the range check
-        steps = [round(q) if np.isfinite(q) else -1 for q in (t / self.dt for t in times)]
-        for t, j in zip(times, steps):
-            if not (same_instant(j * self.dt, t) and 0 <= j <= self.n_steps):
-                raise ConfigError(
-                    f"record time {t} is not a step multiple inside [0, {self.duration}]"
-                )
-        if sorted(steps) != steps or len(set(steps)) != len(steps):
-            raise ConfigError("record_times must be strictly increasing")
-        object.__setattr__(self, "record_times", tuple(j * self.dt for j in steps))
-        object.__setattr__(self, "record_steps", tuple(steps))
+        steps = tuple(self.record_steps)
+        # bool is an Integral but names no step; NaN and 2.5 are not Integral
+        whole = all(isinstance(j, numbers.Integral) and not isinstance(j, bool) for j in steps)
+        if not (steps and whole and steps[0] >= 0
+                and all(a < b for a, b in zip(steps, steps[1:]))):
+            raise ConfigError("record_steps must be one or more strictly increasing "
+                              f"non-negative integers, got {steps}")
+        object.__setattr__(self, "record_steps", tuple(int(j) for j in steps))
+
+    @property
+    def n_steps(self) -> int:
+        """The steps the leg takes: its last record step."""
+        return self.record_steps[-1]
 
     @property
     def duration(self) -> float:
         return self.n_steps * self.dt
+
+    @property
+    def record_times(self) -> tuple[float, ...]:
+        return tuple(j * self.dt for j in self.record_steps)
 
 
 def _potential(grid: Grid, barrier: BarrierSpec | None) -> np.ndarray:
@@ -267,9 +253,9 @@ def _make_stepper(scheme: str, grid: Grid, v: np.ndarray, dt: float):
 
 def _run(psi: WaveFunction, cfg: PropagatorConfig, barrier: BarrierSpec | None,
          dt_sign: float, source: tuple[np.ndarray, np.ndarray] | None = None,
-         ) -> tuple[list[Snapshot], np.ndarray]:
-    """Step the stack (psi, source row) to the last record and return psi's
-    snapshots and the stack there.  Only psi is guarded and recorded; a
+         ) -> tuple[list[WaveFunction], np.ndarray]:
+    """Step the stack (psi, source row) to the last record and return psi
+    at each record and the stack there.  Only psi is guarded and recorded; a
     source (mask, weights) adds weights[j] * mask * psi to the source row at
     the j-th record."""
     grid = psi.grid
@@ -281,7 +267,7 @@ def _run(psi: WaveFunction, cfg: PropagatorConfig, barrier: BarrierSpec | None,
     stepper = _make_stepper(cfg.scheme, grid, _potential(grid, barrier), dt_sign * cfg.dt)
 
     wanted = {step: j for j, step in enumerate(cfg.record_steps)}
-    out: list[Snapshot] = []
+    out: list[WaveFunction] = []
 
     def check_edge(step: int, amp: np.ndarray) -> None:
         head, tail = amp[:EDGE_CELLS], amp[-EDGE_CELLS:]
@@ -305,7 +291,7 @@ def _run(psi: WaveFunction, cfg: PropagatorConfig, barrier: BarrierSpec | None,
             raise SchemeInstabilityError(
                 f"norm drifted by {drift:.3e} after {step} steps of {cfg.scheme}"
             )
-        out.append(Snapshot(step * cfg.dt, state))
+        out.append(state)
         if source is not None:
             # the fused split-step kick is diagonal, so it commutes with the mask
             mask, weights = source
@@ -313,7 +299,7 @@ def _run(psi: WaveFunction, cfg: PropagatorConfig, barrier: BarrierSpec | None,
 
     x = np.zeros((1 if source is None else 2, grid.n), dtype=np.complex128)
     x[0] = psi.amp
-    for step in range(cfg.record_steps[-1] + 1):
+    for step in range(cfg.n_steps + 1):
         if step:
             x = stepper.step(x)
         check_edge(step, x[0])
@@ -323,23 +309,23 @@ def _run(psi: WaveFunction, cfg: PropagatorConfig, barrier: BarrierSpec | None,
 
 
 def propagate(psi: WaveFunction, cfg: PropagatorConfig,
-              barrier: BarrierSpec | None = None) -> list[Snapshot]:
-    """Evolve psi forward, returning snapshots at cfg.record_times.
+              barrier: BarrierSpec | None = None) -> list[WaveFunction]:
+    """Evolve psi forward cfg.n_steps steps, returning psi at each of
+    cfg.record_steps.
 
-    The leg stops at the last record time, which may fall short of the
-    duration.  The edge guard reads absolute probability, so a state of
-    norm below one may carry proportionally more relative edge weight.
+    The edge guard reads absolute probability, so a state of norm below one
+    may carry proportionally more relative edge weight.
     """
     return _run(psi, cfg, barrier, dt_sign=+1.0)[0]
 
 
 def propagate_backward(psi: WaveFunction, cfg: PropagatorConfig,
-                       barrier: BarrierSpec | None = None) -> list[Snapshot]:
-    """Evolve psi backward; snapshot times are elapsed backward time.
+                       barrier: BarrierSpec | None = None) -> list[WaveFunction]:
+    """Evolve psi backward cfg.n_steps steps; record steps count elapsed
+    backward steps.
 
-    Like propagate, the leg stops at the last record time.  Composing
-    propagate_backward after propagate with the same config recovers the
-    initial state up to the scheme's roundoff.
+    Composing propagate_backward after propagate with the same config
+    recovers the initial state up to the scheme's roundoff.
     """
     return _run(psi, cfg, barrier, dt_sign=-1.0)[0]
 
@@ -347,25 +333,24 @@ def propagate_backward(psi: WaveFunction, cfg: PropagatorConfig,
 def propagate_with_source(psi: WaveFunction, cfg: PropagatorConfig,
                           barrier: BarrierSpec | None, mask: np.ndarray,
                           weights: np.ndarray | Sequence[float],
-                          ) -> tuple[list[Snapshot], WaveFunction]:
+                          ) -> tuple[list[WaveFunction], WaveFunction]:
     """Evolve psi forward beside a source row phi, in the same steps.
 
     phi starts at zero and gains weights[j] * mask * psi(t_j) at the j-th of
     cfg.record_times t_j.  Like propagate, the leg stops at the last record
-    t_J, so phi is read at the instant of the last snapshot: returns psi's
-    snapshots and phi(t_J) = sum_j weights[j] U(t_J - t_j) mask psi(t_j).
+    t_J, so phi is read at the instant of psi's last record: returns psi at
+    each record and phi(t_J) = sum_j weights[j] U(t_J - t_j) mask psi(t_j).
     The guards watch psi alone.
     """
     weights = np.asarray(weights, dtype=np.float64)
-    if weights.shape != (len(cfg.record_times),):
+    if weights.shape != (len(cfg.record_steps),):
         raise ConfigError(
-            f"need one source weight per record time ({len(cfg.record_times)}), "
+            f"need one source weight per record step ({len(cfg.record_steps)}), "
             f"got shape {weights.shape}"
         )
     mask = np.asarray(mask, dtype=bool)
     if mask.shape != (psi.grid.n,):
         raise ConfigError(f"need one mask cell per grid point ({psi.grid.n}), "
                           f"got shape {mask.shape}")
-    snaps, last = _run(psi, cfg, barrier, dt_sign=+1.0,
-                       source=(mask, weights))
-    return snaps, WaveFunction(psi.grid, last[1])
+    states, last = _run(psi, cfg, barrier, dt_sign=+1.0, source=(mask, weights))
+    return states, WaveFunction(psi.grid, last[1])

@@ -17,27 +17,29 @@ of pointer.two_probe_run read one history per pre/post pair.  A
 post-selection is a region projector P (core.RegionProjector) on the grid of
 the prepared state: onto x >= cut for transmission (transmitted_pair), and
 onto the whole domain for the unconditioned history, since P U(T)|i> is then
-U(T)|i> itself.  Building a pair (make_pair) runs the forward leg from |i>
-once, applies P to its last snapshot, and runs the backward leg from the
-projected state once.  The bra is P U(T)|i> itself, not a renormalized copy,
-so <bra|ket> is the post-selection probability <i|U^dag P U|i> at every
-time.  At every recorded time the pair keeps the overlap and the
-cell-projector conditional values conj(bra(t)) ket(t) / <bra(t)|ket(t)>, not
-the states, so whoever builds the pair fixes the time resolution of its
-readouts.
+U(T)|i> itself.  A pair post-selects at its last record T: building it
+(make_pair) runs the forward leg from |i> once, applies P to its state at T,
+and runs the backward leg from the projected state once, back to the first
+record.  The bra is P U(T)|i> itself, not a renormalized copy, so <bra|ket>
+is the post-selection probability <i|U^dag P U|i> at every time.  At every
+recorded time the pair keeps the overlap and the cell-projector conditional
+values conj(bra(t)) ket(t) / <bra(t)|ket(t)>, not the states, so whoever
+builds the pair fixes the time resolution of its readouts.
 
 One window rule, window_nodes, serves every time integral of a conditional
 value: a window [t1, t2] must start and end on nodes of the time grid, by
-tdse.same_instant, and hold at least two, and the integral is the trapezoid
-over the nodes inside it.  A probe window (PrePostPair.window_value) reads
-the pair's records; the dwell clock (dwell_time, transmitted_dwell_time) is
-the window [0, T] over t=0 plus the records.  The dwell reads one forward
-leg and no backward one.  Beside the state the leg carries a source row that
-gains w_j * region * psi(t_j) at each node t_j, w_j its trapezoid weight;
-projecting the final state then gives the trapezoid of the conditional
-region weight as Re <P psi(T)|source(T)> / <P psi(T)|psi(T)>.  Every
-projector an engine is handed, post-selection or region, must live on the
-grid of the prepared state; anything else is refused before the first step.
+same_instant, and hold at least two, and the integral is the trapezoid over
+the nodes inside it.  Legs count in steps, so window ends are the only times
+same_instant places.  A probe window (PrePostPair.window_value) reads the
+pair's records; the dwell clock (dwell_time, transmitted_dwell_time) is the
+window [0, T] over step 0 plus the record steps.  The dwell reads one
+forward leg and no backward one.  Beside the state the leg carries a source
+row that gains w_j * region * psi(t_j) at each node t_j, w_j its trapezoid
+weight; projecting the final state then gives the trapezoid of the
+conditional region weight as Re <P psi(T)|source(T)> / <P psi(T)|psi(T)>.
+Every projector an engine is handed, post-selection or region, must live on
+the grid of the prepared state; anything else is refused before the first
+step.
 
 The post-selection probability enters as a denominator, so each engine
 checks it once against a floor (OVERLAP_FLOOR, 1e-12) below which
@@ -55,11 +57,11 @@ import numpy as np
 
 from .core import Grid, BarrierSpec, RegionProjector, WaveFunction
 from .errors import ConfigError, OverlapFloorError, SchemeInstabilityError
-from .tdse import (PropagatorConfig, propagate, propagate_backward, propagate_with_source,
-                   same_instant)
+from .tdse import PropagatorConfig, propagate, propagate_backward, propagate_with_source
 
 __all__ = [
     "OVERLAP_FLOOR",
+    "same_instant",
     "window_nodes",
     "PrePostPair",
     "BarrierOccupation",
@@ -88,11 +90,17 @@ def _check_region(region: RegionProjector, grid: Grid, role: str) -> None:
         raise ConfigError(f"{role} must be a RegionProjector on the grid {grid}")
 
 
+def same_instant(a, b):
+    """Whether times a and b name the same instant: they differ by at most
+    1e-9 times the larger of 1, |a| and |b|.  Elementwise on arrays."""
+    return np.abs(a - b) <= 1e-9 * np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
+
+
 def window_nodes(times, window: tuple[float, float]) -> tuple[np.ndarray, np.ndarray]:
     """Indices of the nodes in [t1, t2] and their trapezoid weights.
 
     The window must start and end on nodes, each end the same instant as its
-    node by tdse.same_instant, and hold at least two of them.
+    node by same_instant, and hold at least two of them.
     """
     t = np.asarray(times, dtype=float)
     t1, t2 = window
@@ -167,28 +175,25 @@ def _transmission(grid: Grid, barrier: BarrierSpec, cut: float) -> RegionProject
 
 def make_pair(initial: WaveFunction, post: RegionProjector, cfg: PropagatorConfig,
               barrier: BarrierSpec | None = None) -> PrePostPair:
-    """Pair a preparation with the post-selection onto a region, recording
-    their history at cfg.record_times.
+    """Pair a preparation with the post-selection onto a region at the last
+    record, recording their history at cfg.record_times.
 
     Runs the forward leg once, projects its last state with post, and runs
-    the backward leg from the projected state.  The forward leg records
-    cfg.record_times, plus the duration when the last record falls short of
-    it.  The post-selection probability is the norm squared of post
-    U(duration)|initial>; post-selecting on the whole domain gives the
+    the backward leg from the projected state, n_steps - j steps back to
+    each record j.  The post-selection probability is the norm squared of
+    post U(duration)|initial>; post-selecting on the whole domain gives the
     unconditioned history.
     """
     _check_region(post, initial.grid, "post-selection")
-    records, steps = cfg.record_times, cfg.record_steps
-    tail = (cfg.duration,) if steps[-1] < cfg.n_steps else ()
-    fwd = propagate(initial, replace(cfg, record_times=records + tail), barrier)
-    projected = post.apply(fwd[-1].psi)
+    fwd = propagate(initial, cfg, barrier)
+    projected = post.apply(fwd[-1])
     prob = projected.norm() ** 2
     _check_floor(prob)
 
-    back_times = tuple((cfg.n_steps - j) * cfg.dt for j in reversed(steps))
-    bwd = propagate_backward(projected, replace(cfg, record_times=back_times), barrier)
-    values = np.empty((len(records), initial.grid.n), dtype=complex)
-    for j, ((t, ket), (_, bra)) in enumerate(zip(fwd, reversed(bwd))):
+    back = tuple(cfg.n_steps - j for j in reversed(cfg.record_steps))
+    bwd = propagate_backward(projected, replace(cfg, record_steps=back), barrier)
+    values = np.empty((len(fwd), initial.grid.n), dtype=complex)
+    for j, (t, ket, bra) in enumerate(zip(cfg.record_times, fwd, reversed(bwd))):
         record_overlap = bra.inner(ket)
         _check_floor(abs(record_overlap))
         drift = abs(record_overlap - prob) / prob
@@ -199,7 +204,7 @@ def make_pair(initial: WaveFunction, post: RegionProjector, cfg: PropagatorConfi
             )
         values[j] = np.conj(bra.amp) * ket.amp / record_overlap
     values.flags.writeable = False
-    return PrePostPair(initial.grid, prob, records, values)
+    return PrePostPair(initial.grid, prob, cfg.record_times, values)
 
 
 def transmitted_pair(initial: WaveFunction, cfg: PropagatorConfig,
@@ -278,24 +283,23 @@ def dwell_time(initial: WaveFunction, post: RegionProjector, cfg: PropagatorConf
     """Time integral of Re of the conditional region weight over [0, duration],
     from one forward leg that carries a source row.
 
-    The trapezoid rule runs over t=0 and cfg.record_times, which must end at
-    the duration.  The leg adds w_j * region * psi(t_j) to the source row at
-    each node t_j, with w_j the trapezoid weights of the nodes, so at the
-    duration the row is phi = sum_j w_j U(T - t_j) region psi(t_j), and with
-    the projected state post psi(T) as bra, <post psi|phi> / <post psi|psi(T)>
-    is the trapezoid of the conditional region value without a backward leg.
-    Post-selecting on the whole domain gives the ordinary sojourn time
-    integral of the region probability; with region = whole domain it
-    returns the duration.
+    The trapezoid rule runs over step 0 and cfg.record_steps.  The leg adds
+    w_j * region * psi(t_j) to the source row at each node t_j, with w_j the
+    trapezoid weights of the nodes, so at the duration the row is phi = sum_j
+    w_j U(T - t_j) region psi(t_j), and with the projected state post psi(T)
+    as bra, <post psi|phi> / <post psi|psi(T)> is the trapezoid of the
+    conditional region value without a backward leg.  Post-selecting on the
+    whole domain gives the ordinary sojourn time integral of the region
+    probability; with region = whole domain it returns the duration.
     """
     _check_region(post, initial.grid, "post-selection")
     _check_region(region, initial.grid, "dwell region")
-    records = cfg.record_times
-    times = records if cfg.record_steps[0] == 0 else (0.0,) + records
-    _, weights = window_nodes(times, (0.0, cfg.duration))
-    snaps, source = propagate_with_source(initial, replace(cfg, record_times=times),
-                                          barrier, region.mask, weights)
-    evolved = snaps[-1].psi
+    steps = cfg.record_steps
+    nodes = replace(cfg, record_steps=steps if steps[0] == 0 else (0,) + steps)
+    times = nodes.record_times
+    _, weights = window_nodes(times, (0.0, nodes.duration))
+    states, source = propagate_with_source(initial, nodes, barrier, region.mask, weights)
+    evolved = states[-1]
     projected = post.apply(evolved)
     prob = projected.norm() ** 2
     _check_floor(prob)

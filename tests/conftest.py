@@ -101,9 +101,8 @@ def default_scheme_finals():
     psi = cfg.packet()
     finals = {}
     for scheme in ("spectral-split-step", "implicit-fd"):
-        prop = PropagatorConfig(dt=cfg.dt, n_steps=cfg.n_steps, scheme=scheme,
-                                record_times=(cfg.duration,))
-        (_, state), = propagate(psi, prop, barrier)
+        prop = PropagatorConfig(dt=cfg.dt, record_steps=(cfg.n_steps,), scheme=scheme)
+        state, = propagate(psi, prop, barrier)
         finals[scheme] = state
     return {"cfg": cfg, "finals": finals}
 

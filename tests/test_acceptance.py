@@ -137,14 +137,13 @@ def test_checklist_07_propagator_fidelity_and_cross_scheme_agreement(
     psi = gaussian_packet(grid, x0, sigma, k0)
     barrier = BarrierSpec.rectangular(-2.0, 2.0, 1.0)
     for scheme in ("spectral-split-step", "implicit-fd"):
-        free = PropagatorConfig(dt=0.01, n_steps=6000, scheme=scheme,
-                                record_times=(t,))
-        (_, final), = propagate(psi, free)
+        free = PropagatorConfig(dt=0.01, record_steps=(6000,), scheme=scheme)
+        final, = propagate(psi, free)
         assert expectation_x(final) == pytest.approx(x0 + k0 * t, rel=1e-4)
         assert variance_x(final) == pytest.approx(
             sigma**2 + t**2 / (4.0 * sigma**2), rel=1e-4)
-        walled = PropagatorConfig(dt=0.002, n_steps=10_000, scheme=scheme)
-        (_, thru), = propagate(psi, walled, barrier)
+        walled = PropagatorConfig(dt=0.002, record_steps=(10_000,), scheme=scheme)
+        thru, = propagate(psi, walled, barrier)
         assert abs(thru.norm() - 1.0) <= 1e-8
     finals = default_scheme_finals["finals"]
     dx = default_scheme_finals["cfg"].grid().dx

@@ -234,10 +234,11 @@ def test_dwell_records_end_at_the_duration_when_n_record_does_not_divide_n_steps
                  "--out", str(out)]) == 0
     assert read_json(out, "dwell.json")["n_record"] == 11
     uneven = replace(TRANSMISSION_TRACE_SCENARIO, dt=0.05, n_steps=401, n_record=10)
-    assert uneven.record_times()[-1] == uneven.duration
-    # when n_record divides n_steps the records are the evenly spaced j * step * dt
+    assert uneven.record_steps()[-1] == uneven.n_steps
+    assert uneven.propagator().duration == uneven.duration
+    # when n_record divides n_steps the records are the evenly spaced j * step
     even = replace(uneven, n_steps=400)
-    assert even.record_times() == tuple(j * 40 * 0.05 for j in range(1, 11))
+    assert even.record_steps() == tuple(j * 40 for j in range(1, 11))
 
 
 @pytest.mark.parametrize("argv", [
@@ -386,8 +387,11 @@ def test_exit_code_2_on_bad_input(tmp_path):
     assert main(["fig2", "--set", "n_record", "--out", out]) == 2
     assert main(["variance", "--config", str(tmp_path / "missing.json"),
                  "--out", out]) == 2
+    # an unreadable input is bad input, like an unreadable --config; exit 4
+    # is for output failures
     assert main(["corpuscle-test", "--input", str(tmp_path / "nope.csv"),
-                 "--out", out]) == 4  # os error surfaces as i/o, not config
+                 "--out", out]) == 2
+    assert main(["corpuscle-test", "--input", str(tmp_path), "--out", out]) == 2
     spoilt = tmp_path / "nan.csv"
     spoilt.write_text("pair_index,a,b\n" + "".join(
         f"{i},{'nan' if i == 7 else i % 3},0.5\n" for i in range(200)))

@@ -93,7 +93,7 @@ def test_a_leg_of_either_scheme_loads_fft_not_linalg(tmp_path, scheme):
         "from weaktunnel.core import Grid, gaussian_packet\n"
         "from weaktunnel.tdse import PropagatorConfig, propagate\n"
         "psi = gaussian_packet(Grid.from_domain(-64.0, 64.0, 256), 0.0, 4.0, 0.5)\n"
-        f"propagate(psi, PropagatorConfig(dt=0.01, n_steps=2, scheme={scheme!r}))\n"
+        f"propagate(psi, PropagatorConfig(dt=0.01, record_steps=(2,), scheme={scheme!r}))\n"
     )
     modules = scipy_modules_after(code, tmp_path)
     assert "scipy.fft" in modules

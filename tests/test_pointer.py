@@ -217,7 +217,7 @@ def _tiny_free_pair():
         packet_center=-10.0, packet_sigma=4.0, packet_energy=0.5,
         dt=0.01, n_steps=100, n_record=4,
     )
-    prop = cfg.propagator(record_times=(0.0, 0.25, 0.5, 0.75, 1.0))
+    prop = cfg.propagator((0, 25, 50, 75, 100))
     grid = cfg.grid()
     return cfg, make_pair(cfg.packet(), RegionProjector(grid, grid.x_min, grid.x_max), prop)
 
@@ -248,8 +248,7 @@ def test_unconditioned_probe_shift_matches_density_integral():
     strength times the window-averaged probability in the region."""
     cfg = SMALL_SCENARIO
     barrier = cfg.barrier()
-    times = (0.0,) + cfg.record_times()
-    prop = cfg.propagator(record_times=times)
+    prop = cfg.propagator((0,) + cfg.record_steps())
     psi = cfg.packet()
     snaps = propagate(psi, prop, barrier)
     grid = cfg.grid()
@@ -265,11 +264,11 @@ def test_unconditioned_probe_shift_matches_density_integral():
     run = two_probe_run(pair, WeakProbe(proj_in, delta, win_a),
                         WeakProbe(proj_out, delta, win_b), pointer_sigma=1.0)
 
-    t = np.array([s.t for s in snaps])
+    t = np.array(prop.record_times)
     for shift, proj, (t1, t2) in ((run.mean_shift_a, proj_in, win_a),
                                   (run.mean_shift_b, proj_out, win_b)):
         inside = (t >= t1) & (t <= t2)
-        occ = np.array([region_probability(proj, snaps[j].psi)
+        occ = np.array([region_probability(proj, snaps[j])
                         for j in np.where(inside)[0]])
         want = delta * np.trapezoid(occ, t[inside]) / (t2 - t1)
         assert shift == pytest.approx(want, rel=1e-6)
@@ -289,7 +288,7 @@ def window_average_oracle(pair, region, window):
 def test_window_values_match_trapezoid_oracle(small_pair):
     cfg, pair = small_pair["cfg"], small_pair["pair"]
     grid = cfg.grid()
-    records = cfg.record_times()
+    records = cfg.propagator().record_times
     probe_a = WeakProbe(RegionProjector(grid, grid.x_min, cfg.barrier_left), 0.02,
                         (records[0], records[4]))
     probe_b = WeakProbe(RegionProjector(grid, cfg.barrier_left, cfg.barrier_right),
@@ -304,7 +303,8 @@ def test_opposite_sign_probes_cancel(small_pair):
     cfg, pair = small_pair["cfg"], small_pair["pair"]
     grid = cfg.grid()
     proj = RegionProjector(grid, cfg.barrier_left, cfg.barrier_right)
-    window = (cfg.record_times()[2], cfg.record_times()[6])
+    records = cfg.propagator().record_times
+    window = (records[2], records[6])
     plus = WeakProbe(proj, 0.02, window, sign=+1)
     minus = WeakProbe(proj, 0.02, window, sign=-1)
     run = two_probe_run(pair, plus, minus, pointer_sigma=1.0)

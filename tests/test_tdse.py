@@ -2,7 +2,7 @@
 time-reversal symmetry of the transition amplitude, a momentum-resolved transmission oracle through a thin barrier, and a sparse
 Crank-Nicolson oracle across the periodic wrap."""
 
-from dataclasses import replace
+from dataclasses import fields, replace
 from math import factorial
 
 import numpy as np
@@ -40,8 +40,8 @@ def energy_expectation(psi, barrier=None):
 def test_free_packet_follows_analytic_dispersion(scheme):
     x0, sigma, k0, t = -40.0, 6.0, 0.5, 60.0
     psi = free_packet(k0, x0, sigma)
-    cfg = PropagatorConfig(dt=0.01, n_steps=6000, scheme=scheme, record_times=(t,))
-    (_, final), = propagate(psi, cfg)
+    cfg = PropagatorConfig(dt=0.01, record_steps=(6000,), scheme=scheme)
+    final, = propagate(psi, cfg)
     assert expectation_x(final) == pytest.approx(x0 + k0 * t, rel=1e-4)
     var_t = sigma**2 + t**2 / (4.0 * sigma**2)
     assert variance_x(final) == pytest.approx(var_t, rel=1e-4)
@@ -51,8 +51,8 @@ def test_free_packet_follows_analytic_dispersion(scheme):
 def test_norm_drift_stays_below_budget(scheme):
     psi = free_packet()
     barrier = BarrierSpec.rectangular(-2.0, 2.0, 1.0)
-    cfg = PropagatorConfig(dt=0.002, n_steps=10_000, scheme=scheme)
-    (_, final), = propagate(psi, cfg, barrier)
+    cfg = PropagatorConfig(dt=0.002, record_steps=(10_000,), scheme=scheme)
+    final, = propagate(psi, cfg, barrier)
     assert abs(final.norm() - 1.0) <= 1e-8
 
 
@@ -60,9 +60,9 @@ def test_norm_drift_stays_below_budget(scheme):
 def test_forward_then_backward_recovers_initial_state(scheme):
     psi = free_packet(k0=0.8)
     barrier = BarrierSpec.rectangular(-2.0, 2.0, 1.0)
-    cfg = PropagatorConfig(dt=0.005, n_steps=4000, scheme=scheme)
-    (_, final), = propagate(psi, cfg, barrier)
-    (_, back), = propagate_backward(final, cfg, barrier)
+    cfg = PropagatorConfig(dt=0.005, record_steps=(4000,), scheme=scheme)
+    final, = propagate(psi, cfg, barrier)
+    back, = propagate_backward(final, cfg, barrier)
     l2 = np.sqrt(np.sum(np.abs(back.amp - psi.amp) ** 2) * FREE_GRID.dx)
     assert l2 < 1e-9
 
@@ -75,9 +75,9 @@ def test_transition_amplitude_is_time_reversal_symmetric(scheme):
     barrier = cfg.barrier()
     psi = cfg.packet()
     target = gaussian_packet(cfg.grid(), 15.0, 4.0, cfg.k0)
-    end = cfg.propagator(record_times=())
-    (_, evolved), = propagate(psi, end, barrier)
-    (_, flipped_evolved), = propagate(WaveFunction(cfg.grid(), np.conj(target.amp)), end, barrier)
+    end = cfg.propagator((cfg.n_steps,))
+    evolved, = propagate(psi, end, barrier)
+    flipped_evolved, = propagate(WaveFunction(cfg.grid(), np.conj(target.amp)), end, barrier)
     amplitude = target.inner(evolved)
     flipped = WaveFunction(cfg.grid(), np.conj(psi.amp)).inner(flipped_evolved)
     assert abs(flipped - amplitude) <= 1e-9 * abs(amplitude)
@@ -85,38 +85,42 @@ def test_transition_amplitude_is_time_reversal_symmetric(scheme):
 
 def test_time_zero_record_is_the_initial_state():
     psi = free_packet()
-    cfg = PropagatorConfig(dt=0.01, n_steps=100, record_times=(0.0, 0.5, 1.0))
-    snaps = propagate(psi, cfg)
-    assert [s.t for s in snaps] == [0.0, 0.5, 1.0]
-    assert np.array_equal(snaps[0].psi.amp, psi.amp)
+    cfg = PropagatorConfig(dt=0.01, record_steps=(0, 50, 100))
+    states = propagate(psi, cfg)
+    assert cfg.record_times == (0.0, 0.5, 1.0)
+    assert len(states) == 3
+    assert np.array_equal(states[0].amp, psi.amp)
 
 
 def test_record_time_validation():
-    with pytest.raises(ConfigError):
-        PropagatorConfig(dt=0.01, n_steps=100, record_times=(0.005,))
-    with pytest.raises(ConfigError):
-        PropagatorConfig(dt=0.01, n_steps=100, record_times=(2.0,))
-    with pytest.raises(ConfigError):
-        PropagatorConfig(dt=0.01, n_steps=100, record_times=(0.5, 0.2))
-    with pytest.raises(ConfigError):
-        PropagatorConfig(dt=0.01, n_steps=100, record_times=(0.5, 0.5))
-    for t in (float("nan"), float("inf"), -float("inf")):
+    """A leg's one time input is its record steps: at least one, each a
+    non-negative integer, strictly increasing.  A float, a string, a bool or
+    NaN names no step; numpy integers do and are stored as int."""
+    for steps in [(), (-1,), (2.5,), ("3",), (True,), (float("nan"),), (3, 3), (5, 2)]:
         with pytest.raises(ConfigError):
-            PropagatorConfig(dt=0.1, n_steps=10, record_times=(t,))
-    with pytest.raises(ConfigError):
-        PropagatorConfig(dt=-0.01, n_steps=100)
+            PropagatorConfig(dt=0.01, record_steps=steps)
+    for dt in (0.0, -0.01, float("nan")):
+        with pytest.raises(ConfigError):
+            PropagatorConfig(dt=dt, record_steps=(10,))
     for dt in (float("nan"), float("inf")):
         with pytest.raises(ConfigError, match="finite"):
-            PropagatorConfig(dt=dt, n_steps=100)
+            PropagatorConfig(dt=dt, record_steps=(10,))
     with pytest.raises(ConfigError):
-        PropagatorConfig(dt=0.01, n_steps=-1)
-    with pytest.raises(ConfigError):
-        PropagatorConfig(dt=0.01, n_steps=100, scheme="leapfrog")
+        PropagatorConfig(dt=0.01, record_steps=(10,), scheme="leapfrog")
+
+    cfg = PropagatorConfig(dt=0.01, record_steps=tuple(np.array([0, 3, 7])))
+    assert cfg.record_steps == (0, 3, 7)
+    assert all(type(j) is int for j in cfg.record_steps)
+    assert (cfg.n_steps, cfg.duration, cfg.record_times) == (7, 7 * 0.01, (0.0, 0.03, 0.07))
+    # n_steps, duration and record_times derive from the steps; none is set
+    assert [f.name for f in fields(PropagatorConfig)] == ["dt", "record_steps", "scheme"]
+    with pytest.raises(TypeError):
+        PropagatorConfig(dt=0.01, record_steps=(10,), n_steps=10)
 
 
 def test_edge_density_guard_fires():
     psi = gaussian_packet(FREE_GRID, 80.0, 6.0, 1.0)
-    cfg = PropagatorConfig(dt=0.01, n_steps=6000, record_times=(20.0, 60.0))
+    cfg = PropagatorConfig(dt=0.01, record_steps=(2000, 6000))
     with pytest.raises(EdgeDensityError):
         propagate(psi, cfg)
 
@@ -124,15 +128,15 @@ def test_edge_density_guard_fires():
 @pytest.mark.parametrize("inside, outside", [(1, EDGE_CELLS), (-2, -1 - EDGE_CELLS)])
 def test_edge_guard_watches_the_outermost_cells_at_step_zero(inside, outside):
     """The guard reads the EDGE_CELLS cells at each end before the first step."""
-    cfg = PropagatorConfig(dt=0.01, n_steps=0)
+    cfg = PropagatorConfig(dt=0.01, record_steps=(0,))
     amp = np.zeros(FREE_GRID.n, dtype=np.complex128)
     amp[inside] = 1.0
     with pytest.raises(EdgeDensityError, match=r"t=0\.0;"):
         propagate(WaveFunction(FREE_GRID, amp), cfg)
     amp = np.zeros(FREE_GRID.n, dtype=np.complex128)
     amp[outside] = 1.0
-    (snap,) = propagate(WaveFunction(FREE_GRID, amp), cfg)
-    assert np.array_equal(snap.psi.amp, amp)
+    (state,) = propagate(WaveFunction(FREE_GRID, amp), cfg)
+    assert np.array_equal(state.amp, amp)
 
 
 def test_edge_guard_catches_wrap_around_between_records():
@@ -140,7 +144,7 @@ def test_edge_guard_catches_wrap_around_between_records():
     start before the only record must still trip the edge guard."""
     grid = Grid.from_domain(-64.0, 64.0, 512)
     psi = gaussian_packet(grid, 0.0, 4.0, 3.0)
-    cfg = PropagatorConfig(dt=0.01, n_steps=4267)
+    cfg = PropagatorConfig(dt=0.01, record_steps=(4267,))
     with pytest.raises(EdgeDensityError, match="t=12.91"):
         propagate(psi, cfg)
 
@@ -155,13 +159,13 @@ def test_edge_guard_reads_absolute_weight_whatever_the_norm(norm_sq, factor, tri
     amp = bulk.astype(np.complex128)
     amp[0] = np.sqrt(factor * tdse.EDGE_PROBABILITY_LIMIT / FREE_GRID.dx)
     psi = WaveFunction(FREE_GRID, amp)
-    cfg = PropagatorConfig(dt=0.01, n_steps=0)
+    cfg = PropagatorConfig(dt=0.01, record_steps=(0,))
     if trips:
         with pytest.raises(EdgeDensityError, match=r"t=0\.0;"):
             propagate(psi, cfg)
     else:
-        (snap,) = propagate(psi, cfg)
-        assert np.array_equal(snap.psi.amp, amp)
+        (state,) = propagate(psi, cfg)
+        assert np.array_equal(state.amp, amp)
 
 
 def test_cross_scheme_agreement_on_default_scenario(default_scheme_finals):
@@ -178,8 +182,8 @@ def test_thin_barrier_transmission_matches_momentum_composition():
     grid = Grid.from_domain(-256.0, 256.0, 2048)
     barrier = BarrierSpec.rectangular(-1.0, 1.0, 1.0)
     psi = gaussian_packet(grid, -60.0, 10.0, 1.0)
-    cfg = PropagatorConfig(dt=0.0025, n_steps=48_000)  # records only t=120
-    (_, final), = propagate(psi, cfg, barrier)
+    cfg = PropagatorConfig(dt=0.0025, record_steps=(48_000,))  # records only t=120
+    final, = propagate(psi, cfg, barrier)
 
     measured = float(np.sum(density(final)[grid.x >= 1.0]) * grid.dx)
 
@@ -248,8 +252,8 @@ def assert_matches_sparse_oracle(run, sign, barrier):
     psi = WaveFunction(grid, np.roll(centred.amp, grid.n // 2))
     n_steps = 200
     for dt in (0.02, 0.5, 5.0):
-        cfg = PropagatorConfig(dt=dt, n_steps=n_steps, scheme="implicit-fd")
-        (_, final), = run(psi, cfg, barrier)
+        cfg = PropagatorConfig(dt=dt, record_steps=(n_steps,), scheme="implicit-fd")
+        final, = run(psi, cfg, barrier)
         expected = sparse_crank_nicolson(psi, barrier, sign * dt, n_steps)
         l2 = np.sqrt(np.sum(np.abs(final.amp - expected) ** 2) * grid.dx)
         assert l2 <= 1e-12, f"dt={dt}: L2 gap {l2:.3e}"
@@ -286,7 +290,7 @@ def test_implicit_fd_transmit_probability_is_pinned():
     FFT solve sits 1.1e-15 relative away from it."""
     cfg = replace(SMALL_SCENARIO, dt=0.02, n_steps=1750, scheme="implicit-fd")
     grid = cfg.grid()
-    (_, final), = propagate(cfg.packet(), cfg.propagator(record_times=()), cfg.barrier())
+    final, = propagate(cfg.packet(), cfg.propagator((cfg.n_steps,)), cfg.barrier())
     transmitted = RegionProjector(grid, cfg.transmit_cut(), grid.x_max).apply(final)
     assert transmitted.norm() ** 2 == pytest.approx(0.0023647107239550924, rel=1e-9)
 
@@ -297,7 +301,7 @@ def test_implicit_fd_rejects_grids_too_small_for_the_stencil(monkeypatch):
     monkeypatch.setattr(tdse, "EDGE_PROBABILITY_LIMIT", np.inf)
     grid = Grid.from_domain(-8.0, 8.0, 2 * STENCIL_HALF_WIDTH)
     psi = WaveFunction(grid, np.exp(-grid.x**2 / 8.0))
-    cfg = PropagatorConfig(dt=0.01, n_steps=1, scheme="implicit-fd")
+    cfg = PropagatorConfig(dt=0.01, record_steps=(1,), scheme="implicit-fd")
     with pytest.raises(ConfigError, match="more than 16 grid points"):
         propagate(psi, cfg)
     propagate(psi, replace(cfg, scheme="spectral-split-step"))
@@ -328,21 +332,18 @@ def test_source_row_collects_the_weighted_region_history(scheme, monkeypatch):
     rebuilt here from one standalone leg per record."""
     psi = free_packet(k0=1.0, x0=-10.0)
     mask = (FREE_GRID.x >= -5.0) & (FREE_GRID.x < 5.0)
-    cfg = PropagatorConfig(dt=0.01, n_steps=1000, scheme=scheme,
-                           record_times=(0.0, 4.0, 10.0))
+    cfg = PropagatorConfig(dt=0.01, record_steps=(0, 400, 1000), scheme=scheme)
     weights = (0.5, -2.0, 3.0)
-    snaps, phi = propagate_with_source(psi, cfg, None, mask, weights)
-    assert [s.t for s in snaps] == [0.0, 4.0, 10.0]
-    for snap, plain in zip(snaps, propagate(psi, cfg), strict=True):
-        assert np.array_equal(snap.psi.amp, plain.psi.amp)
+    states, phi = propagate_with_source(psi, cfg, None, mask, weights)
+    for state, plain in zip(states, propagate(psi, cfg), strict=True):
+        assert np.array_equal(state.amp, plain.amp)
     expected = np.zeros(FREE_GRID.n, dtype=np.complex128)
     # the guards watch psi alone, not the source row, so the oracle's legs
     # from the masked states run unguarded too
     monkeypatch.setattr(tdse, "EDGE_PROBABILITY_LIMIT", np.inf)
-    for w, (t, state) in zip(weights, snaps):
-        rest = replace(cfg, n_steps=round((cfg.duration - t) / cfg.dt), record_times=())
-        (_, moved), = propagate(WaveFunction(FREE_GRID, w * np.where(mask, state.amp, 0.0)),
-                                rest)
+    for w, j, state in zip(weights, cfg.record_steps, states):
+        rest = replace(cfg, record_steps=(cfg.n_steps - j,))
+        moved, = propagate(WaveFunction(FREE_GRID, w * np.where(mask, state.amp, 0.0)), rest)
         expected += moved.amp
     assert np.max(np.abs(phi.amp - expected)) <= 1e-12 * np.max(np.abs(expected))
     with pytest.raises(ConfigError):
@@ -353,15 +354,16 @@ def test_source_row_collects_the_weighted_region_history(scheme, monkeypatch):
 
 @pytest.mark.parametrize("scheme", ["spectral-split-step", "implicit-fd"])
 def test_a_leg_stops_at_its_last_record(monkeypatch, scheme):
-    """A leg whose records end at 0.6 of a 1.0 run takes 60 steps, not 100,
-    backward, forward, and with a source row, whose phi is read at 0.6."""
+    """A leg recording steps 20 and 60 takes n_steps = 60 steps and returns
+    two states, backward, forward, and with a source row, whose phi is read
+    at step 60."""
     steps = []
     patch_steps(monkeypatch, lambda x: steps.append(1))
     psi = free_packet()
-    cfg = PropagatorConfig(dt=0.01, n_steps=100, scheme=scheme, record_times=(0.2, 0.6))
-    snaps = propagate_backward(psi, cfg)
+    cfg = PropagatorConfig(dt=0.01, record_steps=(20, 60), scheme=scheme)
+    assert cfg.n_steps == 60
+    assert len(propagate_backward(psi, cfg)) == 2
     assert len(steps) == 60
-    assert [s.t for s in snaps] == [0.2, 0.6]
     steps.clear()
     propagate(psi, cfg)
     assert len(steps) == 60
@@ -385,7 +387,7 @@ def test_nan_after_the_first_step_trips_a_guard(monkeypatch, cell, error, messag
         x[0, cell] = np.nan
 
     patch_steps(monkeypatch, poison)
-    cfg = PropagatorConfig(dt=0.01, n_steps=10, record_times=(0.01, 0.1))
+    cfg = PropagatorConfig(dt=0.01, record_steps=(1, 10))
     with pytest.raises(error, match=message):
         propagate(free_packet(), cfg)
 
@@ -404,7 +406,7 @@ def test_interior_nan_between_records_is_a_scheme_failure(monkeypatch, scheme):
             x[0, FREE_GRID.n // 2] = np.nan
 
     patch_steps(monkeypatch, poison)
-    cfg = PropagatorConfig(dt=0.01, n_steps=10, scheme=scheme, record_times=(0.01, 0.1))
+    cfg = PropagatorConfig(dt=0.01, record_steps=(1, 10), scheme=scheme)
     with pytest.raises(SchemeInstabilityError,
                        match=rf"non-finite amplitude .* after 6 steps of {scheme} \(t=0\.06\)"):
         propagate(free_packet(), cfg)
@@ -413,6 +415,6 @@ def test_interior_nan_between_records_is_a_scheme_failure(monkeypatch, scheme):
 def test_non_finite_initial_state_is_rejected():
     amp = free_packet().amp.copy()
     amp[FREE_GRID.n // 2] = np.inf
-    cfg = PropagatorConfig(dt=0.01, n_steps=10)
+    cfg = PropagatorConfig(dt=0.01, record_steps=(10,))
     with pytest.raises(ConfigError, match="non-finite"):
         propagate(WaveFunction(FREE_GRID, amp), cfg)

@@ -47,10 +47,10 @@ def standalone_legs(psi, final, prop, barrier):
     """(ket, bra) at every record of prop, from a forward leg from psi and a
     backward leg from final, each run on its own."""
     kets = propagate(psi, prop, barrier)
-    back = replace(prop, record_times=tuple(prop.duration - t
-                                            for t in reversed(prop.record_times)))
+    back = replace(prop, record_steps=tuple(prop.n_steps - j
+                                            for j in reversed(prop.record_steps)))
     bras = reversed(propagate_backward(final, back, barrier))
-    return [(ket, bra) for (_, ket), (_, bra) in zip(kets, bras, strict=True)]
+    return list(zip(kets, bras, strict=True))
 
 
 def standalone_values(psi, final, prop, barrier):
@@ -62,7 +62,7 @@ def standalone_values(psi, final, prop, barrier):
 def transmitted_final(psi, cfg):
     """The evolved state projected beyond the cut at the duration: the bra
     transmitted_pair's backward leg starts from."""
-    (_, evolved), = propagate(psi, cfg.propagator(record_times=()), cfg.barrier())
+    evolved, = propagate(psi, cfg.propagator((cfg.n_steps,)), cfg.barrier())
     beyond = RegionProjector(cfg.grid(), cfg.transmit_cut(), cfg.x_max)
     return beyond.apply(evolved)
 
@@ -128,13 +128,13 @@ def test_moment_order_and_floor_guards():
 @pytest.mark.parametrize("rel, same", [(0.5e-9, True), (-0.5e-9, True),
                                        (2e-9, False), (-2e-9, False)])
 def test_record_steps_and_window_ends_share_one_time_rule(rel, same):
-    """A time 4 * (1 + rel) names the record at t=4 for the propagator and
-    for either end of a window alike: at 0.5e-9 relative, and not at 2e-9."""
+    """A time 4 * (1 + rel) names the record at t=4 for either end of a
+    window alike: at 0.5e-9 relative, and not at 2e-9.  A leg takes its
+    record steps as integers, so window ends are the one float time that
+    must name a record."""
     t = 4.0 * (1.0 + rel)
     times = (2.0, 4.0, 6.0)
     uses = [
-        (lambda: PropagatorConfig(dt=0.05, n_steps=120, record_times=(t,)).record_steps,
-         (80,)),
         (lambda: window_nodes(times, (t, 6.0))[0].tolist(), [1, 2]),
         (lambda: window_nodes(times, (2.0, t))[0].tolist(), [0, 1]),
     ]
@@ -153,7 +153,7 @@ def test_make_pair_rejects_orthogonal_postselection():
     cfg = replace(SMALL_SCENARIO, n_steps=100)
     psi = gaussian_packet(cfg.grid(), -20.0, 4.0, 1.0)
     far = RegionProjector(cfg.grid(), 150.0, 200.0)
-    prop = cfg.propagator(record_times=(cfg.duration,))
+    prop = cfg.propagator((cfg.n_steps,))
     with pytest.raises(OverlapFloorError, match="post-selection probability"):
         make_pair(psi, far, prop, cfg.barrier())
 
@@ -211,10 +211,10 @@ def test_one_forward_and_one_backward_leg_per_pair(builder, monkeypatch):
     legs run on their own, bit for bit."""
     cfg = FAST_TRANSMISSION
     barrier = cfg.barrier()
-    prop = cfg.propagator(record_times=(0.0,) + cfg.record_times())
+    prop = cfg.propagator((0,) + cfg.record_steps())
     psi = cfg.packet()
     standalone = propagate(psi, prop, barrier)
-    final = standalone[-1].psi
+    final = standalone[-1]
     grid = cfg.grid()
     bra = transmitted_final(psi, cfg) if builder == "transmitted" else final
     want = standalone_values(psi, bra, prop, barrier)
@@ -233,7 +233,7 @@ def test_one_forward_and_one_backward_leg_per_pair(builder, monkeypatch):
     two_probe_run(pair, probe, probe, pointer_sigma=1.0)
     assert legs == {"forward": 1, "backward": 1}
 
-    assert pair.times == tuple(s.t for s in standalone)
+    assert pair.times == prop.record_times
     assert np.array_equal(pair.values, want)
     assert not pair.values.flags.writeable
 
@@ -257,20 +257,31 @@ def test_dwell_runs_one_forward_leg_and_no_backward_leg(builder, monkeypatch):
     assert legs == {"propagate_with_source": 1}
 
 
-def test_records_may_stop_before_the_post_selection():
-    """The forward leg still reaches the post-selection time when the record
-    grid ends early, and the shared records come out bit for bit the same."""
+def test_every_leg_runs_the_n_steps_of_its_config(monkeypatch):
+    """A leg takes exactly cfg.n_steps steps, so a count read off the config
+    each leg receives is the count taken.  Records at steps 40, 80, ..., 400:
+    the pair's forward leg takes 400 and its backward leg 360, back to the
+    first record, and the dwell's source leg 400."""
     cfg = FAST_TRANSMISSION
     barrier = cfg.barrier()
-    full = transmitted_pair(cfg.packet(), cfg.propagator(), barrier, cfg.transmit_cut())
-    early = transmitted_pair(cfg.packet(), cfg.propagator(record_times=full.times[:3]),
-                             barrier, cfg.transmit_cut())
-    assert early.times == full.times[:3]
-    assert early.postselect_prob == full.postselect_prob
-    prop = cfg.propagator(record_times=early.times)
-    want = standalone_values(cfg.packet(), transmitted_final(cfg.packet(), cfg), prop, barrier)
-    assert np.array_equal(early.values, want)
-    assert np.array_equal(early.values, full.values[:3])
+    region = RegionProjector(cfg.grid(), cfg.barrier_left, cfg.barrier_right)
+    steps, legs = [], []
+    patch_steps(monkeypatch, lambda x: steps.append(1))
+
+    def measured(fn):
+        def wrapper(psi, leg, *args):
+            taken = len(steps)
+            result = fn(psi, leg, *args)
+            legs.append((fn.__name__, leg.n_steps, len(steps) - taken))
+            return result
+        return wrapper
+
+    for name in ("propagate", "propagate_backward", "propagate_with_source"):
+        monkeypatch.setattr(weakval, name, measured(getattr(weakval, name)))
+    transmitted_pair(cfg.packet(), cfg.propagator(), barrier, cfg.transmit_cut())
+    transmitted_dwell_time(cfg.packet(), cfg.propagator(), barrier, cfg.transmit_cut(), region)
+    assert legs == [("propagate", 400, 400), ("propagate_backward", 360, 360),
+                    ("propagate_with_source", 400, 400)]
 
 
 def test_implicit_fd_dwell_and_center_to_peak_are_pinned():
@@ -305,12 +316,12 @@ def test_conditional_distribution_completeness(small_pair):
 def test_unconditioned_distribution_reduces_to_density():
     cfg = SMALL_SCENARIO
     barrier = cfg.barrier()
-    prop = cfg.propagator(record_times=(0.0, 17.5, 35.0))
+    prop = cfg.propagator((0, 17_500, 35_000))
     psi = cfg.packet()
     snaps = propagate(psi, prop, barrier)
     grid = cfg.grid()
     pair = make_pair(psi, RegionProjector(grid, grid.x_min, grid.x_max), prop, barrier)
-    for j, (_, state) in enumerate(snaps):
+    for j, state in enumerate(snaps):
         assert np.max(np.abs(pair.values.real[j] - density(state))) <= 1e-6
         assert np.max(np.abs(pair.values.imag[j])) <= 1e-6
 
@@ -321,39 +332,36 @@ def test_dwell_time_whole_domain_is_the_duration():
     whole = RegionProjector(grid, grid.x_min, grid.x_max)
     dwell = transmitted_dwell_time(cfg.packet(), cfg.propagator(), cfg.barrier(),
                                    cfg.transmit_cut(), whole)
-    assert dwell.times == (0.0,) + cfg.record_times()
+    assert dwell.times == (0.0,) + cfg.propagator().record_times
     assert dwell.time == pytest.approx(cfg.duration, rel=1e-6)
 
 
 def test_pair_dwell_and_snapshots_read_one_instant_per_record():
-    """Record times that name a step up to roundoff become its j * dt for
-    every reader: 0.3 and 0.7 are 3 and 7 steps of 0.1, which read
-    0.30000000000000004 and 0.7000000000000001."""
+    """Every reader names record step j by its j * dt: steps 3 and 7 of 0.1
+    read 0.30000000000000004 and 0.7000000000000001 for the pair and the
+    dwell alike, and a leg returns one state per record step."""
     grid = Grid.from_domain(-64.0, 64.0, 256)
     psi = gaussian_packet(grid, 0.0, 4.0, 0.5)
-    prop = PropagatorConfig(dt=0.1, n_steps=30, record_times=(0.3, 0.7, 3.0))
+    prop = PropagatorConfig(dt=0.1, record_steps=(3, 7, 30))
     assert prop.record_times == (3 * 0.1, 7 * 0.1, 30 * 0.1)
     whole = RegionProjector(grid, grid.x_min, grid.x_max)
     pair = make_pair(psi, whole, prop)
     dwell = dwell_time(psi, whole, prop, RegionProjector(grid, -8.0, 8.0))
-    snapshots = tuple(t for t, _ in propagate(psi, prop))
-    assert pair.times == dwell.times[1:] == snapshots == prop.record_times
+    assert len(propagate(psi, prop)) == len(prop.record_steps)
+    assert pair.times == dwell.times[1:] == prop.record_times
+    assert dwell.times[0] == 0.0
 
 
 def test_dwell_time_requires_full_time_span():
     cfg = FAST_TRANSMISSION
     grid = cfg.grid()
     whole = RegionProjector(grid, grid.x_min, grid.x_max)
-    records = cfg.record_times()
-    # records that stop before the duration leave the integral short
-    with pytest.raises(ConfigError):
-        transmitted_dwell_time(cfg.packet(), cfg.propagator(record_times=records[:-1]),
-                               cfg.barrier(), cfg.transmit_cut(), whole)
-    # t=0 is always a node, whether or not the records hold it
+    records = cfg.record_steps()
+    # step 0 is always a node, whether or not the records hold it
     plain, with_zero = (
-        transmitted_dwell_time(cfg.packet(), cfg.propagator(record_times=times),
+        transmitted_dwell_time(cfg.packet(), cfg.propagator(steps),
                                cfg.barrier(), cfg.transmit_cut(), whole)
-        for times in (records, (0.0,) + records))
+        for steps in (records, (0,) + records))
     assert plain == with_zero
 
 
@@ -370,7 +378,8 @@ def test_forward_leg_dwell_matches_pair_trapezoid_oracle(scheme):
     region = RegionProjector(cfg.grid(), cfg.barrier_left, cfg.barrier_right)
     dwell = transmitted_dwell_time(cfg.packet(), cfg.propagator(), barrier,
                                    cfg.transmit_cut(), region)
-    prop = cfg.propagator(record_times=dwell.times)
+    prop = cfg.propagator((0,) + cfg.record_steps())
+    assert prop.record_times == dwell.times
     pair = transmitted_pair(cfg.packet(), prop, barrier, cfg.transmit_cut())
     prob = pair.postselect_prob
     # <bra|ket> at each record, from the pair's two legs rerun on their own
@@ -385,15 +394,14 @@ def test_free_crossing_dwell_matches_density_integral():
     cfg = SMALL_SCENARIO
     grid = cfg.grid()
     psi = gaussian_packet(grid, -25.0, 5.0, 1.0)
-    times = tuple(2.5 * j for j in range(19))
-    prop = PropagatorConfig(dt=cfg.dt, n_steps=45_000, record_times=times)
+    prop = PropagatorConfig(dt=cfg.dt, record_steps=tuple(2500 * j for j in range(19)))
     snaps = propagate(psi, prop)
     region = RegionProjector(grid, -5.0, 5.0)
 
     dwell = dwell_time(psi, RegionProjector(grid, grid.x_min, grid.x_max), prop, region)
-    assert dwell.times == times
-    occupancy = [region_probability(region, s.psi) for s in snaps]
-    oracle = float(np.trapezoid(occupancy, times))
+    assert dwell.times == prop.record_times
+    occupancy = [region_probability(region, s) for s in snaps]
+    oracle = float(np.trapezoid(occupancy, prop.record_times))
     assert dwell.time == pytest.approx(oracle, rel=1e-8)
     # a unit-speed packet spends about width/speed inside the region
     assert dwell.time == pytest.approx(10.0, rel=0.05)
