@@ -127,16 +127,29 @@ def _verdict(ci_low: float, ci_high: float, bound: float) -> str:
 def _bootstrap_variance(diff: np.ndarray, n_resamples: int, seed: int,
                         alpha: float) -> tuple[float, float]:
     """Central two-sided percentile interval (alpha/2, 1-alpha/2) of the
-    resampled variance."""
+    resampled variance.
+
+    Resamples are drawn in chunks of about 2^17 indices, so each chunk's
+    indices and gathered values stay in cache.  Generator.integers takes the
+    indices one after another from the generator's stream, whose state
+    carries over between calls, so the chunks draw the same indices as one
+    (n_resamples, n) draw: the chunking does not change what a seed
+    resamples.  The sample is centred once, and a resample g of it has
+    variance (sum g^2 - (sum g)^2 / n) / (n - 1): two passes over g and no
+    temporary of g's size.
+    """
     rng = np.random.default_rng(seed)
     n = diff.size
+    c = diff - diff.mean()
     boot = np.empty(n_resamples)
-    # Index blocks sized to keep the resample matrix around 10^7 entries.
-    block = max(1, 10_000_000 // n)
-    for start in range(0, n_resamples, block):
-        stop = min(start + block, n_resamples)
-        idx = rng.integers(0, n, size=(stop - start, n))
-        boot[start:stop] = np.var(diff[idx], axis=1, ddof=1)
+    rows = max(1, 131_072 // n)
+    for start in range(0, n_resamples, rows):
+        g = c[rng.integers(0, n, size=(min(rows, n_resamples - start), n))]
+        s1 = g.sum(axis=1)
+        boot[start:start + len(g)] = (np.einsum("ij,ij->i", g, g) - s1 * s1 / n) / (n - 1)
+    # the difference cancels to roundoff for a resample of one repeated
+    # value, which can land below zero; a variance cannot
+    np.maximum(boot, 0.0, out=boot)
     low, high = np.percentile(boot, [50.0 * alpha, 100.0 - 50.0 * alpha])
     return float(low), float(high)
 

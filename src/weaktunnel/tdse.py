@@ -126,13 +126,16 @@ class PropagatorConfig:
             raise ConfigError(f"dt must be positive and finite, got {self.dt}")
         if self.scheme not in SCHEMES:
             raise ConfigError(f"unknown scheme {self.scheme!r}; choose from {SCHEMES}")
-        steps = tuple(self.record_steps)
+        try:
+            steps = tuple(self.record_steps)
+        except TypeError:  # a bare step or None lists no steps
+            steps = ()
         # bool is an Integral but names no step; NaN and 2.5 are not Integral
         whole = all(isinstance(j, numbers.Integral) and not isinstance(j, bool) for j in steps)
         if not (steps and whole and steps[0] >= 0
                 and all(a < b for a, b in zip(steps, steps[1:]))):
             raise ConfigError("record_steps must be one or more strictly increasing "
-                              f"non-negative integers, got {steps}")
+                              f"non-negative integers, got {self.record_steps!r}")
         object.__setattr__(self, "record_steps", tuple(int(j) for j in steps))
 
     @property
@@ -217,7 +220,7 @@ class _CrankNicolson:
         self.cells = np.flatnonzero(v)
         d = 1j * tau * v[self.cells]
         inner = g[(self.cells[:, None] - self.cells) % n]
-        self.k = np.linalg.solve(np.eye(self.cells.size) + d[:, None] * inner, np.diag(d))
+        k = np.linalg.solve(np.eye(self.cells.size) + d[:, None] * inner, np.diag(d))
         # |g| decays geometrically away from offset 0, so a step corrects only
         # the rows nearer a cell than the first offset r where |g| falls below
         # eps times its peak; the terms left out are roundoff on the
@@ -227,7 +230,8 @@ class _CrankNicolson:
         below = size < np.finfo(np.float64).eps * size.max()
         r = int(np.argmax(below)) if below.any() else n // 2 + 1
         self.rows = np.unique((self.cells[:, None] + np.arange(1 - r, r)) % n)
-        self.g = g[(self.rows[:, None] - self.cells) % n]
+        # C^-1[rows, cells] K, so a step's correction is one matvec
+        self.gk = g[(self.rows[:, None] - self.cells) % n] @ k
 
     def step(self, x: np.ndarray) -> np.ndarray:
         # one batched FFT pair over the stack's rows; the correction goes one
@@ -237,7 +241,7 @@ class _CrankNicolson:
         y *= self.scale
         y = self.ifft(y, overwrite_x=True)
         for row in y:
-            row[self.rows] -= self.g @ (self.k @ row[self.cells])
+            row[self.rows] -= self.gk @ row[self.cells]
         y -= x
         return y
 

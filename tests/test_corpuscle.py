@@ -193,12 +193,40 @@ def test_zero_spread_readout_is_inconclusive():
     assert r.var_diff == 0.0
 
 
+def test_resample_of_one_repeated_value_has_zero_variance():
+    """About a third of the resamples miss the one outlier and repeat a
+    single value: their variance is zero, not roundoff below it."""
+    a = np.full(200, 0.1)
+    a[0] = 0.3
+    r = corpuscularity_test((a, np.zeros(200)), sigma0=1.0, seed=0, n_resamples=200)
+    assert r.ci_low == 0.0
+
+
 def test_interval_brackets_the_point_estimate():
     m = saturating_model(0.3, 0.3, 1.0, n=5000, seed=21)
     r = corpuscularity_test(simulate_corpuscular(m), sigma0=1.0, seed=8,
                             n_resamples=500)
     assert r.ci_low <= r.var_diff <= r.ci_high
     assert r.n_samples == 5000 and r.seed == 8 and r.n_resamples == 500
+
+
+@pytest.mark.parametrize("n, n_resamples", [(2000, 1000), (150_000, 7), (2000, 1), (101, 3000)])
+def test_bootstrap_matches_one_draw_reference(n, n_resamples):
+    """The interval is the percentile interval of np.var over one
+    (n_resamples, n) index draw from the seed, so the kernel's chunking
+    moves neither the indices nor, beyond roundoff, the interval.  The cases
+    take several chunks with a ragged last one, one resample per chunk, a
+    single resample, and an odd number of indices per chunk."""
+    rng = np.random.default_rng(n + n_resamples)
+    a = rng.normal(0.4, 1.0, n)
+    b = rng.normal(0.2, 1.0, n)
+    diff = a - b
+    idx = np.random.default_rng(9).integers(0, n, size=(n_resamples, n))
+    low, high = np.percentile(np.var(diff[idx], axis=1, ddof=1), [2.5, 97.5])
+    var_diff = np.var(diff, ddof=1)
+    r = corpuscularity_test((a, b), sigma0=1.0, seed=9, n_resamples=n_resamples)
+    assert r.ci_low == pytest.approx(min(low, var_diff), rel=1e-12)
+    assert r.ci_high == pytest.approx(max(high, var_diff), rel=1e-12)
 
 
 def test_quantum_style_samples_reject():

@@ -95,8 +95,10 @@ def test_time_zero_record_is_the_initial_state():
 def test_record_time_validation():
     """A leg's one time input is its record steps: at least one, each a
     non-negative integer, strictly increasing.  A float, a string, a bool or
-    NaN names no step; numpy integers do and are stored as int."""
-    for steps in [(), (-1,), (2.5,), ("3",), (True,), (float("nan"),), (3, 3), (5, 2)]:
+    NaN names no step; numpy integers do and are stored as int.  A bare step
+    or None is no list of steps."""
+    for steps in [(), (-1,), (2.5,), ("3",), (True,), (float("nan"),), (3, 3), (5, 2),
+                  5, None, np.int64(5)]:
         with pytest.raises(ConfigError):
             PropagatorConfig(dt=0.01, record_steps=steps)
     for dt in (0.0, -0.01, float("nan")):
