@@ -28,23 +28,46 @@ each other:
     grid, so an FFT diagonalizes it, wrap-around entries included, and the
     barrier cells (v != 0) enter through a Woodbury correction of rank equal
     to their number (Golub & Van Loan, Matrix Computations, 4.8 and 2.1.4).
-    The correction's columns, shifted copies of the first column of C^-1,
-    decay geometrically away from the cells, so a step corrects only the
-    rows where they reach eps times their peak: 145 of 4096 around the
-    default scenario's 103 cells.  The two schemes share the FFT but not the
-    discretization: spectral kinetic energy and Strang splitting against a
-    16th-order stencil and the Cayley form.  The tests check the linear
-    algebra against a sparse LU of the full periodic operator.  The grid
-    needs more than 16 points for the stencil to fit.
+    The step runs in one of two carried forms, picked when the leg starts:
+
+    - *Grid amplitudes, through an FFT pair*: y = IFFT(2/eig FFT(x)), then
+      the correction.  Its columns, shifted copies of the first column of
+      C^-1, decay geometrically away from the cells, so a step corrects
+      only the rows where they reach eps times their peak: 145 of 4096
+      around the default scenario's 103 cells.
+    - *Fourier coefficients z = FFT(x)*: the circulant part is diagonal
+      there and the correction has rank m, the cell count, so a step is
+      z <- (2/eig - 1) z - P (Q z), two matvecs through m dense DFT rows of
+      n entries each and no FFT.  Two more rows' worth, E, turns z into the
+      amplitudes of the 2 EDGE_CELLS edge cells.  A record takes one IFFT.
+
+    The Fourier form runs while its 2m + 2 EDGE_CELLS rows of n complex
+    entries fit DENSE_ROWS_BYTES (1 MiB): up to 28 cells at n=1024, up to 4
+    at n=4096.  A step of each form, one row with its edge read, crossed
+    over at about m=32 for n=1024 (both about 34 us) and m=12 for n=4096
+    (92 us), measured on a 2-vCPU Xeon VM with one BLAS thread; at m=8,
+    n=1024, the bench's trace-cn barrier, the Fourier form took 16 us
+    against 33 us.  So the budget keeps the dense rows near cache size and
+    below both crossovers; the default scenario's 103 cells at n=4096 would
+    need 13.4 MiB and step through the FFT pair.  The two schemes share the
+    FFT but not the discretization: spectral kinetic energy and Strang
+    splitting against a 16th-order stencil and the Cayley form.  The tests
+    check both forms against a sparse LU of the full periodic operator, and
+    against each other.  The grid needs more than 16 points for the stencil
+    to fit.
 
 A leg is its record steps: PropagatorConfig takes the integer steps j to
 record, the leg runs from step 0 to the last of them (its n_steps) and
 returns its state at each, and record_times are j * dt, so no float time is
-rounded here.  A leg steps a stack of rows at once, one batched FFT along
-the last axis (implicit-fd applies its barrier correction row by row).  Row
-0 is the state; propagate_with_source adds a second row that collects a
-weighted region source at the record steps and is read at the last record,
-so a conditional dwell needs one forward leg and no backward one.
+rounded here.  A leg steps a stack of rows at once: split-step and the
+FFT-pair form batch their FFTs over the rows, and the Woodbury correction
+and the Fourier form's matvecs go one row at a time, so a row comes out bit
+for bit as stepped alone.  Row 0 is the state; propagate_with_source adds a
+second row that collects a weighted region source at the record steps and
+is read at the last record, so a conditional dwell needs one forward leg and
+no backward one.  The stepper owns its carried form: it turns the initial
+state into row 0, reads row 0's edge amplitudes, and feeds the source row in
+that form (in Fourier space, the FFT of the weighted masked state).
 
 Runtime guards watch row 0: probability reaching the domain edges, checked
 after every step (wrap-around would silently corrupt the run, and a packet
@@ -55,14 +78,16 @@ against EDGE_PROBABILITY_LIMIT, so a leg from a projected state P psi of
 norm^2 p may carry 1e-8/p of relative edge weight: contamination competes
 with the physics at the scale of the unprojected state.  Norm drift is
 relative to the leg's starting norm.  A non-finite edge weight is a scheme
-failure, not an edge density, and raises SchemeInstabilityError.  Both
-schemes step through an FFT, which spreads a non-finite amplitude anywhere
-to every cell within one step, so the per-step edge check catches it there;
-a finite step is unitary up to roundoff, so norm drift builds up slowly
-enough to be checked at the records only.  Under split-step the edge guard
-reads the carried state before its exit kick; the kick is unimodular, so the
-cell magnitudes are the same up to roundoff.  Recorded states keep their
-global phase and are never renormalized.
+failure, not an edge density, and raises SchemeInstabilityError.  A step
+through an FFT spreads a non-finite amplitude anywhere to every cell, and
+in Fourier space every cell's DFT row reads every coefficient, so the
+per-step edge check catches it within one step; a finite step is unitary up
+to roundoff, so norm drift builds up slowly enough to be checked at the
+records only.  Under split-step the edge guard reads the carried state
+before its exit kick; the kick is unimodular, so the cell magnitudes are
+the same up to roundoff.  In Fourier space it reads E z, the edge cells'
+amplitudes to the roundoff of an n-term sum, far below the limit.  Recorded
+states keep their global phase and are never renormalized.
 
 scipy.fft is imported when a stepper is built, not with this module, so
 importing the package costs numpy alone; the stepper keeps the routines for
@@ -95,6 +120,8 @@ EDGE_PROBABILITY_LIMIT = 1e-8
 NORM_DRIFT_LIMIT = 1e-6
 
 STENCIL_HALF_WIDTH = 8  # 16th-order central second derivative
+# Crank-Nicolson steps in Fourier space while its dense rows fit this many bytes
+DENSE_ROWS_BYTES = 1 << 20
 
 
 def _second_derivative_stencil(m: int) -> np.ndarray:
@@ -156,7 +183,25 @@ def _potential(grid: Grid, barrier: BarrierSpec | None) -> np.ndarray:
     return barrier.potential(grid) if barrier is not None else np.zeros(grid.n)
 
 
-class _SplitStep:
+class _RealSpace:
+    """Carry, edge read and source feed of a stepper whose carried rows are
+    the grid amplitudes (split-step's before its pending exit kick)."""
+
+    @staticmethod
+    def carry(amp: np.ndarray) -> np.ndarray:
+        return amp
+
+    @staticmethod
+    def edge(row: np.ndarray) -> np.ndarray:
+        return row
+
+    @staticmethod
+    def feed(x: np.ndarray, mask: np.ndarray, weight: float, state: np.ndarray) -> None:
+        # the fused split-step kick is diagonal, so it commutes with the mask
+        x[1, mask] += weight * x[0, mask]
+
+
+class _SplitStep(_RealSpace):
     """Strang steps with the half kicks of adjacent steps fused into one.
 
     The carried stack x is the state before its pending exit half kick, so a
@@ -185,7 +230,42 @@ class _SplitStep:
         return x.copy() if self.exit is None else self.exit * x
 
 
-class _CrankNicolson:
+def _cayley(grid: Grid, v: np.ndarray, dt: float):
+    """The parts of the Cayley step with A = C + i tau diag(v), tau = dt/2.
+
+    Returns the spectrum eig of the circulant C = 1 + i tau (-Laplacian/2),
+    the first column g of C^-1 (C^-1[i, j] = g[i - j]), the barrier cells
+    (v != 0) and the Woodbury matrix K, so that
+    A^-1 = C^-1 - C^-1[:, cells] K C^-1[cells, :].
+    """
+    n = grid.n
+    m = STENCIL_HALF_WIDTH
+    if n <= 2 * m:
+        raise ConfigError(
+            f"implicit-fd needs more than {2 * m} grid points for its "
+            f"{2 * m}th-order periodic stencil, got n={n}"
+        )
+    import scipy.fft
+
+    tau = 0.5 * dt
+    # first column of -Laplacian/2; its spectrum is real since the stencil is
+    # symmetric
+    column = np.zeros(n)
+    column[np.arange(-m, m + 1) % n] = (-0.5 / grid.dx**2) * _second_derivative_stencil(m)
+    eig = 1.0 + 1j * tau * scipy.fft.fft(column).real
+    g = scipy.fft.ifft(1.0 / eig)
+    # A = C + U D U^T with U selecting the barrier cells and D = i tau v
+    # there, so A^-1 = C^-1 - C^-1 U K U^T C^-1 with K = M^-1 D and the
+    # capacitance matrix M = I + D C^-1[cells, cells].  det A = det C det M,
+    # and A = 1 + i tau H and C are invertible for Hermitian H, so M is.
+    cells = np.flatnonzero(v)
+    d = 1j * tau * v[cells]
+    inner = g[(cells[:, None] - cells) % n]
+    k = np.linalg.solve(np.eye(cells.size) + d[:, None] * inner, np.diag(d))
+    return eig, g, cells, k
+
+
+class _CrankNicolson(_RealSpace):
     """Cayley steps x <- 2 A^-1 x - x with A = C + i tau diag(v).
 
     C = 1 + i tau (-Laplacian/2) is circulant, so an FFT diagonalizes it and
@@ -197,30 +277,9 @@ class _CrankNicolson:
         import scipy.fft
 
         n = grid.n
-        m = STENCIL_HALF_WIDTH
-        if n <= 2 * m:
-            raise ConfigError(
-                f"implicit-fd needs more than {2 * m} grid points for its "
-                f"{2 * m}th-order periodic stencil, got n={n}"
-            )
-        tau = 0.5 * dt
         self.fft, self.ifft = scipy.fft.fft, scipy.fft.ifft
-        # first column of -Laplacian/2; its spectrum is real since the
-        # stencil is symmetric
-        column = np.zeros(n)
-        column[np.arange(-m, m + 1) % n] = (-0.5 / grid.dx**2) * _second_derivative_stencil(m)
-        eig = 1.0 + 1j * tau * self.fft(column).real
+        eig, g, self.cells, k = _cayley(grid, v, dt)
         self.scale = 2.0 / eig
-        g = self.ifft(1.0 / eig)  # first column of C^-1: C^-1[i, j] = g[i - j]
-
-        # A = C + U D U^T with U selecting the barrier cells and D = i tau v
-        # there, so A^-1 = C^-1 - C^-1 U K U^T C^-1 with K = M^-1 D and the
-        # capacitance matrix M = I + D C^-1[cells, cells].  det A = det C det M,
-        # and A = 1 + i tau H and C are invertible for Hermitian H, so M is.
-        self.cells = np.flatnonzero(v)
-        d = 1j * tau * v[self.cells]
-        inner = g[(self.cells[:, None] - self.cells) % n]
-        k = np.linalg.solve(np.eye(self.cells.size) + d[:, None] * inner, np.diag(d))
         # |g| decays geometrically away from offset 0, so a step corrects only
         # the rows nearer a cell than the first offset r where |g| falls below
         # eps times its peak; the terms left out are roundoff on the
@@ -249,9 +308,64 @@ class _CrankNicolson:
         return x.copy()
 
 
+class _FourierCrankNicolson:
+    """The Cayley step of _CrankNicolson on the Fourier coefficients z = FFT(x).
+
+    2 A^-1 x - x is diagonal in Fourier space up to the Woodbury term, so a
+    step is z <- lam z - P (Q z) with lam = 2/eig - 1, Q = the inverse-DFT rows
+    at the cells over eig, and P = 2 (forward-DFT columns at the cells) K over
+    eig.  E, the inverse-DFT rows at the edge cells, gives the edge guard its
+    amplitudes.  The rows are dense, 2m + 2 EDGE_CELLS of n entries, so
+    _make_stepper takes this stepper only while they fit DENSE_ROWS_BYTES.
+    """
+
+    def __init__(self, grid: Grid, v: np.ndarray, dt: float) -> None:
+        import scipy.fft
+
+        n = grid.n
+        self.fft, self.ifft = scipy.fft.fft, scipy.fft.ifft
+        eig, _, cells, k = _cayley(grid, v, dt)
+        self.lam = 2.0 / eig - 1.0
+        # exp(2 pi i c k / n), each phase taken from the integer c k mod n
+        turn = np.exp((2j * np.pi / n) * np.arange(n))
+        wave = np.arange(n)
+
+        def inverse_rows(at: np.ndarray) -> np.ndarray:
+            return turn[(at[:, None] * wave) % n] / n
+
+        inverse = inverse_rows(cells)
+        self.q = inverse / eig
+        # n conj(inverse)^T holds the forward-DFT columns at the cells
+        self.p = (2.0 * n / eig)[:, None] * inverse.conj().T @ k
+        self.e = inverse_rows(np.r_[:EDGE_CELLS, n - EDGE_CELLS:n])
+
+    def step(self, z: np.ndarray) -> np.ndarray:
+        # one row at a time, so a row stepped in a stack comes out bit for bit
+        # as stepped alone
+        y = self.lam * z
+        for row, zrow in zip(y, z):
+            row -= self.p @ (self.q @ zrow)
+        return y
+
+    def state(self, z: np.ndarray) -> np.ndarray:
+        return self.ifft(z)
+
+    def carry(self, amp: np.ndarray) -> np.ndarray:
+        return self.fft(amp)
+
+    def edge(self, zrow: np.ndarray) -> np.ndarray:
+        return self.e @ zrow
+
+    def feed(self, z: np.ndarray, mask: np.ndarray, weight: float, state: np.ndarray) -> None:
+        z[1] += self.fft(weight * (mask * state))
+
+
 def _make_stepper(scheme: str, grid: Grid, v: np.ndarray, dt: float):
     if scheme == "spectral-split-step":
         return _SplitStep(grid, v, dt)
+    rows = 2 * np.count_nonzero(v) + 2 * EDGE_CELLS
+    if rows * grid.n * np.dtype(np.complex128).itemsize <= DENSE_ROWS_BYTES:
+        return _FourierCrankNicolson(grid, v, dt)
     return _CrankNicolson(grid, v, dt)
 
 
@@ -297,16 +411,15 @@ def _run(psi: WaveFunction, cfg: PropagatorConfig, barrier: BarrierSpec | None,
             )
         out.append(state)
         if source is not None:
-            # the fused split-step kick is diagonal, so it commutes with the mask
             mask, weights = source
-            x[1, mask] += weights[wanted[step]] * x[0, mask]
+            stepper.feed(x, mask, weights[wanted[step]], state.amp)
 
     x = np.zeros((1 if source is None else 2, grid.n), dtype=np.complex128)
-    x[0] = psi.amp
+    x[0] = stepper.carry(psi.amp)
     for step in range(cfg.n_steps + 1):
         if step:
             x = stepper.step(x)
-        check_edge(step, x[0])
+        check_edge(step, stepper.edge(x[0]))
         if step in wanted:
             record(step, x)
     return out, stepper.state(x)

@@ -3,6 +3,7 @@ time-reversal symmetry of the transition amplitude, a momentum-resolved transmis
 Crank-Nicolson oracle across the periodic wrap."""
 
 from dataclasses import fields, replace
+from functools import partial
 from math import factorial
 
 import numpy as np
@@ -12,6 +13,7 @@ import scipy.sparse.linalg
 
 from conftest import SMALL_SCENARIO, density, expectation_x, patch_steps, variance_x
 from weaktunnel import tdse
+from weaktunnel.config import DEFAULT_SCENARIO
 from weaktunnel.core import (BarrierSpec, Grid, RegionProjector, WaveFunction,
                              gaussian_packet)
 from weaktunnel.errors import ConfigError, EdgeDensityError, SchemeInstabilityError
@@ -20,6 +22,16 @@ from weaktunnel.tdse import (EDGE_CELLS, STENCIL_HALF_WIDTH, PropagatorConfig, p
                              propagate_backward, propagate_with_source)
 
 FREE_GRID = Grid.from_domain(-128.0, 128.0, 1024)
+# 40 cells of FREE_GRID: too many for implicit-fd's Fourier-space rows, so it
+# steps through the FFT pair
+FFT_PAIR_BARRIER = BarrierSpec.rectangular(-5.0, 5.0, 1.0)
+# the sparse oracle's barriers on the SMALL_SCENARIO grid besides its own
+ORACLE_BARRIERS = {
+    "free": BarrierSpec([]),
+    "wrap-and-well": BarrierSpec([(-256.0, -250.0, 1.5), (-3.0, 3.0, -0.7),
+                                  (250.0, 256.0, 0.8)]),
+    "240-cells": BarrierSpec([(-60.0, 60.0, 0.3)]),
+}
 
 
 def free_packet(k0=0.5, x0=-40.0, sigma=6.0):
@@ -141,14 +153,26 @@ def test_edge_guard_watches_the_outermost_cells_at_step_zero(inside, outside):
     assert np.array_equal(state.amp, amp)
 
 
-def test_edge_guard_catches_wrap_around_between_records():
+def test_edge_guard_catches_wrap_around_between_records(monkeypatch):
     """A packet that crosses the periodic boundary and comes back near its
-    start before the only record must still trip the edge guard."""
+    start before the only record must still trip the edge guard.  The
+    finite-difference stencil disperses the packet a little differently, so
+    Crank-Nicolson trips one step later, at the same step whether it steps
+    in Fourier space, where the guard reads the edge cells as inverse-DFT
+    rows, or through the FFT pair."""
     grid = Grid.from_domain(-64.0, 64.0, 512)
     psi = gaussian_packet(grid, 0.0, 4.0, 3.0)
     cfg = PropagatorConfig(dt=0.01, record_steps=(4267,))
     with pytest.raises(EdgeDensityError, match="t=12.91"):
         propagate(psi, cfg)
+    cn = replace(cfg, scheme="implicit-fd")
+    assert isinstance(tdse._make_stepper(cn.scheme, grid, np.zeros(grid.n), cn.dt),
+                      tdse._FourierCrankNicolson)
+    with pytest.raises(EdgeDensityError, match=r"t=12\.92;"):
+        propagate(psi, cn)
+    monkeypatch.setattr(tdse, "DENSE_ROWS_BYTES", 0)
+    with pytest.raises(EdgeDensityError, match=r"t=12\.92;"):
+        propagate(psi, cn)
 
 
 @pytest.mark.parametrize("norm_sq", [1e-6, 1.0, 1e6])
@@ -245,7 +269,7 @@ def sparse_crank_nicolson(psi, barrier, dt, n_steps):
     return amp
 
 
-def assert_matches_sparse_oracle(run, sign, barrier):
+def assert_matches_sparse_oracle(run, sign, barrier, stepper):
     """Step a packet centred on the wrap point 200 times at dt = 0.02, 0.5
     and 5 and compare each final state with the sparse oracle's.  The packet
     sits on the domain edge, so the caller lifts the edge guard."""
@@ -255,6 +279,8 @@ def assert_matches_sparse_oracle(run, sign, barrier):
     n_steps = 200
     for dt in (0.02, 0.5, 5.0):
         cfg = PropagatorConfig(dt=dt, record_steps=(n_steps,), scheme="implicit-fd")
+        made = tdse._make_stepper(cfg.scheme, grid, barrier.potential(grid), sign * dt)
+        assert isinstance(made, stepper)
         final, = run(psi, cfg, barrier)
         expected = sparse_crank_nicolson(psi, barrier, sign * dt, n_steps)
         l2 = np.sqrt(np.sum(np.abs(final.amp - expected) ** 2) * grid.dx)
@@ -264,32 +290,76 @@ def assert_matches_sparse_oracle(run, sign, barrier):
 @pytest.mark.parametrize("run, sign", [(propagate, 1.0), (propagate_backward, -1.0)])
 def test_implicit_fd_matches_sparse_oracle_across_the_periodic_wrap(run, sign, monkeypatch):
     """A packet centred on the wrap point puts its weight on the stencil
-    entries that wrap around the periodic boundary, which the circulant FFT
+    entries that wrap around the periodic boundary, which the circulant
     solve carries exactly.  A stiffer step spreads the barrier's Woodbury
     correction over more rows; each dt is checked against the full periodic
-    operator."""
+    operator.  The 8-cell barrier steps in Fourier space."""
     monkeypatch.setattr(tdse, "EDGE_PROBABILITY_LIMIT", np.inf)
-    assert_matches_sparse_oracle(run, sign, SMALL_SCENARIO.barrier())
+    assert_matches_sparse_oracle(run, sign, SMALL_SCENARIO.barrier(),
+                                 tdse._FourierCrankNicolson)
 
 
 @pytest.mark.parametrize("run, sign", [(propagate, 1.0), (propagate_backward, -1.0)])
-@pytest.mark.parametrize("barrier", [
-    BarrierSpec([]),
-    BarrierSpec([(-256.0, -250.0, 1.5), (-3.0, 3.0, -0.7), (250.0, 256.0, 0.8)]),
-    BarrierSpec([(-60.0, 60.0, 0.3)]),
-], ids=["free", "wrap-and-well", "240-cells"])
-def test_implicit_fd_woodbury_matches_sparse_oracle(run, sign, barrier, monkeypatch):
+@pytest.mark.parametrize("barrier, stepper", [
+    (ORACLE_BARRIERS["free"], tdse._FourierCrankNicolson),
+    (ORACLE_BARRIERS["wrap-and-well"], tdse._CrankNicolson),
+    (ORACLE_BARRIERS["240-cells"], tdse._CrankNicolson),
+], ids=list(ORACLE_BARRIERS))
+def test_implicit_fd_woodbury_matches_sparse_oracle(run, sign, barrier, stepper, monkeypatch):
     """The barrier-cell Woodbury correction against the sparse oracle: no
-    cells (the circulant solve alone), cells on both sides of the wrap point
-    beside a well, and a 240-cell barrier."""
+    cells (the circulant solve alone, stepped in Fourier space), cells on
+    both sides of the wrap point beside a well (36 cells), and a 240-cell
+    barrier, both through the FFT pair."""
     monkeypatch.setattr(tdse, "EDGE_PROBABILITY_LIMIT", np.inf)
-    assert_matches_sparse_oracle(run, sign, barrier)
+    assert_matches_sparse_oracle(run, sign, barrier, stepper)
+
+
+@pytest.mark.parametrize("grid, barrier, stepper", [
+    (SMALL_SCENARIO.grid(), SMALL_SCENARIO.barrier(), tdse._FourierCrankNicolson),
+    (FREE_GRID, None, tdse._FourierCrankNicolson),
+    (FREE_GRID, FFT_PAIR_BARRIER, tdse._CrankNicolson),
+    (DEFAULT_SCENARIO.grid(), DEFAULT_SCENARIO.barrier(), tdse._CrankNicolson),
+    (SMALL_SCENARIO.grid(), ORACLE_BARRIERS["wrap-and-well"], tdse._CrankNicolson),
+    (SMALL_SCENARIO.grid(), ORACLE_BARRIERS["240-cells"], tdse._CrankNicolson),
+], ids=["small-and-trace-cn", "free", "fft-pair-barrier", "default", "wrap-and-well",
+        "240-cells"])
+def test_implicit_fd_steps_in_fourier_space_while_its_rows_fit(grid, barrier, stepper):
+    """implicit-fd steps in Fourier space while its 2m + 2 EDGE_CELLS dense
+    rows of n complex entries fit DENSE_ROWS_BYTES, m the barrier's cell
+    count: the 8 cells of the SMALL_SCENARIO barrier (the bench's trace-cn
+    grid; 384 KiB) and no cells at n=1024 do, the 40 cells of
+    FFT_PAIR_BARRIER at n=1024, the default scenario's 103 at n=4096 (13.4
+    MiB) and the oracle's 36- and 240-cell barriers do not.  Split-step
+    always steps through its FFT pair."""
+    v = tdse._potential(grid, barrier)
+    assert type(tdse._make_stepper("implicit-fd", grid, v, 0.02)) is stepper
+    assert type(tdse._make_stepper("spectral-split-step", grid, v, 0.02)) is tdse._SplitStep
+
+
+@pytest.mark.parametrize("rows", [1, 2])
+@pytest.mark.parametrize("dt", [0.02, 0.5, 5.0, -0.02, -0.5, -5.0])
+def test_fourier_space_step_matches_the_fft_pair_step(dt, rows):
+    """The Fourier-space Crank-Nicolson stepper against the FFT-pair one on
+    the 8-cell SMALL_SCENARIO barrier, forward and backward, one row and a
+    stack of two, after 50 steps.  The two sum the same step in a different
+    order; their largest gap measured 2.2e-14 of the largest amplitude."""
+    grid = SMALL_SCENARIO.grid()
+    v = SMALL_SCENARIO.barrier().potential(grid)
+    amps = np.array([gaussian_packet(grid, -20.0, 4.0, 1.0).amp,
+                     gaussian_packet(grid, 3.0, 6.0, -0.5).amp])[:rows]
+    fourier = tdse._FourierCrankNicolson(grid, v, dt)
+    pair = tdse._CrankNicolson(grid, v, dt)
+    z, x = fourier.carry(amps), pair.carry(amps)
+    for _ in range(50):
+        z, x = fourier.step(z), pair.step(x)
+    assert np.max(np.abs(fourier.state(z) - pair.state(x))) <= 1e-13 * np.max(np.abs(x))
 
 
 def test_implicit_fd_transmit_probability_is_pinned():
     """Forward-leg transmit probability of the bench trace-cn scenario,
-    recorded from the earlier sparse-LU Crank-Nicolson step; the circulant
-    FFT solve sits 1.1e-15 relative away from it."""
+    recorded from the earlier sparse-LU Crank-Nicolson step.  This 8-cell
+    barrier steps in Fourier space, which sits 8.1e-14 relative away from
+    it; the FFT-pair step sat 4.6e-14 away."""
     cfg = replace(SMALL_SCENARIO, dt=0.02, n_steps=1750, scheme="implicit-fd")
     grid = cfg.grid()
     final, = propagate(cfg.packet(), cfg.propagator((cfg.n_steps,)), cfg.barrier())
@@ -309,19 +379,31 @@ def test_implicit_fd_rejects_grids_too_small_for_the_stencil(monkeypatch):
     propagate(psi, replace(cfg, scheme="spectral-split-step"))
 
 
-@pytest.mark.parametrize("scheme", ["spectral-split-step", "implicit-fd"])
-def test_stacked_step_matches_row_by_row_steps(scheme):
-    """Two rows stepped as one stack equal each row stepped alone."""
+@pytest.mark.parametrize("make", [
+    partial(tdse._make_stepper, "spectral-split-step"),
+    partial(tdse._make_stepper, "implicit-fd"),
+    tdse._CrankNicolson,
+], ids=["spectral-split-step", "implicit-fd", "implicit-fd-fft-pair"])
+def test_stacked_step_matches_row_by_row_steps(make):
+    """Two rows stepped as one stack equal each row stepped alone, for each
+    stepper (implicit-fd steps this barrier in Fourier space), and a step
+    leaves its input as it was.  Each row starts as its own copy."""
+    def step(stepper, x):
+        given = x.copy()
+        y = stepper.step(x)
+        assert np.array_equal(x, given)
+        return y
+
     grid = SMALL_SCENARIO.grid()
     v = SMALL_SCENARIO.barrier().potential(grid)
-    stack = np.array([gaussian_packet(grid, -20.0, 4.0, 1.0).amp,
-                      gaussian_packet(grid, 3.0, 6.0, -0.5).amp])
-    stacked = tdse._make_stepper(scheme, grid, v, 0.02)
-    singles = [tdse._make_stepper(scheme, grid, v, 0.02) for _ in stack]
-    rows = [stack[r:r + 1] for r in range(2)]
+    stacked = make(grid, v, 0.02)
+    singles = [make(grid, v, 0.02) for _ in range(2)]
+    stack = stacked.carry(np.array([gaussian_packet(grid, -20.0, 4.0, 1.0).amp,
+                                    gaussian_packet(grid, 3.0, 6.0, -0.5).amp]))
+    rows = [stack[r:r + 1].copy() for r in range(2)]
     for _ in range(3):
-        stack = stacked.step(stack)
-        rows = [single.step(row) for single, row in zip(singles, rows)]
+        stack = step(stacked, stack)
+        rows = [step(single, row) for single, row in zip(singles, rows)]
     expected = np.concatenate([single.state(row) for single, row in zip(singles, rows)])
     got = stacked.state(stack)
     assert got.shape == (2, grid.n)
@@ -394,12 +476,19 @@ def test_nan_after_the_first_step_trips_a_guard(monkeypatch, cell, error, messag
         propagate(free_packet(), cfg)
 
 
-@pytest.mark.parametrize("scheme", ["spectral-split-step", "implicit-fd"])
-def test_interior_nan_between_records_is_a_scheme_failure(monkeypatch, scheme):
-    """A NaN put in the middle cell after step 5, between the records at
-    steps 1 and 10: the next step's FFT spreads it to every cell, and the
-    edge check after step 6 raises SchemeInstabilityError, not
-    EdgeDensityError."""
+@pytest.mark.parametrize("scheme, barrier, tripped", [
+    ("spectral-split-step", None, 6),
+    ("implicit-fd", FFT_PAIR_BARRIER, 6),
+    ("implicit-fd", None, 5),
+], ids=["spectral-split-step", "implicit-fd", "implicit-fd-fourier-space"])
+def test_interior_nan_between_records_is_a_scheme_failure(monkeypatch, scheme, barrier,
+                                                          tripped):
+    """A NaN put in the middle entry of the carried row after step 5,
+    between the records at steps 1 and 10, raises SchemeInstabilityError,
+    not EdgeDensityError.  Where the row is the grid amplitudes, the next
+    step's FFT spreads it to every cell and the edge check after step 6
+    fires.  In Fourier space the entry is a coefficient, which every cell's
+    inverse-DFT row reads, so the edge check after step 5 fires."""
     steps = []
 
     def poison(x):
@@ -410,8 +499,9 @@ def test_interior_nan_between_records_is_a_scheme_failure(monkeypatch, scheme):
     patch_steps(monkeypatch, poison)
     cfg = PropagatorConfig(dt=0.01, record_steps=(1, 10), scheme=scheme)
     with pytest.raises(SchemeInstabilityError,
-                       match=rf"non-finite amplitude .* after 6 steps of {scheme} \(t=0\.06\)"):
-        propagate(free_packet(), cfg)
+                       match=rf"non-finite amplitude .* after {tripped} steps of {scheme} "
+                             rf"\(t=0\.0{tripped}\)"):
+        propagate(free_packet(), cfg, barrier)
 
 
 def test_non_finite_initial_state_is_rejected():

@@ -286,11 +286,12 @@ def test_every_leg_runs_the_n_steps_of_its_config(monkeypatch):
 
 def test_implicit_fd_dwell_and_center_to_peak_are_pinned():
     """The dwell and center_to_peak of the bench trace-cn scenario under
-    Crank-Nicolson, recorded from the band LU step.  The circulant FFT solve
-    sits 4.4e-14 and 4.1e-13 relative away from these, and 2.7e-13 and
-    4.0e-13 from the bench's reference values, recorded from the sparse-LU
-    step; rel 1e-11 admits such a reordering of the arithmetic, while
-    halving dt moves center_to_peak by 1.6e-3."""
+    Crank-Nicolson, recorded from the band LU step.  The 8-cell barrier
+    steps in Fourier space, which sits 2.8e-14 and 1.2e-13 relative away
+    from these, and 3.4e-13 and 1.2e-13 from the bench's reference values,
+    recorded from the sparse-LU step (the FFT-pair step: 6.3e-14 and
+    1.7e-14, and 2.5e-13 and 2.1e-14); rel 1e-11 admits such a reordering
+    of the arithmetic, while halving dt moves center_to_peak by 1.6e-3."""
     cfg = replace(SMALL_SCENARIO, dt=0.02, n_steps=1750, scheme="implicit-fd")
     barrier = cfg.barrier()
     region = RegionProjector(cfg.grid(), barrier.x_left, barrier.x_right)
@@ -371,8 +372,9 @@ def test_forward_leg_dwell_matches_pair_trapezoid_oracle(scheme):
     the pair's conditional barrier weight over t=0 and the records.  The
     oracle divides by each record's overlap, and those drift from the
     post-selection probability by the roundoff of the two legs (2.0e-12
-    relative on split-step, 4.0e-12 on Crank-Nicolson's FFT solve), so the
-    bound is 1e-12 plus that drift; measured gaps 1.9e-12 and 4.0e-12."""
+    relative on split-step, 2.4e-14 on Crank-Nicolson, which steps this
+    barrier in Fourier space), so the bound is 1e-12 plus that drift;
+    measured gaps 1.9e-12 and 4.9e-14."""
     cfg = replace(SMALL_SCENARIO, scheme=scheme)
     barrier = cfg.barrier()
     region = RegionProjector(cfg.grid(), cfg.barrier_left, cfg.barrier_right)
