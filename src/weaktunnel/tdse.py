@@ -37,24 +37,30 @@ each other:
       around the default scenario's 103 cells.
     - *Fourier coefficients z = FFT(x)*: the circulant part is diagonal
       there and the correction has rank m, the cell count, so a step is
-      z <- (2/eig - 1) z - P (Q z), two matvecs through m dense DFT rows of
-      n entries each and no FFT.  Two more rows' worth, E, turns z into the
-      amplitudes of the 2 EDGE_CELLS edge cells.  A record takes one IFFT.
+      z <- (2/eig - 1) z - P (Q z) through m dense DFT rows of n entries
+      each and no FFT.  A row carries the amplitudes its next step and the
+      edge guard read beside z: u = Q z at the m cells and e = E z at the
+      2 EDGE_CELLS edge cells, so it is n + m + 2 EDGE_CELLS wide.  A step
+      is then two matvecs, z' = (2/eig - 1) z - u P^T with P^T stored as m
+      contiguous rows, and [u'; e'] = [Q; E] z'.  A record takes one IFFT.
 
     The Fourier form runs while its 2m + 2 EDGE_CELLS rows of n complex
     entries fit DENSE_ROWS_BYTES (1 MiB): up to 28 cells at n=1024, up to 4
     at n=4096.  A step of each form, one row with its edge read, crossed
-    over at about m=32 for n=1024 (both about 34 us) and m=12 for n=4096
-    (92 us), measured on a 2-vCPU Xeon VM with one BLAS thread; at m=8,
-    n=1024, the bench's trace-cn barrier, the Fourier form took 16 us
-    against 33 us.  So the budget keeps the dense rows near cache size and
-    below both crossovers; the default scenario's 103 cells at n=4096 would
-    need 13.4 MiB and step through the FFT pair.  The two schemes share the
-    FFT but not the discretization: spectral kinetic energy and Strang
-    splitting against a 16th-order stencil and the Cayley form.  The tests
-    check both forms against a sparse LU of the full periodic operator, and
-    against each other.  The grid needs more than 16 points for the stencil
-    to fit.
+    over at about m=32 to 40 for n=1024 (both about 35 us) and m=12 for
+    n=4096 (about 90 us), measured on a 2-vCPU Xeon VM with one BLAS thread;
+    with two, the Fourier form was still ahead at m=40 and m=20.  So the
+    budget keeps the dense rows near cache size and below both crossovers;
+    the default scenario's 103 cells at n=4096 would need 13.4 MiB and step
+    through the FFT pair.  At m=8, n=1024, the bench's trace-cn barrier, a
+    leg's step with its edge check took 16 us with one BLAS thread and 21
+    us with two (17 and 25 us when the reads were three separate matvecs;
+    OpenBLAS splits each matvec across its threads at a loss), against 31
+    and 30 us through the FFT pair.  The two schemes share the FFT but
+    not the discretization: spectral kinetic energy and Strang splitting
+    against a 16th-order stencil and the Cayley form.  The tests check both
+    forms against a sparse LU of the full periodic operator, and against
+    each other.  The grid needs more than 16 points for the stencil to fit.
 
 A leg is its record steps: PropagatorConfig takes the integer steps j to
 record, the leg runs from step 0 to the last of them (its n_steps) and
@@ -66,8 +72,9 @@ for bit as stepped alone.  Row 0 is the state; propagate_with_source adds a
 second row that collects a weighted region source at the record steps and
 is read at the last record, so a conditional dwell needs one forward leg and
 no backward one.  The stepper owns its carried form: it turns the initial
-state into row 0, reads row 0's edge amplitudes, and feeds the source row in
-that form (in Fourier space, the FFT of the weighted masked state).
+stack into carried rows, reads row 0's edge weight, and feeds the source row
+in that form (in Fourier space, the FFT of the weighted masked state, after
+which the row's reads are refreshed).
 
 Runtime guards watch row 0: probability reaching the domain edges, checked
 after every step (wrap-around would silently corrupt the run, and a packet
@@ -80,13 +87,14 @@ with the physics at the scale of the unprojected state.  Norm drift is
 relative to the leg's starting norm.  A non-finite edge weight is a scheme
 failure, not an edge density, and raises SchemeInstabilityError.  A step
 through an FFT spreads a non-finite amplitude anywhere to every cell, and
-in Fourier space every cell's DFT row reads every coefficient, so the
+in Fourier space the step's edge reads sum every coefficient, so the
 per-step edge check catches it within one step; a finite step is unitary up
 to roundoff, so norm drift builds up slowly enough to be checked at the
 records only.  Under split-step the edge guard reads the carried state
 before its exit kick; the kick is unimodular, so the cell magnitudes are
-the same up to roundoff.  In Fourier space it reads E z, the edge cells'
-amplitudes to the roundoff of an n-term sum, far below the limit.  Recorded
+the same up to roundoff.  In Fourier space it reads the carried e = E z,
+which the step that returned the row computed: the edge cells' amplitudes
+to the roundoff of an n-term sum, far below the limit, in one vdot.  Recorded
 states keep their global phase and are never renormalized.
 
 scipy.fft is imported when a stepper is built, not with this module, so
@@ -185,15 +193,18 @@ def _potential(grid: Grid, barrier: BarrierSpec | None) -> np.ndarray:
 
 class _RealSpace:
     """Carry, edge read and source feed of a stepper whose carried rows are
-    the grid amplitudes (split-step's before its pending exit kick)."""
+    the grid amplitudes (split-step's before its pending exit kick).  edge
+    returns a row's sum of |amplitude|^2 over the edge cells, without dx,
+    and the amplitudes it was read from."""
 
     @staticmethod
-    def carry(amp: np.ndarray) -> np.ndarray:
-        return amp
+    def carry(amps: np.ndarray) -> np.ndarray:
+        return amps
 
     @staticmethod
-    def edge(row: np.ndarray) -> np.ndarray:
-        return row
+    def edge(row: np.ndarray) -> tuple[float, np.ndarray]:
+        head, tail = row[:EDGE_CELLS], row[-EDGE_CELLS:]
+        return (np.vdot(head, head) + np.vdot(tail, tail)).real, row
 
     @staticmethod
     def feed(x: np.ndarray, mask: np.ndarray, weight: float, state: np.ndarray) -> None:
@@ -315,14 +326,17 @@ class _FourierCrankNicolson:
     step is z <- lam z - P (Q z) with lam = 2/eig - 1, Q = the inverse-DFT rows
     at the cells over eig, and P = 2 (forward-DFT columns at the cells) K over
     eig.  E, the inverse-DFT rows at the edge cells, gives the edge guard its
-    amplitudes.  The rows are dense, 2m + 2 EDGE_CELLS of n entries, so
-    _make_stepper takes this stepper only while they fit DENSE_ROWS_BYTES.
+    amplitudes.  A carried row is [z, u, e], n + m + 2 EDGE_CELLS wide, with
+    the reads u = Q z and e = E z, so a step is two matvecs: z' = lam z - u P^T
+    and [u'; e'] = R z' with R = [Q; E].  The rows are dense, 2m + 2
+    EDGE_CELLS of n entries, so _make_stepper takes this stepper only while
+    they fit DENSE_ROWS_BYTES.
     """
 
     def __init__(self, grid: Grid, v: np.ndarray, dt: float) -> None:
         import scipy.fft
 
-        n = grid.n
+        n = self.n = grid.n
         self.fft, self.ifft = scipy.fft.fft, scipy.fft.ifft
         eig, _, cells, k = _cayley(grid, v, dt)
         self.lam = 2.0 / eig - 1.0
@@ -334,30 +348,47 @@ class _FourierCrankNicolson:
             return turn[(at[:, None] * wave) % n] / n
 
         inverse = inverse_rows(cells)
-        self.q = inverse / eig
-        # n conj(inverse)^T holds the forward-DFT columns at the cells
-        self.p = (2.0 * n / eig)[:, None] * inverse.conj().T @ k
-        self.e = inverse_rows(np.r_[:EDGE_CELLS, n - EDGE_CELLS:n])
+        # n conj(inverse)^T holds the forward-DFT columns at the cells; a step
+        # reads P^T, C-contiguous, as u P^T
+        p = (2.0 * n / eig)[:, None] * inverse.conj().T @ k
+        self.pt = np.ascontiguousarray(p.T)
+        self.r = np.concatenate([inverse / eig,
+                                 inverse_rows(np.r_[:EDGE_CELLS, n - EDGE_CELLS:n])])
+        self.at_edge = n + cells.size
 
-    def step(self, z: np.ndarray) -> np.ndarray:
+    def reads(self, row: np.ndarray) -> None:
+        """Refresh the carried reads [u, e] = R z of one row."""
+        np.matmul(self.r, row[:self.n], out=row[self.n:])
+
+    def step(self, x: np.ndarray) -> np.ndarray:
         # one row at a time, so a row stepped in a stack comes out bit for bit
         # as stepped alone
-        y = self.lam * z
-        for row, zrow in zip(y, z):
-            row -= self.p @ (self.q @ zrow)
+        n, at_edge, lam, pt, r = self.n, self.at_edge, self.lam, self.pt, self.r
+        y = np.empty_like(x)
+        for row, xrow in zip(y, x):
+            z = row[:n]
+            np.matmul(xrow[n:at_edge], pt, out=z)
+            np.subtract(lam * xrow[:n], z, out=z)
+            np.matmul(r, z, out=row[n:])
         return y
 
-    def state(self, z: np.ndarray) -> np.ndarray:
-        return self.ifft(z)
+    def state(self, x: np.ndarray) -> np.ndarray:
+        return self.ifft(x[..., :self.n])
 
-    def carry(self, amp: np.ndarray) -> np.ndarray:
-        return self.fft(amp)
+    def carry(self, amps: np.ndarray) -> np.ndarray:
+        x = np.empty((len(amps), self.n + self.r.shape[0]), dtype=np.complex128)
+        x[:, :self.n] = self.fft(amps)
+        for row in x:
+            self.reads(row)
+        return x
 
-    def edge(self, zrow: np.ndarray) -> np.ndarray:
-        return self.e @ zrow
+    def edge(self, row: np.ndarray) -> tuple[float, np.ndarray]:
+        amp = row[self.at_edge:]
+        return np.vdot(amp, amp).real, amp
 
-    def feed(self, z: np.ndarray, mask: np.ndarray, weight: float, state: np.ndarray) -> None:
-        z[1] += self.fft(weight * (mask * state))
+    def feed(self, x: np.ndarray, mask: np.ndarray, weight: float, state: np.ndarray) -> None:
+        x[1, :self.n] += self.fft(weight * (mask * state))
+        self.reads(x[1])
 
 
 def _make_stepper(scheme: str, grid: Grid, v: np.ndarray, dt: float):
@@ -387,9 +418,9 @@ def _run(psi: WaveFunction, cfg: PropagatorConfig, barrier: BarrierSpec | None,
     wanted = {step: j for j, step in enumerate(cfg.record_steps)}
     out: list[WaveFunction] = []
 
-    def check_edge(step: int, amp: np.ndarray) -> None:
-        head, tail = amp[:EDGE_CELLS], amp[-EDGE_CELLS:]
-        edge = (np.vdot(head, head) + np.vdot(tail, tail)).real * grid.dx
+    def check_edge(step: int, row: np.ndarray) -> None:
+        weight, amp = stepper.edge(row)
+        edge = weight * grid.dx
         if not edge <= EDGE_PROBABILITY_LIMIT:  # NaN fails it too
             if not np.isfinite(edge):
                 bad = amp[~np.isfinite(amp)]
@@ -414,12 +445,13 @@ def _run(psi: WaveFunction, cfg: PropagatorConfig, barrier: BarrierSpec | None,
             mask, weights = source
             stepper.feed(x, mask, weights[wanted[step]], state.amp)
 
-    x = np.zeros((1 if source is None else 2, grid.n), dtype=np.complex128)
-    x[0] = stepper.carry(psi.amp)
+    amps = np.zeros((1 if source is None else 2, grid.n), dtype=np.complex128)
+    amps[0] = psi.amp
+    x = stepper.carry(amps)
     for step in range(cfg.n_steps + 1):
         if step:
             x = stepper.step(x)
-        check_edge(step, stepper.edge(x[0]))
+        check_edge(step, x[0])
         if step in wanted:
             record(step, x)
     return out, stepper.state(x)

@@ -355,11 +355,48 @@ def test_fourier_space_step_matches_the_fft_pair_step(dt, rows):
     assert np.max(np.abs(fourier.state(z) - pair.state(x))) <= 1e-13 * np.max(np.abs(x))
 
 
+@pytest.mark.parametrize("rows", [1, 2])
+@pytest.mark.parametrize("dt", [0.02, 5.0, -0.02, -5.0])
+def test_fourier_space_rows_carry_their_barrier_and_edge_reads(dt, rows):
+    """A Fourier-space row is [z, u, e], n + m + 2 EDGE_CELLS wide: the
+    coefficients z, then u = IFFT(z / eig) at the m barrier cells, which the
+    next step reads, and e = IFFT(z) at the edge cells, which the edge guard
+    reads.  After 50 steps on the 8-cell SMALL_SCENARIO barrier, forward and
+    backward, and right after a source feed into row 1 of a stack of two,
+    the carried reads equal the inverse DFT of the carried z.  Row 0 sits on
+    the wrap point, so its edge reads are not roundoff.  The largest gap
+    measured 7.2e-16 of the largest amplitude."""
+    grid = SMALL_SCENARIO.grid()
+    n = grid.n
+    v = SMALL_SCENARIO.barrier().potential(grid)
+    eig = tdse._cayley(grid, v, dt)[0]
+    cells, edges = np.flatnonzero(v), np.r_[:EDGE_CELLS, n - EDGE_CELLS:n]
+    stepper = tdse._FourierCrankNicolson(grid, v, dt)
+
+    def assert_reads_match(x):
+        z = x[:, :n]
+        expected = np.concatenate([np.fft.ifft(z / eig)[:, cells],
+                                   np.fft.ifft(z)[:, edges]], axis=1)
+        assert x.shape == (rows, n + cells.size + 2 * EDGE_CELLS)
+        gap = np.max(np.abs(x[:, n:] - expected))
+        assert gap <= 2e-15 * np.max(np.abs(stepper.state(x)))
+
+    x = stepper.carry(np.array([np.roll(gaussian_packet(grid, 0.0, 4.0, 1.0).amp, n // 2),
+                                gaussian_packet(grid, -20.0, 4.0, 1.0).amp])[:rows])
+    for _ in range(50):
+        x = stepper.step(x)
+    assert_reads_match(x)
+    if rows == 2:
+        mask = (grid.x >= -5.0) & (grid.x < 5.0)
+        stepper.feed(x, mask, 0.7, stepper.state(x[0]))
+        assert_reads_match(x)
+
+
 def test_implicit_fd_transmit_probability_is_pinned():
     """Forward-leg transmit probability of the bench trace-cn scenario,
     recorded from the earlier sparse-LU Crank-Nicolson step.  This 8-cell
-    barrier steps in Fourier space, which sits 8.1e-14 relative away from
-    it; the FFT-pair step sat 4.6e-14 away."""
+    barrier steps in Fourier space, which sits 8.3e-14 relative away from
+    it with one BLAS thread or two; the FFT-pair step sat 4.6e-14 away."""
     cfg = replace(SMALL_SCENARIO, dt=0.02, n_steps=1750, scheme="implicit-fd")
     grid = cfg.grid()
     final, = propagate(cfg.packet(), cfg.propagator((cfg.n_steps,)), cfg.barrier())
@@ -476,25 +513,31 @@ def test_nan_after_the_first_step_trips_a_guard(monkeypatch, cell, error, messag
         propagate(free_packet(), cfg)
 
 
-@pytest.mark.parametrize("scheme, barrier, tripped", [
-    ("spectral-split-step", None, 6),
-    ("implicit-fd", FFT_PAIR_BARRIER, 6),
-    ("implicit-fd", None, 5),
-], ids=["spectral-split-step", "implicit-fd", "implicit-fd-fourier-space"])
+@pytest.mark.parametrize("scheme, barrier, entry, tripped", [
+    ("spectral-split-step", None, FREE_GRID.n // 2, 6),
+    ("implicit-fd", FFT_PAIR_BARRIER, FREE_GRID.n // 2, 6),
+    ("implicit-fd", None, FREE_GRID.n // 2, 6),
+    ("implicit-fd", None, -1, 5),
+], ids=["spectral-split-step", "implicit-fd", "implicit-fd-fourier-space",
+        "implicit-fd-fourier-space-edge-reads"])
 def test_interior_nan_between_records_is_a_scheme_failure(monkeypatch, scheme, barrier,
-                                                          tripped):
-    """A NaN put in the middle entry of the carried row after step 5,
-    between the records at steps 1 and 10, raises SchemeInstabilityError,
-    not EdgeDensityError.  Where the row is the grid amplitudes, the next
-    step's FFT spreads it to every cell and the edge check after step 6
-    fires.  In Fourier space the entry is a coefficient, which every cell's
-    inverse-DFT row reads, so the edge check after step 5 fires."""
+                                                          entry, tripped):
+    """A NaN put in an entry of the carried row after step 5, between the
+    records at steps 1 and 10, raises SchemeInstabilityError, not
+    EdgeDensityError.  Put in the middle entry, where the row is the grid
+    amplitudes, the next step's FFT spreads it to every cell and the edge
+    check after step 6 fires.  In Fourier space the middle entry is a
+    coefficient; the row carries its edge reads beside the coefficients, and
+    step 6 is the first to compute them from it, so there too the check
+    after step 6 fires.  Put in the last entry, a Fourier-space row's
+    carried read of the last edge cell, it trips the check after step 5:
+    the guard reads what the step returned."""
     steps = []
 
     def poison(x):
         steps.append(1)
         if len(steps) == 5:
-            x[0, FREE_GRID.n // 2] = np.nan
+            x[0, entry] = np.nan
 
     patch_steps(monkeypatch, poison)
     cfg = PropagatorConfig(dt=0.01, record_steps=(1, 10), scheme=scheme)

@@ -287,11 +287,12 @@ def test_every_leg_runs_the_n_steps_of_its_config(monkeypatch):
 def test_implicit_fd_dwell_and_center_to_peak_are_pinned():
     """The dwell and center_to_peak of the bench trace-cn scenario under
     Crank-Nicolson, recorded from the band LU step.  The 8-cell barrier
-    steps in Fourier space, which sits 2.8e-14 and 1.2e-13 relative away
+    steps in Fourier space, which sits 2.5e-14 and 1.3e-13 relative away
     from these, and 3.4e-13 and 1.2e-13 from the bench's reference values,
-    recorded from the sparse-LU step (the FFT-pair step: 6.3e-14 and
-    1.7e-14, and 2.5e-13 and 2.1e-14); rel 1e-11 admits such a reordering
-    of the arithmetic, while halving dt moves center_to_peak by 1.6e-3."""
+    recorded from the sparse-LU step, with one BLAS thread or two (the
+    FFT-pair step: 6.3e-14 and 1.7e-14, and 2.5e-13 and 2.1e-14); rel 1e-11
+    admits such a reordering of the arithmetic, while halving dt moves
+    center_to_peak by 1.6e-3."""
     cfg = replace(SMALL_SCENARIO, dt=0.02, n_steps=1750, scheme="implicit-fd")
     barrier = cfg.barrier()
     region = RegionProjector(cfg.grid(), barrier.x_left, barrier.x_right)
@@ -301,6 +302,22 @@ def test_implicit_fd_dwell_and_center_to_peak_are_pinned():
     pair = transmitted_pair(cfg.packet(), cfg.propagator(), barrier, cfg.transmit_cut())
     occupation = barrier_occupation(pair, barrier)
     assert occupation.center_to_peak() == pytest.approx(0.1506331687434938, rel=1e-11)
+
+
+def test_fast_center_to_peak_box_error_is_bounded(small_pair):
+    """center_to_peak of the SMALL_SCENARIO pair on its 1x box [-256, 256)
+    against the 2x box [-512, 512) at the same dx (n=2048): 0.14907644171886
+    against 0.14903507086578, a box error of 4.14e-5 (2.8e-4 relative) in
+    the pinned 1x value.  The backward leg carries it, and it falls off as
+    about 1/L^2 in the box length L; the bound is that measured gap."""
+    one = barrier_occupation(small_pair["pair"], small_pair["barrier"]).center_to_peak()
+    cfg = replace(SMALL_SCENARIO, x_min=-512.0, x_max=512.0, n_points=2048)
+    barrier = cfg.barrier()
+    pair = transmitted_pair(cfg.packet(), cfg.propagator(), barrier, cfg.transmit_cut())
+    two = barrier_occupation(pair, barrier).center_to_peak()
+    assert one == pytest.approx(0.14907644171886084, rel=1e-9)
+    assert two == pytest.approx(0.14903507086578463, rel=1e-9)
+    assert 0.0 < one - two <= 4.2e-5
 
 
 def test_conditional_distribution_completeness(small_pair):
