@@ -37,26 +37,31 @@ each other:
       around the default scenario's 103 cells.
     - *Fourier coefficients z = FFT(x)*: the circulant part is diagonal
       there and the correction has rank m, the cell count, so a step is
-      z <- (2/eig - 1) z - P (Q z) through m dense DFT rows of n entries
-      each and no FFT.  A row carries the amplitudes its next step and the
-      edge guard read beside z: u = Q z at the m cells and e = E z at the
-      2 EDGE_CELLS edge cells, so it is n + m + 2 EDGE_CELLS wide.  A step
-      is then two matvecs, z' = (2/eig - 1) z - u P^T with P^T stored as m
-      contiguous rows, and [u'; e'] = [Q; E] z'.  A record takes one IFFT.
+      z <- M z = (2/eig - 1) z - P (Q z) through m dense DFT rows of n
+      entries each and no FFT.  Steps go in blocks of up to k: one matvec
+      reads, from the block's first z, the m cell amplitudes Q M^i z that
+      each of its steps takes and the 2 EDGE_CELLS edge amplitudes the edge
+      guard takes after each, and a second matvec adds the k corrections to
+      (2/eig - 1)^k z at once.  A record takes one IFFT.
 
-    The Fourier form runs while its 2m + 2 EDGE_CELLS rows of n complex
-    entries fit DENSE_ROWS_BYTES (1 MiB): up to 28 cells at n=1024, up to 4
-    at n=4096.  A step of each form, one row with its edge read, crossed
-    over at about m=32 to 40 for n=1024 (both about 35 us) and m=12 for
-    n=4096 (about 90 us), measured on a 2-vCPU Xeon VM with one BLAS thread;
-    with two, the Fourier form was still ahead at m=40 and m=20.  So the
-    budget keeps the dense rows near cache size and below both crossovers;
-    the default scenario's 103 cells at n=4096 would need 13.4 MiB and step
-    through the FFT pair.  At m=8, n=1024, the bench's trace-cn barrier, a
-    leg's step with its edge check took 16 us with one BLAS thread and 21
-    us with two (17 and 25 us when the reads were three separate matvecs;
-    OpenBLAS splits each matvec across its threads at a loss), against 31
-    and 30 us through the FFT pair.  The two schemes share the FFT but
+    The Fourier form takes k = DENSE_ROWS_BYTES // (bytes of one step's
+    dense rows, 2m + 2 EDGE_CELLS of n complex entries) and runs iff k >= 1:
+    with 1.5 MiB, k=4 on the bench's trace-cn barrier (8 cells at n=1024),
+    k=1 from 21 to 44 cells at n=1024 and from 3 to 8 cells at n=4096, and
+    the FFT pair beyond; the default scenario's 103 cells at n=4096 would need
+    13.4 MiB a step.  Measured on a 2-vCPU Xeon VM (a leg's step with its
+    edge read, fastest of 11 rounds): at m=8, n=1024 a step took 16 us
+    at k=1, 12 us at k=2 to 4 and 13 us at k=5 with one BLAS thread, and 27,
+    16, 12, 10 and 9 us at k=1 to 5 with two, against 32 and 36 us through
+    the FFT pair.  Blocks past the cache gain nothing with one thread (k=2
+    was slower than k=1 at m=24).  With one thread k=1 crossed the FFT pair
+    at about m=30 for n=1024 (1.1 MiB of rows a step) and m=13 for n=4096
+    (2.1 MiB); with two it was within 15% of it from m=32 to 48 at n=1024
+    and still led at m=16 at n=4096.  No one budget
+    sits at both one-thread crossovers: this one leaves 31 to 44 cells at
+    n=1024 on the Fourier form, up to 29% slower there with one thread,
+    and 9 to 11 cells at n=4096 on the FFT pair, about 10% slower there
+    with one thread and 60% with two.  The two schemes share the FFT but
     not the discretization: spectral kinetic energy and Strang splitting
     against a 16th-order stencil and the Cayley form.  The tests check both
     forms against a sparse LU of the full periodic operator, and against
@@ -65,16 +70,17 @@ each other:
 A leg is its record steps: PropagatorConfig takes the integer steps j to
 record, the leg runs from step 0 to the last of them (its n_steps) and
 returns its state at each, and record_times are j * dt, so no float time is
-rounded here.  A leg steps a stack of rows at once: split-step and the
-FFT-pair form batch their FFTs over the rows, and the Woodbury correction
-and the Fourier form's matvecs go one row at a time, so a row comes out bit
-for bit as stepped alone.  Row 0 is the state; propagate_with_source adds a
-second row that collects a weighted region source at the record steps and
-is read at the last record, so a conditional dwell needs one forward leg and
-no backward one.  The stepper owns its carried form: it turns the initial
-stack into carried rows, reads row 0's edge weight, and feeds the source row
-in that form (in Fourier space, the FFT of the weighted masked state, after
-which the row's reads are refreshed).
+rounded here.  Between records a stepper's advance takes the whole gap and
+returns row 0's edge weight after each step.  A leg steps a stack of rows
+at once: split-step and the FFT-pair form batch their FFTs over the rows,
+and the Woodbury correction and the Fourier form's matvecs go one row at a
+time, so a row comes out bit for bit as stepped alone.  Row 0 is the state;
+propagate_with_source adds a second row that collects a weighted region
+source at the record steps and is read at the last record, so a
+conditional dwell needs one forward leg and no backward one.  The stepper
+owns its carried form: it turns the initial stack into carried rows and
+feeds the source row in that form (in Fourier space, the FFT of the
+weighted masked state).
 
 Runtime guards watch row 0: probability reaching the domain edges, checked
 after every step (wrap-around would silently corrupt the run, and a packet
@@ -87,15 +93,16 @@ with the physics at the scale of the unprojected state.  Norm drift is
 relative to the leg's starting norm.  A non-finite edge weight is a scheme
 failure, not an edge density, and raises SchemeInstabilityError.  A step
 through an FFT spreads a non-finite amplitude anywhere to every cell, and
-in Fourier space the step's edge reads sum every coefficient, so the
-per-step edge check catches it within one step; a finite step is unitary up
-to roundoff, so norm drift builds up slowly enough to be checked at the
-records only.  Under split-step the edge guard reads the carried state
-before its exit kick; the kick is unimodular, so the cell magnitudes are
-the same up to roundoff.  In Fourier space it reads the carried e = E z,
-which the step that returned the row computed: the edge cells' amplitudes
-to the roundoff of an n-term sum, far below the limit, in one vdot.  Recorded
-states keep their global phase and are never renormalized.
+in Fourier space each edge read sums every coefficient, so the per-step
+edge check catches it within one step; a finite step is unitary up to
+roundoff, so norm drift builds up slowly enough to be checked at the
+records only.  advance stops at the first step whose edge weight fails,
+ending a block early there, so the guard names the step where it tripped.
+Under split-step the edge guard reads the carried state before its exit
+kick; the kick is unimodular, so the cell magnitudes are the same up to
+roundoff.  In Fourier space it reads the block's edge amplitudes, to the
+roundoff of an n-term sum, far below the limit.  Recorded states keep their
+global phase and are never renormalized.
 
 scipy.fft is imported when a stepper is built, not with this module, so
 importing the package costs numpy alone; the stepper keeps the routines for
@@ -128,8 +135,9 @@ EDGE_PROBABILITY_LIMIT = 1e-8
 NORM_DRIFT_LIMIT = 1e-6
 
 STENCIL_HALF_WIDTH = 8  # 16th-order central second derivative
-# Crank-Nicolson steps in Fourier space while its dense rows fit this many bytes
-DENSE_ROWS_BYTES = 1 << 20
+# Crank-Nicolson steps in Fourier space in blocks of as many steps as their
+# dense rows fit this many bytes, while one step's rows fit
+DENSE_ROWS_BYTES = 3 << 19
 
 
 def _second_derivative_stencil(m: int) -> np.ndarray:
@@ -191,25 +199,43 @@ def _potential(grid: Grid, barrier: BarrierSpec | None) -> np.ndarray:
     return barrier.potential(grid) if barrier is not None else np.zeros(grid.n)
 
 
+def _edge_weight(amps: np.ndarray) -> float:
+    """Sum of |amplitude|^2 over the edge cells of a row of grid amplitudes,
+    without dx."""
+    head, tail = amps[:EDGE_CELLS], amps[-EDGE_CELLS:]
+    return (np.vdot(head, head) + np.vdot(tail, tail)).real
+
+
+def _edge_passes(weight, dx: float):
+    """Whether edge weights (sums of |amplitude|^2 without dx) pass the edge
+    guard; NaN fails.  The limit is read when it is checked."""
+    return weight * dx <= EDGE_PROBABILITY_LIMIT
+
+
 class _RealSpace:
-    """Carry, edge read and source feed of a stepper whose carried rows are
-    the grid amplitudes (split-step's before its pending exit kick).  edge
-    returns a row's sum of |amplitude|^2 over the edge cells, without dx,
-    and the amplitudes it was read from."""
+    """Carry, source feed and advance of a stepper whose carried rows are the
+    grid amplitudes (split-step's before its pending exit kick)."""
 
     @staticmethod
     def carry(amps: np.ndarray) -> np.ndarray:
         return amps
 
     @staticmethod
-    def edge(row: np.ndarray) -> tuple[float, np.ndarray]:
-        head, tail = row[:EDGE_CELLS], row[-EDGE_CELLS:]
-        return (np.vdot(head, head) + np.vdot(tail, tail)).real, row
-
-    @staticmethod
     def feed(x: np.ndarray, mask: np.ndarray, weight: float, state: np.ndarray) -> None:
         # the fused split-step kick is diagonal, so it commutes with the mask
         x[1, mask] += weight * x[0, mask]
+
+    def advance(self, x: np.ndarray, steps: int) -> tuple[np.ndarray, np.ndarray]:
+        """Take steps steps and read row 0's edge weight after each; stop at
+        the first step whose weight fails the edge guard.  Returns the stack
+        after the last step taken and the weights read."""
+        weights = np.empty(steps)
+        for s in range(steps):
+            x = self.step(x)
+            weights[s] = _edge_weight(x[0])
+            if not _edge_passes(weights[s], self.dx):
+                return x, weights[:s + 1]
+        return x, weights
 
 
 class _SplitStep(_RealSpace):
@@ -224,6 +250,7 @@ class _SplitStep(_RealSpace):
     def __init__(self, grid: Grid, v: np.ndarray, dt: float) -> None:
         import scipy.fft
 
+        self.dx = grid.dx
         self.fft, self.ifft = scipy.fft.fft, scipy.fft.ifft
         self.half_v = np.exp(-0.5j * dt * v)
         self.full_v = np.exp(-1j * dt * v)
@@ -288,6 +315,7 @@ class _CrankNicolson(_RealSpace):
         import scipy.fft
 
         n = grid.n
+        self.dx = grid.dx
         self.fft, self.ifft = scipy.fft.fft, scipy.fft.ifft
         eig, g, self.cells, k = _cayley(grid, v, dt)
         self.scale = 2.0 / eig
@@ -320,26 +348,39 @@ class _CrankNicolson(_RealSpace):
 
 
 class _FourierCrankNicolson:
-    """The Cayley step of _CrankNicolson on the Fourier coefficients z = FFT(x).
+    """The Cayley step of _CrankNicolson on the Fourier coefficients z = FFT(x),
+    up to k steps per pair of matvecs.
 
-    2 A^-1 x - x is diagonal in Fourier space up to the Woodbury term, so a
-    step is z <- lam z - P (Q z) with lam = 2/eig - 1, Q = the inverse-DFT rows
-    at the cells over eig, and P = 2 (forward-DFT columns at the cells) K over
-    eig.  E, the inverse-DFT rows at the edge cells, gives the edge guard its
-    amplitudes.  A carried row is [z, u, e], n + m + 2 EDGE_CELLS wide, with
-    the reads u = Q z and e = E z, so a step is two matvecs: z' = lam z - u P^T
-    and [u'; e'] = R z' with R = [Q; E].  The rows are dense, 2m + 2
-    EDGE_CELLS of n entries, so _make_stepper takes this stepper only while
-    they fit DENSE_ROWS_BYTES.
+    2 A^-1 x - x is diagonal in Fourier space up to the Woodbury term, so one
+    step is z <- M z = lam z - P (Q z) with lam = 2/eig - 1, Q = the
+    inverse-DFT rows at the m cells over eig, and P = 2 (forward-DFT columns
+    at the cells) K over eig.  The carried row is z.  A block of j <= k
+    steps from step s makes two matvecs:
+
+    - the reads u_i = Q M^i z_s, i = 0 .. k-1, which the steps of the block
+      take, and the amplitudes E M^i z_s at the 2 EDGE_CELLS edge cells, i =
+      1 .. k, which the edge guard takes (E the inverse-DFT rows there);
+    - z_{s+j} = lam^j z_s - [u_0 .. u_{j-1}] B_j, with B_j = [lam^(j-1) P^T;
+      ..; lam P^T; P^T] the last j m rows of B_k.
+
+    The rows Q M^i and E M^i are built once, from y M = lam y - (y P) Q.
+    Every read comes from the block's first z, so no read is carried from
+    one block to the next; a carried u = Q z would carry its roundoff into
+    the next block through Q lam^(k-1) P, whose spectral radius exceeds 1 on
+    some barriers.  The rows past row 0 read their u alone.  The dense rows,
+    2m + 2 EDGE_CELLS of n entries per step of a block, are what
+    _make_stepper sizes k by.
     """
 
-    def __init__(self, grid: Grid, v: np.ndarray, dt: float) -> None:
+    def __init__(self, grid: Grid, v: np.ndarray, dt: float, k: int) -> None:
         import scipy.fft
 
-        n = self.n = grid.n
+        n = grid.n
+        self.dx, self.k = grid.dx, k
         self.fft, self.ifft = scipy.fft.fft, scipy.fft.ifft
-        eig, _, cells, k = _cayley(grid, v, dt)
-        self.lam = 2.0 / eig - 1.0
+        eig, _, cells, woodbury = _cayley(grid, v, dt)
+        m = self.m = cells.size
+        lam = 2.0 / eig - 1.0
         # exp(2 pi i c k / n), each phase taken from the integer c k mod n
         turn = np.exp((2j * np.pi / n) * np.arange(n))
         wave = np.arange(n)
@@ -348,55 +389,70 @@ class _FourierCrankNicolson:
             return turn[(at[:, None] * wave) % n] / n
 
         inverse = inverse_rows(cells)
-        # n conj(inverse)^T holds the forward-DFT columns at the cells; a step
-        # reads P^T, C-contiguous, as u P^T
-        p = (2.0 * n / eig)[:, None] * inverse.conj().T @ k
-        self.pt = np.ascontiguousarray(p.T)
-        self.r = np.concatenate([inverse / eig,
-                                 inverse_rows(np.r_[:EDGE_CELLS, n - EDGE_CELLS:n])])
-        self.at_edge = n + cells.size
+        q = inverse / eig
+        # n conj(inverse)^T holds the forward-DFT columns at the cells
+        p = (2.0 * n / eig)[:, None] * inverse.conj().T @ woodbury
+        self.lam_pow = np.cumprod(np.broadcast_to(lam, (k, n)), axis=0)  # lam^1 .. lam^k
+        self.b = np.concatenate([self.lam_pow[k - 2 - i] * p.T for i in range(k - 1)]
+                                + [np.ascontiguousarray(p.T)])
+        y = np.concatenate([q, inverse_rows(np.r_[:EDGE_CELLS, n - EDGE_CELLS:n])])
+        u_rows, e_rows = [], []
+        for _ in range(k):
+            u_rows.append(y[:m])
+            y = lam * y - (y @ p) @ q
+            e_rows.append(y[m:])
+        self.r = np.concatenate(u_rows + e_rows)
 
-    def reads(self, row: np.ndarray) -> None:
-        """Refresh the carried reads [u, e] = R z of one row."""
-        np.matmul(self.r, row[:self.n], out=row[self.n:])
-
-    def step(self, x: np.ndarray) -> np.ndarray:
-        # one row at a time, so a row stepped in a stack comes out bit for bit
-        # as stepped alone
-        n, at_edge, lam, pt, r = self.n, self.at_edge, self.lam, self.pt, self.r
-        y = np.empty_like(x)
-        for row, xrow in zip(y, x):
-            z = row[:n]
-            np.matmul(xrow[n:at_edge], pt, out=z)
-            np.subtract(lam * xrow[:n], z, out=z)
-            np.matmul(r, z, out=row[n:])
-        return y
+    def advance(self, x: np.ndarray, steps: int) -> tuple[np.ndarray, np.ndarray]:
+        """Take steps steps in blocks of up to k and read row 0's edge weight
+        after each; stop at the first step whose weight fails the edge guard.
+        Returns the stack after the last step taken and the weights read."""
+        m, k = self.m, self.k
+        # row 0's edge amplitudes at each step, as real and imaginary parts
+        edges = np.empty((steps, 4 * EDGE_CELLS))
+        done = 0
+        while done < steps:
+            j = min(k, steps - done)
+            y = np.empty_like(x)
+            # one row at a time, so a row stepped in a stack comes out as
+            # stepped alone
+            for i, (z, xz) in enumerate(zip(y, x)):
+                reads = (self.r if i == 0 else self.r[:k * m]) @ xz
+                if i == 0:
+                    e = reads[k * m:k * m + 2 * EDGE_CELLS * j].view(np.float64)
+                    edges[done:done + j] = e.reshape(j, -1)
+                    # the block's total weight bounds each step's
+                    if not _edge_passes(np.dot(e, e), self.dx):
+                        passed = _edge_passes(np.square(edges[done:done + j]).sum(axis=1),
+                                              self.dx)
+                        if not passed.all():
+                            j = int(np.argmin(passed)) + 1
+                            steps = done + j
+                np.matmul(reads[:j * m], self.b[(k - j) * m:], out=z)
+                np.subtract(self.lam_pow[j - 1] * xz, z, out=z)
+            x = y
+            done += j
+        return x, np.square(edges[:steps]).sum(axis=1)
 
     def state(self, x: np.ndarray) -> np.ndarray:
-        return self.ifft(x[..., :self.n])
+        return self.ifft(x)
 
     def carry(self, amps: np.ndarray) -> np.ndarray:
-        x = np.empty((len(amps), self.n + self.r.shape[0]), dtype=np.complex128)
-        x[:, :self.n] = self.fft(amps)
-        for row in x:
-            self.reads(row)
-        return x
-
-    def edge(self, row: np.ndarray) -> tuple[float, np.ndarray]:
-        amp = row[self.at_edge:]
-        return np.vdot(amp, amp).real, amp
+        return self.fft(amps)
 
     def feed(self, x: np.ndarray, mask: np.ndarray, weight: float, state: np.ndarray) -> None:
-        x[1, :self.n] += self.fft(weight * (mask * state))
-        self.reads(x[1])
+        x[1] += self.fft(weight * (mask * state))
 
 
 def _make_stepper(scheme: str, grid: Grid, v: np.ndarray, dt: float):
     if scheme == "spectral-split-step":
         return _SplitStep(grid, v, dt)
-    rows = 2 * np.count_nonzero(v) + 2 * EDGE_CELLS
-    if rows * grid.n * np.dtype(np.complex128).itemsize <= DENSE_ROWS_BYTES:
-        return _FourierCrankNicolson(grid, v, dt)
+    # a block's dense rows per step: m of B_k, m + 2 EDGE_CELLS of reads
+    step_bytes = ((2 * np.count_nonzero(v) + 2 * EDGE_CELLS) * grid.n
+                  * np.dtype(np.complex128).itemsize)
+    k = DENSE_ROWS_BYTES // step_bytes
+    if k >= 1:
+        return _FourierCrankNicolson(grid, v, dt, k)
     return _CrankNicolson(grid, v, dt)
 
 
@@ -414,26 +470,29 @@ def _run(psi: WaveFunction, cfg: PropagatorConfig, barrier: BarrierSpec | None,
     if norm0 == 0.0:
         raise ConfigError("cannot propagate the zero state")
     stepper = _make_stepper(cfg.scheme, grid, _potential(grid, barrier), dt_sign * cfg.dt)
-
-    wanted = {step: j for j, step in enumerate(cfg.record_steps)}
     out: list[WaveFunction] = []
 
-    def check_edge(step: int, row: np.ndarray) -> None:
-        weight, amp = stepper.edge(row)
-        edge = weight * grid.dx
-        if not edge <= EDGE_PROBABILITY_LIMIT:  # NaN fails it too
-            if not np.isfinite(edge):
-                bad = amp[~np.isfinite(amp)]
-                raise SchemeInstabilityError(
-                    f"non-finite amplitude {bad[0] if bad.size else edge} after "
-                    f"{step} steps of {cfg.scheme} (t={step * cfg.dt})"
-                )
-            raise EdgeDensityError(
-                f"probability {edge:.3e} reached the domain edge at t={step * cfg.dt}; "
-                "enlarge the domain or shorten the run"
+    def check_edge(first: int, weights: np.ndarray, x: np.ndarray) -> None:
+        """Raise at the first of steps first, first + 1, .. whose edge weight
+        fails the guard; x is the stack at the last of them."""
+        failed = np.flatnonzero(~_edge_passes(weights, grid.dx))
+        if not failed.size:
+            return
+        step = first + int(failed[0])
+        edge = weights[failed[0]] * grid.dx
+        if not np.isfinite(edge):
+            amp = stepper.state(x[0])
+            bad = amp[~np.isfinite(amp)]
+            raise SchemeInstabilityError(
+                f"non-finite amplitude {bad[0] if bad.size else edge} after "
+                f"{step} steps of {cfg.scheme} (t={step * cfg.dt})"
             )
+        raise EdgeDensityError(
+            f"probability {edge:.3e} reached the domain edge at t={step * cfg.dt}; "
+            "enlarge the domain or shorten the run"
+        )
 
-    def record(step: int, x: np.ndarray) -> None:
+    def record(step: int, j: int, x: np.ndarray) -> None:
         state = WaveFunction(grid, stepper.state(x[0]))
         drift = abs(state.norm() / norm0 - 1.0)
         if not drift <= NORM_DRIFT_LIMIT:
@@ -443,17 +502,19 @@ def _run(psi: WaveFunction, cfg: PropagatorConfig, barrier: BarrierSpec | None,
         out.append(state)
         if source is not None:
             mask, weights = source
-            stepper.feed(x, mask, weights[wanted[step]], state.amp)
+            stepper.feed(x, mask, weights[j], state.amp)
 
     amps = np.zeros((1 if source is None else 2, grid.n), dtype=np.complex128)
     amps[0] = psi.amp
     x = stepper.carry(amps)
-    for step in range(cfg.n_steps + 1):
-        if step:
-            x = stepper.step(x)
-        check_edge(step, x[0])
-        if step in wanted:
-            record(step, x)
+    check_edge(0, np.array([_edge_weight(psi.amp)]), x)
+    done = 0
+    for j, step in enumerate(cfg.record_steps):
+        if step > done:
+            x, weights = stepper.advance(x, step - done)
+            check_edge(done + 1, weights, x)
+            done = step
+        record(step, j, x)
     return out, stepper.state(x)
 
 

@@ -21,20 +21,28 @@ SMALL_SCENARIO = ScenarioConfig(
 
 
 def patch_steps(monkeypatch, after_step):
-    """Make every stepper built from now on call after_step(x) on the stack
-    each of its steps returns."""
+    """Make every stepper built from now on advance one step at a time and
+    call after_step(x, weight) on the stack and the one-entry array of row
+    0's edge weight that each step returns, before the leg's guard reads
+    them.  Like advance, it stops at the first step whose weight fails the
+    edge guard."""
     make = tdse._make_stepper
 
     def patched(*args):
         stepper = make(*args)
-        step = stepper.step
+        advance = stepper.advance
 
-        def patched_step(x):
-            x = step(x)
-            after_step(x)
-            return x
+        def one_at_a_time(x, steps):
+            weights = []
+            for _ in range(steps):
+                x, weight = advance(x, 1)
+                after_step(x, weight)
+                weights.append(weight)
+                if not tdse._edge_passes(weight[0], stepper.dx):
+                    break
+            return x, np.concatenate(weights)
 
-        stepper.step = patched_step
+        stepper.advance = one_at_a_time
         return stepper
 
     monkeypatch.setattr(tdse, "_make_stepper", patched)

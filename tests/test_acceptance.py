@@ -104,14 +104,19 @@ def test_checklist_05_transmitted_trace_norms_and_face_dominance(trace_run):
     # 8.72e-6, 4.60e-5 and 2.82e-4 relative at dt = 0.002, 0.004 and 0.008
     # against dt = 0.001.  Read as second order, the two finest steps put
     # dt = 0.001 about 2.9e-6 from the dt -> 0 limit, so rel 1e-6 pins this
-    # discretization, not the limit.
+    # discretization, not the limit.  Box error of the pin: at the same dx
+    # on periodic domains 2 and 4 times as long, P moves +6.9e-7 and +7.1e-7
+    # relative (ROADMAP item 5), so rel 1e-6 pins this box too.
     assert trace_run["prob"] == pytest.approx(1.3044421208656991e-08, rel=1e-6)
     # the conditioned particle starts left of the barrier and ends right
     assert np.sum(re[0, grid.x < 0.0]) * grid.dx > 0.9
     assert np.sum(re[-1, grid.x >= 0.0]) * grid.dx > 0.9
     assert np.all(occ.entrance >= 0.0) and np.all(occ.exit >= 0.0)
     # The claim holds at the n_record = 20 recorded times (0.0421 there);
-    # on a 1300-record grid the same ratio is 0.0472.
+    # on a 1300-record grid the same ratio is 0.0472.  Box error of the gate:
+    # at the same dx and 20 records the ratio reads 0.0421 on this box,
+    # 0.0441 on one twice as long and 0.0445 on one four times as long
+    # (ROADMAP item 5), so the box moves it by 0.0024 of the 0.0079 margin.
     ratio = occ.center_to_peak()
     assert ratio < 0.05
     print(f"checklist 05: norms within 1e-8 at {cfg.n_record} times, "

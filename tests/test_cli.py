@@ -169,6 +169,10 @@ def test_fig2_fast_scenario_and_determinism(tmp_path):
     summary = read_json(out1, "summary.json")
     assert summary["n_record"] == 10
     assert summary["duration"] == 35.0
+    # Step error of the pin: a Chebyshev expansion of the same grid
+    # Hamiltonian puts this dt = 0.001 split-step value 3.15e-7 relative below
+    # the dt -> 0 limit, a third of rel 1e-6
+    # (tests/test_tdse.py::test_split_step_transmit_probability_against_chebyshev_oracle).
     assert summary["transmit_prob"] == pytest.approx(2.3662422783212265e-3,
                                                      rel=1e-6)
     header, rows = read_csv(out1, "conditional.csv")
@@ -275,7 +279,7 @@ def test_two_probe_backward_leg_stops_at_the_earliest_window_start(tmp_path, mon
     forward leg takes 400 steps of 0.05 and the backward leg 320 (16 time
     units back to t=4), not 360 (back to the first record)."""
     steps = []
-    patch_steps(monkeypatch, lambda x: steps.append(1))
+    patch_steps(monkeypatch, lambda x, weight: steps.append(1))
     cheap = ["--set", "n_points=1024", "--set", "packet_energy=4.5",
              "--set", "dt=0.05", "--set", "n_steps=400", "--set", "n_record=10"]
     out = tmp_path / "tp"
@@ -296,7 +300,7 @@ def test_two_probe_rejects_bad_probes_before_the_first_step(tmp_path, monkeypatc
     """Records at 2, 4, ..., 20: each bad probe exits 2 before either leg
     takes a step and before anything is written."""
     steps = []
-    patch_steps(monkeypatch, lambda x: steps.append(1))
+    patch_steps(monkeypatch, lambda x, weight: steps.append(1))
     cheap = ["--set", "n_points=1024", "--set", "packet_energy=4.5",
              "--set", "dt=0.05", "--set", "n_steps=400", "--set", "n_record=10"]
     out = tmp_path / "tp"
@@ -308,7 +312,7 @@ def test_two_probe_rejects_bad_probes_before_the_first_step(tmp_path, monkeypatc
 def test_dwell_rejects_a_region_without_a_grid_cell_before_the_first_step(
         tmp_path, monkeypatch):
     steps = []
-    patch_steps(monkeypatch, lambda x: steps.append(1))
+    patch_steps(monkeypatch, lambda x, weight: steps.append(1))
     cheap = ["--set", "n_points=1024", "--set", "packet_energy=4.5",
              "--set", "dt=0.05", "--set", "n_steps=400", "--set", "n_record=10"]
     out = tmp_path / "d"

@@ -180,7 +180,7 @@ def test_projectors_on_another_grid_are_refused_before_a_step(grid, monkeypatch)
     prop = cfg.propagator()
     pair = transmitted_pair(psi, prop, barrier, cfg.transmit_cut())
     steps = []
-    patch_steps(monkeypatch, lambda x: steps.append(1))
+    patch_steps(monkeypatch, lambda x, weight: steps.append(1))
 
     whole = RegionProjector(home, home.x_min, home.x_max)
     region = RegionProjector(home, cfg.barrier_left, cfg.barrier_right)
@@ -266,7 +266,7 @@ def test_every_leg_runs_the_n_steps_of_its_config(monkeypatch):
     barrier = cfg.barrier()
     region = RegionProjector(cfg.grid(), cfg.barrier_left, cfg.barrier_right)
     steps, legs = [], []
-    patch_steps(monkeypatch, lambda x: steps.append(1))
+    patch_steps(monkeypatch, lambda x, weight: steps.append(1))
 
     def measured(fn):
         def wrapper(psi, leg, *args):
@@ -287,10 +287,12 @@ def test_every_leg_runs_the_n_steps_of_its_config(monkeypatch):
 def test_implicit_fd_dwell_and_center_to_peak_are_pinned():
     """The dwell and center_to_peak of the bench trace-cn scenario under
     Crank-Nicolson, recorded from the band LU step.  The 8-cell barrier
-    steps in Fourier space, which sits 2.5e-14 and 1.3e-13 relative away
-    from these, and 3.4e-13 and 1.2e-13 from the bench's reference values,
-    recorded from the sparse-LU step, with one BLAS thread or two (the
-    FFT-pair step: 6.3e-14 and 1.7e-14, and 2.5e-13 and 2.1e-14); rel 1e-11
+    steps in Fourier space, in blocks of k=4 steps, which sit 8.8e-14 and
+    1.3e-13 relative away from these, and 4.0e-13 and 1.3e-13 from the
+    bench's reference values, recorded from the sparse-LU step, with one
+    BLAS thread or two (one step at a time: 2.5e-14 and 1.3e-13, and
+    3.4e-13 and 1.2e-13; the FFT-pair step: 6.3e-14 and 1.7e-14, and
+    2.5e-13 and 2.1e-14); rel 1e-11
     admits such a reordering of the arithmetic, while halving dt moves
     center_to_peak by 1.6e-3."""
     cfg = replace(SMALL_SCENARIO, dt=0.02, n_steps=1750, scheme="implicit-fd")
@@ -389,9 +391,9 @@ def test_forward_leg_dwell_matches_pair_trapezoid_oracle(scheme):
     the pair's conditional barrier weight over t=0 and the records.  The
     oracle divides by each record's overlap, and those drift from the
     post-selection probability by the roundoff of the two legs (2.0e-12
-    relative on split-step, 2.4e-14 on Crank-Nicolson, which steps this
-    barrier in Fourier space), so the bound is 1e-12 plus that drift;
-    measured gaps 1.9e-12 and 4.9e-14."""
+    relative on split-step, 6.9e-15 on Crank-Nicolson, which steps this
+    barrier in Fourier space in blocks of k=4 steps), so the bound is 1e-12
+    plus that drift; measured gaps 1.9e-12 and 3.9e-15."""
     cfg = replace(SMALL_SCENARIO, scheme=scheme)
     barrier = cfg.barrier()
     region = RegionProjector(cfg.grid(), cfg.barrier_left, cfg.barrier_right)
