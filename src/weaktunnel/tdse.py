@@ -9,9 +9,22 @@ each other:
     accurate in space, unitary up to FFT roundoff.  The exit half kick of
     one step and the entry half kick of the next are fused into one full
     kick (Feit, Fleck & Steiger, J. Comput. Phys. 47, 412 (1982)), so the
-    stepper carries the state before its pending exit kick and a record is
-    a side copy with that kick applied; the carried state, and so every
-    later record, does not depend on which steps are recorded.
+    stepper carries the state before its pending exit kick, V^(-1/2) psi
+    with V = exp(-i dt v), and a record applies that kick, V^(1/2), to a
+    side copy; the carried state, and so every later record, does not
+    depend on which steps are recorded.  The step runs in one of two
+    carried forms, picked as implicit-fd's are (below):
+
+    - *Grid amplitudes, through an FFT pair*: x <- IFFT(K FFT(V x)), in
+      place on one copy of the stack per advance.  V is exactly 1 off the
+      barrier, so a kick multiplies the span of the barrier cells alone;
+      the first step's kick is a half kick, since nothing is pending.
+    - *Fourier coefficients z = FFT(V^(-1/2) psi)*: V - 1 is nonzero on the
+      m barrier cells alone, so a step is z <- lam FFT(V IFFT(z)) = lam z -
+      P (Q z) with lam = exp(-i dt k^2/2), Q the inverse-DFT rows at the
+      cells and P = -lam (forward-DFT columns at the cells) diag(V - 1),
+      the rank-m form of the Fourier-space Crank-Nicolson step below, in
+      the same blocks.  The first step needs no special case.
 
 ``implicit-fd``
     Crank-Nicolson (Cayley) stepping of a finite-difference Hamiltonian.
@@ -38,49 +51,63 @@ each other:
     - *Fourier coefficients z = FFT(x)*: the circulant part is diagonal
       there and the correction has rank m, the cell count, so a step is
       z <- M z = (2/eig - 1) z - P (Q z) through m dense DFT rows of n
-      entries each and no FFT.  Steps go in blocks of up to k: one matvec
-      reads, from the block's first z, the m cell amplitudes Q M^i z that
-      each of its steps takes and the 2 EDGE_CELLS edge amplitudes the edge
-      guard takes after each, and a second matvec adds the k corrections to
-      (2/eig - 1)^k z at once.  A record takes one IFFT.
+      entries each and no FFT.
 
-    The Fourier form takes k = DENSE_ROWS_BYTES // (bytes of one step's
-    dense rows, 2m + 2 EDGE_CELLS of n complex entries) and runs iff k >= 1:
-    with 1.5 MiB, k=4 on the bench's trace-cn barrier (8 cells at n=1024),
-    k=1 from 21 to 44 cells at n=1024 and from 3 to 8 cells at n=4096, and
-    the FFT pair beyond; the default scenario's 103 cells at n=4096 would need
-    13.4 MiB a step.  Measured on a 2-vCPU Xeon VM (a leg's step with its
-    edge read, fastest of 11 rounds): at m=8, n=1024 a step took 16 us
-    at k=1, 12 us at k=2 to 4 and 13 us at k=5 with one BLAS thread, and 27,
-    16, 12, 10 and 9 us at k=1 to 5 with two, against 32 and 36 us through
-    the FFT pair.  Blocks past the cache gain nothing with one thread (k=2
-    was slower than k=1 at m=24).  With one thread k=1 crossed the FFT pair
-    at about m=30 for n=1024 (1.1 MiB of rows a step) and m=13 for n=4096
-    (2.1 MiB); with two it was within 15% of it from m=32 to 48 at n=1024
-    and still led at m=16 at n=4096.  No one budget
-    sits at both one-thread crossovers: this one leaves 31 to 44 cells at
-    n=1024 on the Fourier form, up to 29% slower there with one thread,
-    and 9 to 11 cells at n=4096 on the FFT pair, about 10% slower there
-    with one thread and 60% with two.  The two schemes share the FFT but
-    not the discretization: spectral kinetic energy and Strang splitting
-    against a 16th-order stencil and the Cayley form.  The tests check both
-    forms against a sparse LU of the full periodic operator, and against
-    each other.  The grid needs more than 16 points for the stencil to fit.
+    The two schemes share the FFT but not the discretization: spectral
+    kinetic energy and Strang splitting against a 16th-order stencil and
+    the Cayley form.  The tests check both implicit-fd forms against a
+    sparse LU of the full periodic operator, each scheme's two forms
+    against each other, and split-step against a Chebyshev expansion of the
+    grid Hamiltonian.  The grid needs more than 16 points for the stencil
+    to fit.
+
+Both Fourier forms step z <- M z = lam z - P (Q z) in blocks of up to k
+steps and no FFT: one matvec reads, from the block's first z, the m cell
+amplitudes Q M^i z that each of its steps takes and the 2 EDGE_CELLS edge
+amplitudes the edge guard takes after each, and a second matvec adds the k
+corrections to lam^k z at once.  A record takes one IFFT.  A scheme's
+Fourier form runs iff k = DENSE_ROWS_BYTES // (bytes of one step's dense
+rows, 2m + 2 EDGE_CELLS of n complex entries) is at least 1, the same k for
+both schemes: with 1.5 MiB, k=4 on the bench's trace-cn and tiny-split
+barrier (8 cells at n=1024), k=1 from 21 to 44 cells at n=1024 and from 3
+to 8 cells at n=4096, and the FFT pair beyond, as on the trace-split
+barrier (32 cells at n=4096); the default scenario's 103 cells at n=4096
+would need 13.4 MiB a step.  Measured on a 2-vCPU Xeon VM (a leg's step
+with its edge read, fastest of 11 rounds): at m=8, n=1024 a Crank-Nicolson
+step took 16 us at k=1, 12 us at k=2 to 4 and 13 us at k=5 with one BLAS
+thread, and 27, 16, 12, 10 and 9 us at k=1 to 5 with two, against 32 and
+36 us through the FFT pair.  Blocks past the cache gain nothing with one
+thread (k=2 was slower than k=1 at m=24).  With one thread k=1 crossed the
+FFT pair at about m=30 for n=1024 (1.1 MiB of rows a step) and m=13 for
+n=4096 (2.1 MiB); with two it was within 15% of it from m=32 to 48 at
+n=1024 and still led at m=16 at n=4096.  Split-step, timed in 31
+interleaved rounds of 200 steps, took 26-28 us a step through its FFT pair
+at n=1024 and 72 us at n=4096 with one BLAS thread or two; in Fourier space
+it took 12 and 8 us (one thread and two) at m=8 (k=4), 15-18 us at m=16
+(k=2), 33 and 29 us at m=32 and 41 and 31 us at m=40 (k=1) at n=1024, and
+56 and 46 us at m=8 (k=1) at n=4096, where k=1 forced on 10 and 13 cells
+took 68 and 46 us and 93 and 53 us.  No one budget sits at both one-thread
+crossovers: this one leaves 31 to 44 cells at n=1024 on the Fourier form,
+up to 29% slower there with one thread for Crank-Nicolson and up to 53%
+(13% with two) for split-step, and 9 to 11 cells at n=4096 on the FFT
+pair, about 10% slower there with one thread and 60% with two for
+Crank-Nicolson, 5% and 36% for split-step.  A budget low enough for
+n=1024 would send 8 cells at n=4096 to the FFT pair, slower for both.
 
 A leg is its record steps: PropagatorConfig takes the integer steps j to
 record, the leg runs from step 0 to the last of them (its n_steps) and
-returns its state at each, and record_times are j * dt, so no float time is
-rounded here.  Between records a stepper's advance takes the whole gap and
+returns its state at each (at step 0, psi itself), and record_times are
+j * dt, so no float time is rounded here.  Between records a stepper's advance takes the whole gap and
 returns row 0's edge weight after each step.  A leg steps a stack of rows
-at once: split-step and the FFT-pair form batch their FFTs over the rows,
-and the Woodbury correction and the Fourier form's matvecs go one row at a
-time, so a row comes out bit for bit as stepped alone.  Row 0 is the state;
+at once: the FFT-pair forms batch their FFTs over the rows, and the
+Woodbury correction and the Fourier forms' matvecs go one row at a time, so
+a row comes out bit for bit as stepped alone.  Row 0 is the state;
 propagate_with_source adds a second row that collects a weighted region
 source at the record steps and is read at the last record, so a
 conditional dwell needs one forward leg and no backward one.  The stepper
 owns its carried form: it turns the initial stack into carried rows and
 feeds the source row in that form (in Fourier space, the FFT of the
-weighted masked state).
+weighted masked state, times V^(-1/2) under split-step).
 
 Runtime guards watch row 0: probability reaching the domain edges, checked
 after every step (wrap-around would silently corrupt the run, and a packet
@@ -135,7 +162,7 @@ EDGE_PROBABILITY_LIMIT = 1e-8
 NORM_DRIFT_LIMIT = 1e-6
 
 STENCIL_HALF_WIDTH = 8  # 16th-order central second derivative
-# Crank-Nicolson steps in Fourier space in blocks of as many steps as their
+# either scheme steps in Fourier space in blocks of as many steps as their
 # dense rows fit this many bytes, while one step's rows fit
 DENSE_ROWS_BYTES = 3 << 19
 
@@ -244,7 +271,9 @@ class _SplitStep(_RealSpace):
     The carried stack x is the state before its pending exit half kick, so a
     step is x <- IFFT(K FFT(V x)) with V the full kick (a half kick before the
     first step, when nothing is pending) and state(x) applies the pending
-    kick to a copy.  1/n is folded into the kinetic phase K.
+    kick to a copy.  1/n is folded into the kinetic phase K.  V is exactly 1
+    off the barrier, so a kick multiplies the span of its cells alone, and
+    the steps of an advance run in place on one copy of its input.
     """
 
     def __init__(self, grid: Grid, v: np.ndarray, dt: float) -> None:
@@ -252,20 +281,29 @@ class _SplitStep(_RealSpace):
 
         self.dx = grid.dx
         self.fft, self.ifft = scipy.fft.fft, scipy.fft.ifft
-        self.half_v = np.exp(-0.5j * dt * v)
-        self.full_v = np.exp(-1j * dt * v)
+        cells = np.flatnonzero(v)
+        self.span = slice(cells[0], cells[-1] + 1) if cells.size else slice(0, 0)
+        self.half_v = np.exp(-0.5j * dt * v[self.span])
+        self.full_v = np.exp(-1j * dt * v[self.span])
         self.kinetic = np.exp(-0.5j * dt * grid.k**2) / grid.n
         self.entry, self.exit = self.half_v, None
 
+    def advance(self, x: np.ndarray, steps: int) -> tuple[np.ndarray, np.ndarray]:
+        return super().advance(x.copy(), steps)
+
     def step(self, x: np.ndarray) -> np.ndarray:
-        x = self.fft(self.entry * x, overwrite_x=True)
+        x[:, self.span] *= self.entry
+        x = self.fft(x, overwrite_x=True)
         x *= self.kinetic
         x = self.ifft(x, norm="forward", overwrite_x=True)
         self.entry, self.exit = self.full_v, self.half_v
         return x
 
     def state(self, x: np.ndarray) -> np.ndarray:
-        return x.copy() if self.exit is None else self.exit * x
+        amps = x.copy()
+        if self.exit is not None:
+            amps[..., self.span] *= self.exit
+        return amps
 
 
 def _cayley(grid: Grid, v: np.ndarray, dt: float):
@@ -347,19 +385,59 @@ class _CrankNicolson(_RealSpace):
         return x.copy()
 
 
-class _FourierCrankNicolson:
-    """The Cayley step of _CrankNicolson on the Fourier coefficients z = FFT(x),
-    up to k steps per pair of matvecs.
+def _inverse_dft_rows(n: int, at: np.ndarray) -> np.ndarray:
+    """The rows of the inverse DFT (1/n included) at the cells at: row c
+    reads amplitude c of IFFT(z) as row @ z."""
+    # exp(2 pi i c k / n), each phase taken from the integer c k mod n
+    turn = np.exp((2j * np.pi / n) * np.arange(n))
+    return turn[(at[:, None] * np.arange(n)) % n] / n
 
-    2 A^-1 x - x is diagonal in Fourier space up to the Woodbury term, so one
-    step is z <- M z = lam z - P (Q z) with lam = 2/eig - 1, Q = the
-    inverse-DFT rows at the m cells over eig, and P = 2 (forward-DFT columns
-    at the cells) K over eig.  The carried row is z.  A block of j <= k
-    steps from step s makes two matvecs:
+
+def _split_step_parts(grid: Grid, v: np.ndarray, dt: float):
+    """The fused Strang step in Fourier space, as _FourierSpace takes it.
+
+    With V = exp(-i dt v) and z = FFT(V^(-1/2) psi), the carried row of
+    _SplitStep in Fourier space, a step is z <- lam FFT(V IFFT(z)) = lam z
+    - P (Q z) with lam = exp(-i dt k^2 / 2), Q = the inverse-DFT rows at
+    the cells where V != 1 (v != 0), and P = -lam (forward-DFT columns at
+    the cells) diag(V - 1) there.  The state is V^(1/2) IFFT(z).
+    """
+    n = grid.n
+    lam = np.exp(-0.5j * dt * grid.k**2)
+    q = _inverse_dft_rows(n, np.flatnonzero(v))
+    # n conj(q)^T holds the forward-DFT columns at the cells
+    p = -(n * lam)[:, None] * q.conj().T * np.expm1(-1j * dt * v[v != 0])
+    return lam, q, p, np.exp(-0.5j * dt * v)
+
+
+def _cayley_parts(grid: Grid, v: np.ndarray, dt: float):
+    """The Cayley step of _CrankNicolson in Fourier space, as _FourierSpace
+    takes it.
+
+    2 A^-1 x - x is diagonal in Fourier space up to the Woodbury term, so on
+    z = FFT(x) a step is z <- lam z - P (Q z) with lam = 2/eig - 1, Q = the
+    inverse-DFT rows at the m cells over eig, and P = 2 (forward-DFT
+    columns at the cells) K over eig.  The state is IFFT(z).
+    """
+    eig, _, cells, woodbury = _cayley(grid, v, dt)
+    inverse = _inverse_dft_rows(grid.n, cells)
+    p = (2.0 * grid.n / eig)[:, None] * inverse.conj().T @ woodbury
+    return 2.0 / eig - 1.0, inverse / eig, p, None
+
+
+class _FourierSpace:
+    """A scheme's step on Fourier coefficients, up to k steps per pair of
+    matvecs.
+
+    The scheme hands over its step as z <- M z = lam z - P (Q z), with lam
+    diagonal and Q the m rows that read its barrier cells, and the diagonal
+    d (None for 1) that takes IFFT(z) to the state: the carried row is z =
+    FFT(psi / d).  A block of j <= k steps from step s makes two matvecs:
 
     - the reads u_i = Q M^i z_s, i = 0 .. k-1, which the steps of the block
       take, and the amplitudes E M^i z_s at the 2 EDGE_CELLS edge cells, i =
-      1 .. k, which the edge guard takes (E the inverse-DFT rows there);
+      1 .. k, which the edge guard takes (E the inverse-DFT rows there; d is
+      unimodular, so these read the state's edge weight);
     - z_{s+j} = lam^j z_s - [u_0 .. u_{j-1}] B_j, with B_j = [lam^(j-1) P^T;
       ..; lam P^T; P^T] the last j m rows of B_k.
 
@@ -372,30 +450,18 @@ class _FourierCrankNicolson:
     _make_stepper sizes k by.
     """
 
-    def __init__(self, grid: Grid, v: np.ndarray, dt: float, k: int) -> None:
+    def __init__(self, grid: Grid, lam: np.ndarray, q: np.ndarray, p: np.ndarray,
+                 d: np.ndarray | None, k: int) -> None:
         import scipy.fft
 
         n = grid.n
-        self.dx, self.k = grid.dx, k
+        self.dx, self.k, self.d = grid.dx, k, d
+        m = self.m = q.shape[0]
         self.fft, self.ifft = scipy.fft.fft, scipy.fft.ifft
-        eig, _, cells, woodbury = _cayley(grid, v, dt)
-        m = self.m = cells.size
-        lam = 2.0 / eig - 1.0
-        # exp(2 pi i c k / n), each phase taken from the integer c k mod n
-        turn = np.exp((2j * np.pi / n) * np.arange(n))
-        wave = np.arange(n)
-
-        def inverse_rows(at: np.ndarray) -> np.ndarray:
-            return turn[(at[:, None] * wave) % n] / n
-
-        inverse = inverse_rows(cells)
-        q = inverse / eig
-        # n conj(inverse)^T holds the forward-DFT columns at the cells
-        p = (2.0 * n / eig)[:, None] * inverse.conj().T @ woodbury
         self.lam_pow = np.cumprod(np.broadcast_to(lam, (k, n)), axis=0)  # lam^1 .. lam^k
         self.b = np.concatenate([self.lam_pow[k - 2 - i] * p.T for i in range(k - 1)]
                                 + [np.ascontiguousarray(p.T)])
-        y = np.concatenate([q, inverse_rows(np.r_[:EDGE_CELLS, n - EDGE_CELLS:n])])
+        y = np.concatenate([q, _inverse_dft_rows(n, np.r_[:EDGE_CELLS, n - EDGE_CELLS:n])])
         u_rows, e_rows = [], []
         for _ in range(k):
             u_rows.append(y[:m])
@@ -435,25 +501,32 @@ class _FourierCrankNicolson:
         return x, np.square(edges[:steps]).sum(axis=1)
 
     def state(self, x: np.ndarray) -> np.ndarray:
-        return self.ifft(x)
+        amps = self.ifft(x)
+        if self.d is not None:
+            amps *= self.d
+        return amps
 
     def carry(self, amps: np.ndarray) -> np.ndarray:
-        return self.fft(amps)
+        return self.fft(amps if self.d is None else amps / self.d)
 
     def feed(self, x: np.ndarray, mask: np.ndarray, weight: float, state: np.ndarray) -> None:
-        x[1] += self.fft(weight * (mask * state))
+        x[1] += self.carry(weight * (mask * state))
+
+
+# each scheme's many-cell form and the parts of its Fourier-space form
+_FORMS = {"spectral-split-step": (_SplitStep, _split_step_parts),
+          "implicit-fd": (_CrankNicolson, _cayley_parts)}
 
 
 def _make_stepper(scheme: str, grid: Grid, v: np.ndarray, dt: float):
-    if scheme == "spectral-split-step":
-        return _SplitStep(grid, v, dt)
+    many_cells, fourier_parts = _FORMS[scheme]
     # a block's dense rows per step: m of B_k, m + 2 EDGE_CELLS of reads
     step_bytes = ((2 * np.count_nonzero(v) + 2 * EDGE_CELLS) * grid.n
                   * np.dtype(np.complex128).itemsize)
     k = DENSE_ROWS_BYTES // step_bytes
     if k >= 1:
-        return _FourierCrankNicolson(grid, v, dt, k)
-    return _CrankNicolson(grid, v, dt)
+        return _FourierSpace(grid, *fourier_parts(grid, v, dt), k)
+    return many_cells(grid, v, dt)
 
 
 def _run(psi: WaveFunction, cfg: PropagatorConfig, barrier: BarrierSpec | None,
@@ -493,7 +566,9 @@ def _run(psi: WaveFunction, cfg: PropagatorConfig, barrier: BarrierSpec | None,
         )
 
     def record(step: int, j: int, x: np.ndarray) -> None:
-        state = WaveFunction(grid, stepper.state(x[0]))
+        # before the first step the state is psi, not its round trip through
+        # a Fourier form
+        state = psi if step == 0 else WaveFunction(grid, stepper.state(x[0]))
         drift = abs(state.norm() / norm0 - 1.0)
         if not drift <= NORM_DRIFT_LIMIT:
             raise SchemeInstabilityError(

@@ -19,12 +19,12 @@ from weaktunnel.core import (BarrierSpec, Grid, RegionProjector, WaveFunction,
                              gaussian_packet)
 from weaktunnel.errors import ConfigError, EdgeDensityError, SchemeInstabilityError
 from weaktunnel.scatter import scattering_amplitudes
-from weaktunnel.tdse import (EDGE_CELLS, STENCIL_HALF_WIDTH, PropagatorConfig, propagate,
-                             propagate_backward, propagate_with_source)
+from weaktunnel.tdse import (EDGE_CELLS, SCHEMES, STENCIL_HALF_WIDTH, PropagatorConfig,
+                             propagate, propagate_backward, propagate_with_source)
 
 FREE_GRID = Grid.from_domain(-128.0, 128.0, 1024)
-# 48 cells of FREE_GRID: too many for implicit-fd's Fourier-space rows, so it
-# steps through the FFT pair
+# 48 cells of FREE_GRID: too many for either scheme's Fourier-space rows, so
+# both step through the FFT pair
 FFT_PAIR_BARRIER = BarrierSpec.rectangular(-6.0, 6.0, 1.0)
 # the sparse oracle's barriers on the SMALL_SCENARIO grid besides its own
 ORACLE_BARRIERS = {
@@ -159,33 +159,36 @@ def test_edge_guard_catches_wrap_around_between_records(monkeypatch):
     start before the last record must still trip the edge guard, forward
     and backward.  The finite-difference stencil disperses the packet a
     little differently, so Crank-Nicolson trips one step later than
-    split-step (steps 1292 and 1300 against 1291 and 1299).  It trips at the
-    same step whether it steps through the FFT pair or in Fourier space,
-    where the guard reads the edge cells as inverse-DFT rows of a block of
-    k steps (24 on this grid).  A block starts at each record, so a first
-    record at trip - k puts the trip step last in its block, one at
-    trip - k + 1 puts it second to last, and the lone last record puts
-    it at position 20 (forward) and 4 (backward) of its block."""
+    split-step (steps 1292 and 1300 against 1291 and 1299).  Each scheme
+    trips at the same step whether it steps through the FFT pair or in
+    Fourier space, where the guard reads the edge cells as inverse-DFT rows
+    of a block of k steps (24 on this grid for both).  A block starts at
+    each record, so a first record at trip - k puts the trip step last in
+    its block, one at trip - k + 1 puts it second to last, and the lone last
+    record puts it at position 19 and 20 (forward) and 3 and 4 (backward)
+    of its block."""
     grid = Grid.from_domain(-64.0, 64.0, 512)
     psi = gaussian_packet(grid, 0.0, 4.0, 3.0)
     cfg = PropagatorConfig(dt=0.01, record_steps=(4267,))
-    stepper = tdse._make_stepper("implicit-fd", grid, np.zeros(grid.n), cfg.dt)
-    assert isinstance(stepper, tdse._FourierCrankNicolson)
-    k = stepper.k
-    assert k == 24
-    legs = [(propagate, r"t=12\.91;", 1292, r"t=12\.92;"),
-            (propagate_backward, r"t=12\.99;", 1300, r"t=13\.0;")]
-    for run, split_step_at, trip, cn_at in legs:
-        with pytest.raises(EdgeDensityError, match=split_step_at):
-            run(psi, cfg)
-        for first in (None, trip - k, trip - k + 1):
-            steps = (4267,) if first is None else (first, 4267)
-            with pytest.raises(EdgeDensityError, match=cn_at):
-                run(psi, replace(cfg, record_steps=steps, scheme="implicit-fd"))
+    k = 24
+    for scheme in SCHEMES:
+        stepper = tdse._make_stepper(scheme, grid, np.zeros(grid.n), cfg.dt)
+        assert type(stepper) is tdse._FourierSpace and stepper.k == k
+    legs = [(propagate, {"spectral-split-step": (1291, r"t=12\.91;"),
+                         "implicit-fd": (1292, r"t=12\.92;")}),
+            (propagate_backward, {"spectral-split-step": (1299, r"t=12\.99;"),
+                                  "implicit-fd": (1300, r"t=13\.0;")})]
+    for run, trips in legs:
+        for scheme, (trip, at) in trips.items():
+            for first in (None, trip - k, trip - k + 1):
+                steps = (4267,) if first is None else (first, 4267)
+                with pytest.raises(EdgeDensityError, match=at):
+                    run(psi, replace(cfg, record_steps=steps, scheme=scheme))
     monkeypatch.setattr(tdse, "DENSE_ROWS_BYTES", 0)
-    for run, _, _, cn_at in legs:
-        with pytest.raises(EdgeDensityError, match=cn_at):
-            run(psi, replace(cfg, scheme="implicit-fd"))
+    for run, trips in legs:
+        for scheme, (_, at) in trips.items():
+            with pytest.raises(EdgeDensityError, match=at):
+                run(psi, replace(cfg, scheme=scheme))
 
 
 @pytest.mark.parametrize("norm_sq", [1e-6, 1.0, 1e6])
@@ -309,13 +312,13 @@ def test_implicit_fd_matches_sparse_oracle_across_the_periodic_wrap(run, sign, m
     operator.  The 8-cell barrier steps in Fourier space."""
     monkeypatch.setattr(tdse, "EDGE_PROBABILITY_LIMIT", np.inf)
     assert_matches_sparse_oracle(run, sign, SMALL_SCENARIO.barrier(),
-                                 tdse._FourierCrankNicolson)
+                                 tdse._FourierSpace)
 
 
 @pytest.mark.parametrize("run, sign", [(propagate, 1.0), (propagate_backward, -1.0)])
 @pytest.mark.parametrize("barrier, budget, stepper", [
-    (ORACLE_BARRIERS["free"], tdse.DENSE_ROWS_BYTES, tdse._FourierCrankNicolson),
-    (ORACLE_BARRIERS["wrap-and-well"], tdse.DENSE_ROWS_BYTES, tdse._FourierCrankNicolson),
+    (ORACLE_BARRIERS["free"], tdse.DENSE_ROWS_BYTES, tdse._FourierSpace),
+    (ORACLE_BARRIERS["wrap-and-well"], tdse.DENSE_ROWS_BYTES, tdse._FourierSpace),
     (ORACLE_BARRIERS["wrap-and-well"], 0, tdse._CrankNicolson),
     (ORACLE_BARRIERS["240-cells"], tdse.DENSE_ROWS_BYTES, tdse._CrankNicolson),
 ], ids=["free", "wrap-and-well", "wrap-and-well-fft-pair", "240-cells"])
@@ -342,13 +345,14 @@ def test_implicit_fd_woodbury_matches_sparse_oracle(run, sign, barrier, budget, 
 ], ids=["small-and-trace-cn", "free", "fft-pair-barrier", "default", "wrap-and-well",
         "240-cells", "n4096-8-cells"])
 def test_implicit_fd_steps_in_fourier_space_while_its_rows_fit(grid, barrier, k):
-    """implicit-fd steps in Fourier space in blocks of k steps, k the number
+    """Both schemes step in Fourier space in blocks of k steps, k the number
     of steps whose dense rows, 2m + 2 EDGE_CELLS of n complex entries each
     (m the barrier's cell count), fit DENSE_ROWS_BYTES (1.5 MiB), while k is
-    at least 1, and through the FFT pair otherwise.
+    at least 1, and through their FFT pair otherwise; both take the same
+    form and the same k on every grid.
 
     - k=4: the 8 cells of the SMALL_SCENARIO barrier, the bench's trace-cn
-      grid (n=1024, 384 KiB a step);
+      and tiny-split grid (n=1024, 384 KiB a step);
     - k=12: no cells at n=1024;
     - k=1: the oracle's 36 cells at n=1024 (1.25 MiB), and 8 cells at n=4096
       (1.5 MiB);
@@ -357,70 +361,84 @@ def test_implicit_fd_steps_in_fourier_space_while_its_rows_fit(grid, barrier, k)
       MiB).
 
     Measured on a 2-vCPU Xeon VM (a leg's step with its edge read, fastest
-    of 11 rounds), k=1 crossed the FFT pair (32-39 us at n=1024, 89-113 us
-    at n=4096) at about m=30 for n=1024 and m=13 for n=4096 with one BLAS
-    thread; with two it was within 15% of the FFT pair from m=32 to 48 at
-    n=1024 and still led at m=16 for n=4096.  Those one-thread crossovers
-    are 1.1 and 2.1 MiB of rows a step, so no budget sits at both: this one
-    puts 31 to 44 cells at n=1024 on k=1 (up to 29% slower than the FFT
-    pair with one thread) and 9 to 11 cells at n=4096 on the FFT pair
-    (about 10% slower with one thread, 60% with two).  Split-step
-    always steps through its FFT pair."""
+    of 11 rounds), Crank-Nicolson's k=1 crossed its FFT pair (32-39 us at
+    n=1024, 89-113 us at n=4096) at about m=30 for n=1024 and m=13 for
+    n=4096 with one BLAS thread; with two it was within 15% of the FFT pair
+    from m=32 to 48 at n=1024 and still led at m=16 for n=4096.  Those
+    one-thread crossovers are 1.1 and 2.1 MiB of rows a step, so no budget
+    sits at both: this one puts 31 to 44 cells at n=1024 on k=1 (up to 29%
+    slower than the FFT pair with one thread) and 9 to 11 cells at n=4096
+    on the FFT pair (about 10% slower with one thread, 60% with two).
+    Split-step, timed in 31 interleaved rounds of 200 steps, misroutes
+    about the same barriers: its FFT pair took 26-28 us at n=1024 and 72 us
+    at n=4096, against 33 and 29 us at k=1 on 32 cells and 41 and 31 us on
+    40 (one BLAS thread and two), and 68 and 46 us with k=1 forced on 10
+    cells at n=4096."""
     v = tdse._potential(grid, barrier)
-    made = tdse._make_stepper("implicit-fd", grid, v, 0.02)
+    made = [tdse._make_stepper(scheme, grid, v, 0.02) for scheme in SCHEMES]
     if k:
-        assert type(made) is tdse._FourierCrankNicolson and made.k == k
+        assert all(type(s) is tdse._FourierSpace and s.k == k for s in made)
     else:
-        assert type(made) is tdse._CrankNicolson
-    assert type(tdse._make_stepper("spectral-split-step", grid, v, 0.02)) is tdse._SplitStep
+        assert [type(s) for s in made] == [tdse._SplitStep, tdse._CrankNicolson]
 
 
-@pytest.mark.parametrize("rows", [1, 2])
-@pytest.mark.parametrize("dt", [0.02, 0.5, 5.0, -0.02, -0.5, -5.0])
-def test_fourier_space_step_matches_the_fft_pair_step(dt, rows):
-    """The Fourier-space Crank-Nicolson stepper against the FFT-pair one on
-    the 8-cell SMALL_SCENARIO barrier, forward and backward, one row and a
-    stack of two, after 50 steps: 12 blocks of k=4 and one of 2.  The two sum
-    the same step in a different order; their largest gap measured 2.2e-14
-    of the largest amplitude."""
+def by_scheme(dts):
+    """(scheme, dt, rows) cases over both schemes, one row and a stack of
+    two; implicit-fd's ids are dt-rows, split-step's end in the scheme."""
+    return [pytest.param(scheme, dt, rows, id=f"{dt}-{rows}" + (
+                "" if scheme == "implicit-fd" else f"-{scheme}"))
+            for scheme in SCHEMES for rows in (1, 2) for dt in dts]
+
+
+@pytest.mark.parametrize("scheme, dt, rows", by_scheme([0.02, 0.5, 5.0, -0.02, -0.5, -5.0]))
+def test_fourier_space_step_matches_the_fft_pair_step(scheme, dt, rows):
+    """Each scheme's Fourier-space stepper against its FFT-pair one on the
+    8-cell SMALL_SCENARIO barrier, forward and backward, one row and a stack
+    of two, after 50 steps: 12 blocks of k=4 and one of 2.  The two sum the
+    same step in a different order; their largest gap measured 2.2e-14 of
+    the largest amplitude for Crank-Nicolson and 1.1e-14 for split-step,
+    with one BLAS thread or two, bounded at 1e-13 and 2e-14."""
     grid = SMALL_SCENARIO.grid()
     v = SMALL_SCENARIO.barrier().potential(grid)
     amps = np.array([gaussian_packet(grid, -20.0, 4.0, 1.0).amp,
                      gaussian_packet(grid, 3.0, 6.0, -0.5).amp])[:rows]
-    fourier = tdse._make_stepper("implicit-fd", grid, v, dt)
-    assert isinstance(fourier, tdse._FourierCrankNicolson) and fourier.k == 4
-    pair = tdse._CrankNicolson(grid, v, dt)
+    fourier = tdse._make_stepper(scheme, grid, v, dt)
+    assert type(fourier) is tdse._FourierSpace and fourier.k == 4
+    pair = tdse._FORMS[scheme][0](grid, v, dt)
     z, _ = fourier.advance(fourier.carry(amps), 50)
     x, _ = pair.advance(pair.carry(amps), 50)
-    assert np.max(np.abs(fourier.state(z) - pair.state(x))) <= 1e-13 * np.max(np.abs(x))
+    bound = 1e-13 if scheme == "implicit-fd" else 2e-14
+    assert np.max(np.abs(fourier.state(z) - pair.state(x))) <= bound * np.max(np.abs(x))
 
 
-@pytest.mark.parametrize("rows", [1, 2])
-@pytest.mark.parametrize("dt", [0.02, 5.0, -0.02, -5.0])
-def test_fourier_space_rows_carry_their_barrier_and_edge_reads(dt, rows, monkeypatch):
+@pytest.mark.parametrize("scheme, dt, rows", by_scheme([0.02, 5.0, -0.02, -5.0]))
+def test_fourier_space_rows_carry_their_barrier_and_edge_reads(scheme, dt, rows, monkeypatch):
     """A Fourier-space block of k steps from z_s reads every step's barrier
     and edge amplitudes from its dense rows in one product: Q M^i z_s, i =
     0 .. k-1, at the m barrier cells and E M^i z_s, i = 1 .. k, at the edge
-    cells.  On the 8-cell SMALL_SCENARIO barrier, forward and backward,
-    after 50 steps and right after a source feed into row 1 of a stack of
-    two, they equal the same steps taken one at a time: the barrier reads
-    equal IFFT(z / eig) at the cells of each z along the one-step chain, a
-    block of j steps, j = 1 .. k, ends on the state j single steps reach,
-    and row 0's edge weights equal those single steps', each the sum of
-    |IFFT(z)|^2 over the edge cells.  Checked at the budget's k=4 and at
-    k=8.  Row 0 is a packet at rest on the wrap point, so its edge reads are
-    not roundoff at any dt; the guard is lifted.  With one BLAS thread or
-    two the largest gaps measured 7.0e-16 of the largest amplitude in the
-    barrier reads, 8.7e-16 in the states, and 7.3e-16 of the edge weight,
-    against the bound 2e-15 for each."""
+    cells.  On the 8-cell SMALL_SCENARIO barrier, for each scheme, forward
+    and backward, after 50 steps and right after a source feed into row 1
+    of a stack of two, they equal the same steps taken one at a time: the
+    barrier reads equal IFFT(z / eig) (Crank-Nicolson) or IFFT(z)
+    (split-step) at the cells of each z along the one-step chain, a block
+    of j steps, j = 1 .. k, ends on the state j single steps reach, and row
+    0's edge weights equal those single steps', each the sum of |state|^2
+    over the edge cells.  Checked at the budget's k=4 and at k=8.  Row 0 is
+    a packet at rest on the wrap point, so its edge reads are not roundoff
+    at any dt; the guard is lifted.  With one BLAS thread or two the largest
+    gaps measured 7.0e-16 of the largest amplitude in the barrier reads,
+    8.7e-16 in the states, and 7.3e-16 of the edge weight for
+    Crank-Nicolson, against the bound 2e-15 for each, and 1.7e-15, 1.2e-15
+    and 1.1e-15 for split-step, against 2.5e-15."""
     monkeypatch.setattr(tdse, "EDGE_PROBABILITY_LIMIT", np.inf)
     grid = SMALL_SCENARIO.grid()
     n = grid.n
     v = SMALL_SCENARIO.barrier().potential(grid)
-    eig = tdse._cayley(grid, v, dt)[0]
+    eig = tdse._cayley(grid, v, dt)[0] if scheme == "implicit-fd" else 1.0
     cells, edges = np.flatnonzero(v), np.r_[:EDGE_CELLS, n - EDGE_CELLS:n]
     start = np.array([np.roll(gaussian_packet(grid, 0.0, 4.0, 0.0).amp, n // 2),
                       gaussian_packet(grid, -20.0, 4.0, 1.0).amp])[:rows]
+    bound = 2e-15 if scheme == "implicit-fd" else 2.5e-15
 
     def assert_block_matches_single_steps(stepper, x):
         k, m = stepper.k, cells.size
@@ -429,18 +447,18 @@ def test_fourier_space_rows_carry_their_barrier_and_edge_reads(dt, rows, monkeyp
         for j in range(1, k + 1):
             scale = np.max(np.abs(stepper.state(one)))
             assert np.max(np.abs(reads[:, j - 1] - np.fft.ifft(one / eig)[:, cells])) \
-                <= 2e-15 * scale
+                <= bound * scale
             one, weight = stepper.advance(one, 1)
             state = stepper.state(one)
             weights.append(weight[0])
-            assert weight[0] == pytest.approx(np.sum(np.abs(state[0, edges]) ** 2), rel=2e-15)
+            assert weight[0] == pytest.approx(np.sum(np.abs(state[0, edges]) ** 2), rel=bound)
             block, block_weights = stepper.advance(x, j)
-            assert np.max(np.abs(stepper.state(block) - state)) <= 2e-15 * np.max(np.abs(state))
-            assert np.max(np.abs(block_weights - weights)) <= 2e-15 * max(weights)
+            assert np.max(np.abs(stepper.state(block) - state)) <= bound * np.max(np.abs(state))
+            assert np.max(np.abs(block_weights - weights)) <= bound * max(weights)
 
     mask = (grid.x >= -5.0) & (grid.x < 5.0)
     for k in (4, 8):
-        stepper = tdse._FourierCrankNicolson(grid, v, dt, k)
+        stepper = tdse._FourierSpace(grid, *tdse._FORMS[scheme][1](grid, v, dt), k)
         x, _ = stepper.advance(stepper.carry(start), 50)
         assert_block_matches_single_steps(stepper, x)
         if rows == 2:
@@ -530,13 +548,16 @@ def test_implicit_fd_rejects_grids_too_small_for_the_stencil(monkeypatch):
 @pytest.mark.parametrize("make", [
     partial(tdse._make_stepper, "spectral-split-step"),
     partial(tdse._make_stepper, "implicit-fd"),
+    tdse._SplitStep,
     tdse._CrankNicolson,
-], ids=["spectral-split-step", "implicit-fd", "implicit-fd-fft-pair"])
+], ids=["spectral-split-step", "implicit-fd", "spectral-split-step-fft-pair",
+        "implicit-fd-fft-pair"])
 def test_stacked_step_matches_row_by_row_steps(make):
     """Two rows stepped as one stack equal each row stepped alone, for each
-    stepper (implicit-fd steps this barrier in Fourier space, in blocks of
+    stepper (both schemes step this barrier in Fourier space, in blocks of
     k=4: a leg of 9 steps as three advances of 3 takes blocks of 3), and an
-    advance leaves its input as it was.  Each row starts as its own copy."""
+    advance leaves its input as it was, the FFT-pair split step's in-place
+    steps included.  Each row starts as its own copy."""
     def step(stepper, x):
         given = x.copy()
         y, _ = stepper.advance(x, 3)
@@ -616,7 +637,9 @@ def test_nan_after_the_first_step_trips_a_guard(monkeypatch, cell, error, messag
     put in an edge cell after the first step, with that step's edge weight
     read again from the poisoned row, trips the per-step edge check, which
     names it a non-finite amplitude, not an edge density; one inside the
-    domain trips the norm guard at the record after the step."""
+    domain trips the norm guard at the record after the step.  The poisoned
+    row must hold grid amplitudes, so the leg crosses FFT_PAIR_BARRIER, on
+    which split-step steps through its FFT pair."""
     def poison(x, weight):
         x[0, cell] = np.nan
         weight[0] = tdse._edge_weight(x[0])
@@ -624,29 +647,32 @@ def test_nan_after_the_first_step_trips_a_guard(monkeypatch, cell, error, messag
     patch_steps(monkeypatch, poison)
     cfg = PropagatorConfig(dt=0.01, record_steps=(1, 10))
     with pytest.raises(error, match=message):
-        propagate(free_packet(), cfg)
+        propagate(free_packet(), cfg, FFT_PAIR_BARRIER)
 
 
 @pytest.mark.parametrize("scheme, barrier, entry, tripped", [
+    ("spectral-split-step", FFT_PAIR_BARRIER, FREE_GRID.n // 2, 6),
     ("spectral-split-step", None, FREE_GRID.n // 2, 6),
+    ("spectral-split-step", None, None, 5),
     ("implicit-fd", FFT_PAIR_BARRIER, FREE_GRID.n // 2, 6),
     ("implicit-fd", None, FREE_GRID.n // 2, 6),
     ("implicit-fd", None, None, 5),
-], ids=["spectral-split-step", "implicit-fd", "implicit-fd-fourier-space",
-        "implicit-fd-fourier-space-edge-reads"])
+], ids=["spectral-split-step", "spectral-split-step-fourier-space",
+        "spectral-split-step-fourier-space-edge-reads", "implicit-fd",
+        "implicit-fd-fourier-space", "implicit-fd-fourier-space-edge-reads"])
 def test_interior_nan_between_records_is_a_scheme_failure(monkeypatch, scheme, barrier,
                                                           entry, tripped):
     """A NaN put after step 5, between the records at steps 1 and 10, raises
-    SchemeInstabilityError, not EdgeDensityError.  Put in the middle entry
-    of the carried row, where the row is the grid amplitudes, the next
-    step's FFT spreads it to every cell and the edge check after step 6
-    fires.  In Fourier space the middle entry is a coefficient; a block
-    reads the edge cells of each of its steps from the coefficients it
-    starts from, so step 6 is the first whose edge read sees it, and there
-    too the check after step 6 fires.  Put in the edge weight that step 5
-    returned (entry None), the block-form counterpart of a carried edge
-    read, it trips the check after step 5: the guard reads what the step
-    returned."""
+    SchemeInstabilityError, not EdgeDensityError, under either scheme.  Put
+    in the middle entry of the carried row, where the row is the grid
+    amplitudes (on FFT_PAIR_BARRIER), the next step's FFT spreads it to
+    every cell and the edge check after step 6 fires.  In Fourier space (no
+    barrier) the middle entry is a coefficient; a block reads the edge cells
+    of each of its steps from the coefficients it starts from, so step 6 is
+    the first whose edge read sees it, and there too the check after step 6
+    fires.  Put in the edge weight that step 5 returned (entry None), the
+    block-form counterpart of a carried edge read, it trips the check after
+    step 5: the guard reads what the step returned."""
     steps = []
 
     def poison(x, weight):

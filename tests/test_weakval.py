@@ -390,10 +390,11 @@ def test_forward_leg_dwell_matches_pair_trapezoid_oracle(scheme):
     """The source row carried beside the forward leg gives the trapezoid of
     the pair's conditional barrier weight over t=0 and the records.  The
     oracle divides by each record's overlap, and those drift from the
-    post-selection probability by the roundoff of the two legs (2.0e-12
-    relative on split-step, 6.9e-15 on Crank-Nicolson, which steps this
-    barrier in Fourier space in blocks of k=4 steps), so the bound is 1e-12
-    plus that drift; measured gaps 1.9e-12 and 3.9e-15."""
+    post-selection probability by the roundoff of the two legs (5.1e-15
+    relative on split-step, 6.9e-15 on Crank-Nicolson, both of which step
+    this barrier in Fourier space in blocks of k=4 steps; split-step's FFT
+    pair drifted 2.0e-12), so the bound is 1e-12 plus that drift; measured
+    gaps 2.9e-15 and 3.3e-15 (1.9e-12 through split-step's FFT pair)."""
     cfg = replace(SMALL_SCENARIO, scheme=scheme)
     barrier = cfg.barrier()
     region = RegionProjector(cfg.grid(), cfg.barrier_left, cfg.barrier_right)
