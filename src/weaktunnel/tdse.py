@@ -8,23 +8,23 @@ each other:
     Fourier space, half potential kick.  Second order in dt, spectrally
     accurate in space, unitary up to FFT roundoff.  The exit half kick of
     one step and the entry half kick of the next are fused into one full
-    kick (Feit, Fleck & Steiger, J. Comput. Phys. 47, 412 (1982)), so the
-    stepper carries the state before its pending exit kick, V^(-1/2) psi
-    with V = exp(-i dt v), and a record applies that kick, V^(1/2), to a
-    side copy; the carried state, and so every later record, does not
-    depend on which steps are recorded.  The step runs in one of two
-    carried forms, picked as implicit-fd's are (below):
+    kick (Feit, Fleck & Steiger, J. Comput. Phys. 47, 412 (1982)): from
+    step 0 on, the stepper carries psi / d with d = V^(1/2) and V = exp(-i
+    dt v), so every step, the first included, kicks by V = d^2, and a
+    record multiplies a side copy by d, the exit half kick still pending.
+    The carried rows, and so every later record, do not depend on which
+    steps are recorded.  The step runs in one of two carried forms, picked
+    as implicit-fd's are (below):
 
-    - *Grid amplitudes, through an FFT pair*: x <- IFFT(K FFT(V x)), in
-      place on one copy of the stack per advance.  V is exactly 1 off the
-      barrier, so a kick multiplies the span of the barrier cells alone;
-      the first step's kick is a half kick, since nothing is pending.
-    - *Fourier coefficients z = FFT(V^(-1/2) psi)*: V - 1 is nonzero on the
-      m barrier cells alone, so a step is z <- lam FFT(V IFFT(z)) = lam z -
+    - *Grid amplitudes, through an FFT pair*: x <- IFFT(K FFT(d^2 x)), in
+      place on one copy of the stack per advance.  d is exactly 1 off the
+      barrier, so a kick multiplies the span of the barrier cells alone.
+    - *Fourier coefficients z = FFT(psi / d)*: V - 1 is nonzero on the m
+      barrier cells alone, so a step is z <- lam FFT(V IFFT(z)) = lam z -
       P (Q z) with lam = exp(-i dt k^2/2), Q the inverse-DFT rows at the
       cells and P = -lam (forward-DFT columns at the cells) diag(V - 1),
       the rank-m form of the Fourier-space Crank-Nicolson step below, in
-      the same blocks.  The first step needs no special case.
+      the same blocks.
 
 ``implicit-fd``
     Crank-Nicolson (Cayley) stepping of a finite-difference Hamiltonian.
@@ -68,68 +68,52 @@ amplitudes the edge guard takes after each, and a second matvec adds the k
 corrections to lam^k z at once.  A record takes one IFFT.  A scheme's
 Fourier form runs iff k = DENSE_ROWS_BYTES // (bytes of one step's dense
 rows, 2m + 2 EDGE_CELLS of n complex entries) is at least 1, the same k for
-both schemes: with 1.5 MiB, k=4 on the bench's trace-cn and tiny-split
-barrier (8 cells at n=1024), k=1 from 21 to 44 cells at n=1024 and from 3
-to 8 cells at n=4096, and the FFT pair beyond, as on the trace-split
-barrier (32 cells at n=4096); the default scenario's 103 cells at n=4096
-would need 13.4 MiB a step.  Measured on a 2-vCPU Xeon VM (a leg's step
-with its edge read, fastest of 11 rounds): at m=8, n=1024 a Crank-Nicolson
-step took 16 us at k=1, 12 us at k=2 to 4 and 13 us at k=5 with one BLAS
-thread, and 27, 16, 12, 10 and 9 us at k=1 to 5 with two, against 32 and
-36 us through the FFT pair.  Blocks past the cache gain nothing with one
-thread (k=2 was slower than k=1 at m=24).  With one thread k=1 crossed the
-FFT pair at about m=30 for n=1024 (1.1 MiB of rows a step) and m=13 for
-n=4096 (2.1 MiB); with two it was within 15% of it from m=32 to 48 at
-n=1024 and still led at m=16 at n=4096.  Split-step, timed in 31
-interleaved rounds of 200 steps, took 26-28 us a step through its FFT pair
-at n=1024 and 72 us at n=4096 with one BLAS thread or two; in Fourier space
-it took 12 and 8 us (one thread and two) at m=8 (k=4), 15-18 us at m=16
-(k=2), 33 and 29 us at m=32 and 41 and 31 us at m=40 (k=1) at n=1024, and
-56 and 46 us at m=8 (k=1) at n=4096, where k=1 forced on 10 and 13 cells
-took 68 and 46 us and 93 and 53 us.  No one budget sits at both one-thread
-crossovers: this one leaves 31 to 44 cells at n=1024 on the Fourier form,
-up to 29% slower there with one thread for Crank-Nicolson and up to 53%
-(13% with two) for split-step, and 9 to 11 cells at n=4096 on the FFT
-pair, about 10% slower there with one thread and 60% with two for
-Crank-Nicolson, 5% and 36% for split-step.  A budget low enough for
-n=1024 would send 8 cells at n=4096 to the FFT pair, slower for both.
+both schemes, and its FFT pair otherwise: with 1.5 MiB, k=4 on the bench's
+trace-cn and tiny-split barrier (8 cells at n=1024) and the FFT pair on the
+trace-split barrier (32 cells at n=4096).  The two forms cross at different
+row sizes on different grids, so no one budget picks the faster form on
+every barrier; the docstring of
+tests/test_tdse.py::test_implicit_fd_steps_in_fourier_space_while_its_rows_fit
+gives the measured step times and the barriers that land on the slower
+form.
 
 A leg is its record steps: PropagatorConfig takes the integer steps j to
 record, the leg runs from step 0 to the last of them (its n_steps) and
 returns its state at each (at step 0, psi itself), and record_times are
-j * dt, so no float time is rounded here.  Between records a stepper's advance takes the whole gap and
-returns row 0's edge weight after each step.  A leg steps a stack of rows
-at once: the FFT-pair forms batch their FFTs over the rows, and the
-Woodbury correction and the Fourier forms' matvecs go one row at a time, so
-a row comes out bit for bit as stepped alone.  Row 0 is the state;
-propagate_with_source adds a second row that collects a weighted region
-source at the record steps and is read at the last record, so a
-conditional dwell needs one forward leg and no backward one.  The stepper
-owns its carried form: it turns the initial stack into carried rows and
-feeds the source row in that form (in Fourier space, the FFT of the
-weighted masked state, times V^(-1/2) under split-step).
+j * dt, so no float time is rounded here.  Between records a stepper's
+advance takes the whole gap and returns row 0's edge weight after each
+step.  A leg steps a stack of rows at once: the FFT-pair forms batch their
+FFTs over the rows, and the Woodbury correction and the Fourier forms'
+matvecs go one row at a time, so a row comes out bit for bit as stepped
+alone.  Row 0 is the state; propagate_with_source adds a second row that
+collects a weighted region source at the record steps and is read at the
+last record, so a conditional dwell needs one forward leg and no backward
+one.  Every stepper carries the rows B(psi / d), B the identity (grid
+amplitudes) or the FFT (Fourier coefficients) and d = V^(1/2) under
+split-step or 1 under Crank-Nicolson: it turns the initial stack into
+carried rows, a carried row back into a state, and the weighted masked
+state into the carried form it feeds the source row in.
 
 Runtime guards watch row 0: probability reaching the domain edges, checked
 after every step (wrap-around would silently corrupt the run, and a packet
 can cross the boundary and come back between two records), and norm drift
-at every record (a broken solve or unstable step shows up there
-first).  The edge weight is absolute, sum |psi|^2 dx over the edge cells
-against EDGE_PROBABILITY_LIMIT, so a leg from a projected state P psi of
-norm^2 p may carry 1e-8/p of relative edge weight: contamination competes
-with the physics at the scale of the unprojected state.  Norm drift is
-relative to the leg's starting norm.  A non-finite edge weight is a scheme
-failure, not an edge density, and raises SchemeInstabilityError.  A step
-through an FFT spreads a non-finite amplitude anywhere to every cell, and
-in Fourier space each edge read sums every coefficient, so the per-step
-edge check catches it within one step; a finite step is unitary up to
-roundoff, so norm drift builds up slowly enough to be checked at the
-records only.  advance stops at the first step whose edge weight fails,
-ending a block early there, so the guard names the step where it tripped.
-Under split-step the edge guard reads the carried state before its exit
-kick; the kick is unimodular, so the cell magnitudes are the same up to
-roundoff.  In Fourier space it reads the block's edge amplitudes, to the
-roundoff of an n-term sum, far below the limit.  Recorded states keep their
-global phase and are never renormalized.
+at every record (a broken solve or unstable step shows up there first).
+The edge weight is absolute, sum |psi|^2 dx over the edge cells against
+EDGE_PROBABILITY_LIMIT, so a leg from a projected state P psi of norm^2 p
+may carry 1e-8/p of relative edge weight: contamination competes with the
+physics at the scale of the unprojected state.  Norm drift is relative to
+the leg's starting norm.  A non-finite edge weight is a scheme failure, not
+an edge density, and raises SchemeInstabilityError.  A step through an FFT
+spreads a non-finite amplitude anywhere to every cell, and in Fourier space
+each edge read sums every coefficient, so the per-step edge check catches
+it within one step; a finite step is unitary up to roundoff, so norm drift
+builds up slowly enough to be checked at the records only.  advance stops at
+the first step whose edge weight fails, ending a block early there, so the
+guard names the step where it tripped.  Through an FFT pair the edge guard
+reads the carried rows psi / d; d is unimodular, so the cell magnitudes are
+the same up to roundoff.  In Fourier space it reads the block's edge
+amplitudes, to the roundoff of an n-term sum, far below the limit.
+Recorded states keep their global phase and are never renormalized.
 
 scipy.fft is imported when a stepper is built, not with this module, so
 importing the package costs numpy alone; the stepper keeps the routines for
@@ -239,23 +223,42 @@ def _edge_passes(weight, dx: float):
     return weight * dx <= EDGE_PROBABILITY_LIMIT
 
 
-class _RealSpace:
-    """Carry, source feed and advance of a stepper whose carried rows are the
-    grid amplitudes (split-step's before its pending exit kick)."""
+class _Stepper:
+    """Carry, state and source feed of every stepper, and the per-step
+    advance of the FFT-pair ones.
 
-    @staticmethod
-    def carry(amps: np.ndarray) -> np.ndarray:
-        return amps
+    A stepper carries the rows B(psi / d) of a stack: B is the identity
+    (grid amplitudes, stepped through an FFT pair) or the FFT (Fourier
+    coefficients, fourier = True), and d is a unimodular diagonal, V^(1/2)
+    under split-step and 1 under Crank-Nicolson.  A subclass's step or
+    advance moves the carried rows; no attribute changes once a stepper is
+    built, so what it returns does not depend on what it stepped before.
+    """
 
-    @staticmethod
-    def feed(x: np.ndarray, mask: np.ndarray, weight: float, state: np.ndarray) -> None:
-        # the fused split-step kick is diagonal, so it commutes with the mask
-        x[1, mask] += weight * x[0, mask]
+    fourier = False
+
+    def __init__(self, grid: Grid, d: np.ndarray | float) -> None:
+        import scipy.fft
+
+        self.dx, self.d = grid.dx, d
+        self.fft, self.ifft = scipy.fft.fft, scipy.fft.ifft
+
+    def carry(self, amps: np.ndarray) -> np.ndarray:
+        rows = amps / self.d
+        return self.fft(rows) if self.fourier else rows
+
+    def state(self, x: np.ndarray) -> np.ndarray:
+        return (self.ifft(x) if self.fourier else x) * self.d
+
+    def feed(self, x: np.ndarray, mask: np.ndarray, weight: float, state: np.ndarray) -> None:
+        x[1] += self.carry(weight * (mask * state))
 
     def advance(self, x: np.ndarray, steps: int) -> tuple[np.ndarray, np.ndarray]:
         """Take steps steps and read row 0's edge weight after each; stop at
         the first step whose weight fails the edge guard.  Returns the stack
-        after the last step taken and the weights read."""
+        after the last step taken and the weights read; x is left as it
+        was."""
+        x = x.copy()
         weights = np.empty(steps)
         for s in range(steps):
             x = self.step(x)
@@ -265,45 +268,27 @@ class _RealSpace:
         return x, weights
 
 
-class _SplitStep(_RealSpace):
+class _SplitStep(_Stepper):
     """Strang steps with the half kicks of adjacent steps fused into one.
 
-    The carried stack x is the state before its pending exit half kick, so a
-    step is x <- IFFT(K FFT(V x)) with V the full kick (a half kick before the
-    first step, when nothing is pending) and state(x) applies the pending
-    kick to a copy.  1/n is folded into the kinetic phase K.  V is exactly 1
-    off the barrier, so a kick multiplies the span of its cells alone, and
-    the steps of an advance run in place on one copy of its input.
+    The carried rows are psi / d with d = V^(1/2), so a step is x <-
+    IFFT(K FFT(d^2 x)), the full kick V = d^2 and the kinetic phase K, and
+    state applies the pending exit half kick d.  1/n is folded into K.  d
+    is exactly 1 off the barrier, so a kick multiplies the span of its cells
+    alone, in place on the copy of the stack that advance steps.
     """
 
-    def __init__(self, grid: Grid, v: np.ndarray, dt: float) -> None:
-        import scipy.fft
-
-        self.dx = grid.dx
-        self.fft, self.ifft = scipy.fft.fft, scipy.fft.ifft
-        cells = np.flatnonzero(v)
+    def __init__(self, grid: Grid, d: np.ndarray, lam: np.ndarray, cells: np.ndarray) -> None:
+        super().__init__(grid, d)
         self.span = slice(cells[0], cells[-1] + 1) if cells.size else slice(0, 0)
-        self.half_v = np.exp(-0.5j * dt * v[self.span])
-        self.full_v = np.exp(-1j * dt * v[self.span])
-        self.kinetic = np.exp(-0.5j * dt * grid.k**2) / grid.n
-        self.entry, self.exit = self.half_v, None
-
-    def advance(self, x: np.ndarray, steps: int) -> tuple[np.ndarray, np.ndarray]:
-        return super().advance(x.copy(), steps)
+        self.kick = d[self.span] ** 2
+        self.kinetic = lam / grid.n
 
     def step(self, x: np.ndarray) -> np.ndarray:
-        x[:, self.span] *= self.entry
+        x[:, self.span] *= self.kick
         x = self.fft(x, overwrite_x=True)
         x *= self.kinetic
-        x = self.ifft(x, norm="forward", overwrite_x=True)
-        self.entry, self.exit = self.full_v, self.half_v
-        return x
-
-    def state(self, x: np.ndarray) -> np.ndarray:
-        amps = x.copy()
-        if self.exit is not None:
-            amps[..., self.span] *= self.exit
-        return amps
+        return self.ifft(x, norm="forward", overwrite_x=True)
 
 
 def _cayley(grid: Grid, v: np.ndarray, dt: float):
@@ -341,21 +326,19 @@ def _cayley(grid: Grid, v: np.ndarray, dt: float):
     return eig, g, cells, k
 
 
-class _CrankNicolson(_RealSpace):
+class _CrankNicolson(_Stepper):
     """Cayley steps x <- 2 A^-1 x - x with A = C + i tau diag(v).
 
     C = 1 + i tau (-Laplacian/2) is circulant, so an FFT diagonalizes it and
     a step is y = IFFT(FFT(x) 2/eig) followed by a Woodbury correction on the
-    cells where v != 0.
+    cells where v != 0.  eig, g, cells and the Woodbury matrix are _cayley's.
     """
 
-    def __init__(self, grid: Grid, v: np.ndarray, dt: float) -> None:
-        import scipy.fft
-
+    def __init__(self, grid: Grid, eig: np.ndarray, g: np.ndarray, cells: np.ndarray,
+                 woodbury: np.ndarray) -> None:
+        super().__init__(grid, 1.0)
         n = grid.n
-        self.dx = grid.dx
-        self.fft, self.ifft = scipy.fft.fft, scipy.fft.ifft
-        eig, g, self.cells, k = _cayley(grid, v, dt)
+        self.cells = cells
         self.scale = 2.0 / eig
         # |g| decays geometrically away from offset 0, so a step corrects only
         # the rows nearer a cell than the first offset r where |g| falls below
@@ -367,7 +350,7 @@ class _CrankNicolson(_RealSpace):
         r = int(np.argmax(below)) if below.any() else n // 2 + 1
         self.rows = np.unique((self.cells[:, None] + np.arange(1 - r, r)) % n)
         # C^-1[rows, cells] K, so a step's correction is one matvec
-        self.gk = g[(self.rows[:, None] - self.cells) % n] @ k
+        self.gk = g[(self.rows[:, None] - self.cells) % n] @ woodbury
 
     def step(self, x: np.ndarray) -> np.ndarray:
         # one batched FFT pair over the stack's rows; the correction goes one
@@ -381,9 +364,6 @@ class _CrankNicolson(_RealSpace):
         y -= x
         return y
 
-    def state(self, x: np.ndarray) -> np.ndarray:
-        return x.copy()
-
 
 def _inverse_dft_rows(n: int, at: np.ndarray) -> np.ndarray:
     """The rows of the inverse DFT (1/n included) at the cells at: row c
@@ -393,46 +373,14 @@ def _inverse_dft_rows(n: int, at: np.ndarray) -> np.ndarray:
     return turn[(at[:, None] * np.arange(n)) % n] / n
 
 
-def _split_step_parts(grid: Grid, v: np.ndarray, dt: float):
-    """The fused Strang step in Fourier space, as _FourierSpace takes it.
-
-    With V = exp(-i dt v) and z = FFT(V^(-1/2) psi), the carried row of
-    _SplitStep in Fourier space, a step is z <- lam FFT(V IFFT(z)) = lam z
-    - P (Q z) with lam = exp(-i dt k^2 / 2), Q = the inverse-DFT rows at
-    the cells where V != 1 (v != 0), and P = -lam (forward-DFT columns at
-    the cells) diag(V - 1) there.  The state is V^(1/2) IFFT(z).
-    """
-    n = grid.n
-    lam = np.exp(-0.5j * dt * grid.k**2)
-    q = _inverse_dft_rows(n, np.flatnonzero(v))
-    # n conj(q)^T holds the forward-DFT columns at the cells
-    p = -(n * lam)[:, None] * q.conj().T * np.expm1(-1j * dt * v[v != 0])
-    return lam, q, p, np.exp(-0.5j * dt * v)
-
-
-def _cayley_parts(grid: Grid, v: np.ndarray, dt: float):
-    """The Cayley step of _CrankNicolson in Fourier space, as _FourierSpace
-    takes it.
-
-    2 A^-1 x - x is diagonal in Fourier space up to the Woodbury term, so on
-    z = FFT(x) a step is z <- lam z - P (Q z) with lam = 2/eig - 1, Q = the
-    inverse-DFT rows at the m cells over eig, and P = 2 (forward-DFT
-    columns at the cells) K over eig.  The state is IFFT(z).
-    """
-    eig, _, cells, woodbury = _cayley(grid, v, dt)
-    inverse = _inverse_dft_rows(grid.n, cells)
-    p = (2.0 * grid.n / eig)[:, None] * inverse.conj().T @ woodbury
-    return 2.0 / eig - 1.0, inverse / eig, p, None
-
-
-class _FourierSpace:
+class _FourierSpace(_Stepper):
     """A scheme's step on Fourier coefficients, up to k steps per pair of
     matvecs.
 
     The scheme hands over its step as z <- M z = lam z - P (Q z), with lam
-    diagonal and Q the m rows that read its barrier cells, and the diagonal
-    d (None for 1) that takes IFFT(z) to the state: the carried row is z =
-    FFT(psi / d).  A block of j <= k steps from step s makes two matvecs:
+    diagonal and Q the m rows that read its barrier cells, and its diagonal
+    d: the carried row is z = FFT(psi / d).  A block of j <= k steps from
+    step s makes two matvecs:
 
     - the reads u_i = Q M^i z_s, i = 0 .. k-1, which the steps of the block
       take, and the amplitudes E M^i z_s at the 2 EDGE_CELLS edge cells, i =
@@ -450,14 +398,14 @@ class _FourierSpace:
     _make_stepper sizes k by.
     """
 
-    def __init__(self, grid: Grid, lam: np.ndarray, q: np.ndarray, p: np.ndarray,
-                 d: np.ndarray | None, k: int) -> None:
-        import scipy.fft
+    fourier = True
 
+    def __init__(self, grid: Grid, d: np.ndarray | float, lam: np.ndarray, q: np.ndarray,
+                 p: np.ndarray, k: int) -> None:
+        super().__init__(grid, d)
         n = grid.n
-        self.dx, self.k, self.d = grid.dx, k, d
+        self.k = k
         m = self.m = q.shape[0]
-        self.fft, self.ifft = scipy.fft.fft, scipy.fft.ifft
         self.lam_pow = np.cumprod(np.broadcast_to(lam, (k, n)), axis=0)  # lam^1 .. lam^k
         self.b = np.concatenate([self.lam_pow[k - 2 - i] * p.T for i in range(k - 1)]
                                 + [np.ascontiguousarray(p.T)])
@@ -500,33 +448,56 @@ class _FourierSpace:
             done += j
         return x, np.square(edges[:steps]).sum(axis=1)
 
-    def state(self, x: np.ndarray) -> np.ndarray:
-        amps = self.ifft(x)
-        if self.d is not None:
-            amps *= self.d
-        return amps
 
-    def carry(self, amps: np.ndarray) -> np.ndarray:
-        return self.fft(amps if self.d is None else amps / self.d)
+def _split_step(grid: Grid, v: np.ndarray, dt: float, k: int) -> _Stepper:
+    """The fused Strang step, through its FFT pair at k = 0 and in Fourier
+    space in blocks of up to k steps otherwise.
 
-    def feed(self, x: np.ndarray, mask: np.ndarray, weight: float, state: np.ndarray) -> None:
-        x[1] += self.carry(weight * (mask * state))
+    With V = exp(-i dt v) and d = V^(1/2), on z = FFT(psi / d) a step is z
+    <- lam FFT(V IFFT(z)) = lam z - P (Q z) with lam = exp(-i dt grid.k^2 /
+    2), Q = the inverse-DFT rows at the cells where V != 1 (v != 0), and P =
+    -lam (forward-DFT columns at the cells) diag(V - 1) there.
+    """
+    n = grid.n
+    lam = np.exp(-0.5j * dt * grid.k**2)
+    d = np.exp(-0.5j * dt * v)
+    cells = np.flatnonzero(v)
+    if not k:
+        return _SplitStep(grid, d, lam, cells)
+    q = _inverse_dft_rows(n, cells)
+    # n conj(q)^T holds the forward-DFT columns at the cells
+    p = -(n * lam)[:, None] * q.conj().T * np.expm1(-1j * dt * v[cells])
+    return _FourierSpace(grid, d, lam, q, p, k)
 
 
-# each scheme's many-cell form and the parts of its Fourier-space form
-_FORMS = {"spectral-split-step": (_SplitStep, _split_step_parts),
-          "implicit-fd": (_CrankNicolson, _cayley_parts)}
+def _crank_nicolson(grid: Grid, v: np.ndarray, dt: float, k: int) -> _Stepper:
+    """The Cayley step, through its FFT pair at k = 0 and in Fourier space
+    in blocks of up to k steps otherwise.
+
+    2 A^-1 x - x is diagonal in Fourier space up to the Woodbury term, so on
+    z = FFT(x) a step is z <- lam z - P (Q z) with lam = 2/eig - 1, Q = the
+    inverse-DFT rows at the m cells over eig, and P = 2 (forward-DFT
+    columns at the cells) K over eig.
+    """
+    eig, g, cells, woodbury = _cayley(grid, v, dt)
+    if not k:
+        return _CrankNicolson(grid, eig, g, cells, woodbury)
+    inverse = _inverse_dft_rows(grid.n, cells)
+    p = (2.0 * grid.n / eig)[:, None] * inverse.conj().T @ woodbury
+    lam, q = 2.0 / eig - 1.0, inverse / eig
+    # freed before _FourierSpace allocates its rows: with them still live,
+    # glibc gave the heap top back after each leg and each trace-cn fig2 took
+    # twice the minor page faults (1,150 against 575)
+    del eig, g, woodbury, inverse
+    return _FourierSpace(grid, 1.0, lam, q, p, k)
 
 
-def _make_stepper(scheme: str, grid: Grid, v: np.ndarray, dt: float):
-    many_cells, fourier_parts = _FORMS[scheme]
+def _make_stepper(scheme: str, grid: Grid, v: np.ndarray, dt: float) -> _Stepper:
     # a block's dense rows per step: m of B_k, m + 2 EDGE_CELLS of reads
     step_bytes = ((2 * np.count_nonzero(v) + 2 * EDGE_CELLS) * grid.n
                   * np.dtype(np.complex128).itemsize)
-    k = DENSE_ROWS_BYTES // step_bytes
-    if k >= 1:
-        return _FourierSpace(grid, *fourier_parts(grid, v, dt), k)
-    return many_cells(grid, v, dt)
+    build = _split_step if scheme == "spectral-split-step" else _crank_nicolson
+    return build(grid, v, dt, DENSE_ROWS_BYTES // step_bytes)
 
 
 def _run(psi: WaveFunction, cfg: PropagatorConfig, barrier: BarrierSpec | None,
@@ -567,7 +538,7 @@ def _run(psi: WaveFunction, cfg: PropagatorConfig, barrier: BarrierSpec | None,
 
     def record(step: int, j: int, x: np.ndarray) -> None:
         # before the first step the state is psi, not its round trip through
-        # a Fourier form
+        # the carried form
         state = psi if step == 0 else WaveFunction(grid, stepper.state(x[0]))
         drift = abs(state.norm() / norm0 - 1.0)
         if not drift <= NORM_DRIFT_LIMIT:

@@ -33,6 +33,9 @@ ORACLE_BARRIERS = {
                                   (250.0, 256.0, 0.8)]),
     "240-cells": BarrierSpec([(-60.0, 60.0, 0.3)]),
 }
+# each scheme's stepper builder: its FFT-pair form at k = 0, else its
+# Fourier-space form in blocks of k steps
+BUILDERS = {"spectral-split-step": tdse._split_step, "implicit-fd": tdse._crank_nicolson}
 
 
 def free_packet(k0=0.5, x0=-40.0, sigma=6.0):
@@ -360,20 +363,30 @@ def test_implicit_fd_steps_in_fourier_space_while_its_rows_fit(grid, barrier, k)
       the oracle's 240 cells, and the default scenario's 103 at n=4096 (13.4
       MiB).
 
-    Measured on a 2-vCPU Xeon VM (a leg's step with its edge read, fastest
-    of 11 rounds), Crank-Nicolson's k=1 crossed its FFT pair (32-39 us at
-    n=1024, 89-113 us at n=4096) at about m=30 for n=1024 and m=13 for
-    n=4096 with one BLAS thread; with two it was within 15% of the FFT pair
-    from m=32 to 48 at n=1024 and still led at m=16 for n=4096.  Those
+    With 1.5 MiB, k=1 runs from 21 to 44 cells at n=1024 and from 3 to 8
+    cells at n=4096, and the FFT pair beyond.  Measured on a 2-vCPU Xeon VM
+    (a leg's step with its edge read, fastest of 11 rounds), at m=8, n=1024
+    a Crank-Nicolson step took 16 us at k=1, 12 us at k=2 to 4 and 13 us at
+    k=5 with one BLAS thread, and 27, 16, 12, 10 and 9 us at k=1 to 5 with
+    two, against 32 and 36 us through the FFT pair; blocks past the cache
+    gain nothing with one thread (k=2 was slower than k=1 at m=24).
+    Crank-Nicolson's k=1 crossed its FFT pair (32-39 us at n=1024, 89-113
+    us at n=4096) at about m=30 for n=1024 and m=13 for n=4096 with one
+    BLAS thread; with two it was within 15% of the FFT pair from m=32 to 48
+    at n=1024 and still led at m=16 for n=4096.  Split-step, timed in 31
+    interleaved rounds of 200 steps, took 26-28 us a step through its FFT
+    pair at n=1024 and 72 us at n=4096 with one BLAS thread or two; in
+    Fourier space it took 12 and 8 us (one thread and two) at m=8 (k=4),
+    15-18 us at m=16 (k=2), 33 and 29 us at m=32 and 41 and 31 us at m=40
+    (k=1) at n=1024, and 56 and 46 us at m=8 (k=1) at n=4096, where k=1
+    forced on 10 and 13 cells took 68 and 46 us and 93 and 53 us.  The
     one-thread crossovers are 1.1 and 2.1 MiB of rows a step, so no budget
-    sits at both: this one puts 31 to 44 cells at n=1024 on k=1 (up to 29%
-    slower than the FFT pair with one thread) and 9 to 11 cells at n=4096
-    on the FFT pair (about 10% slower with one thread, 60% with two).
-    Split-step, timed in 31 interleaved rounds of 200 steps, misroutes
-    about the same barriers: its FFT pair took 26-28 us at n=1024 and 72 us
-    at n=4096, against 33 and 29 us at k=1 on 32 cells and 41 and 31 us on
-    40 (one BLAS thread and two), and 68 and 46 us with k=1 forced on 10
-    cells at n=4096."""
+    sits at both: this one puts 31 to 44 cells at n=1024 on k=1, up to 29%
+    slower than the FFT pair with one thread for Crank-Nicolson and up to
+    53% (13% with two) for split-step, and 9 to 11 cells at n=4096 on the
+    FFT pair, about 10% slower with one thread and 60% with two for
+    Crank-Nicolson, 5% and 36% for split-step.  A budget low enough for
+    n=1024 would send 8 cells at n=4096 to the FFT pair, slower for both."""
     v = tdse._potential(grid, barrier)
     made = [tdse._make_stepper(scheme, grid, v, 0.02) for scheme in SCHEMES]
     if k:
@@ -404,7 +417,7 @@ def test_fourier_space_step_matches_the_fft_pair_step(scheme, dt, rows):
                      gaussian_packet(grid, 3.0, 6.0, -0.5).amp])[:rows]
     fourier = tdse._make_stepper(scheme, grid, v, dt)
     assert type(fourier) is tdse._FourierSpace and fourier.k == 4
-    pair = tdse._FORMS[scheme][0](grid, v, dt)
+    pair = BUILDERS[scheme](grid, v, dt, 0)
     z, _ = fourier.advance(fourier.carry(amps), 50)
     x, _ = pair.advance(pair.carry(amps), 50)
     bound = 1e-13 if scheme == "implicit-fd" else 2e-14
@@ -458,7 +471,7 @@ def test_fourier_space_rows_carry_their_barrier_and_edge_reads(scheme, dt, rows,
 
     mask = (grid.x >= -5.0) & (grid.x < 5.0)
     for k in (4, 8):
-        stepper = tdse._FourierSpace(grid, *tdse._FORMS[scheme][1](grid, v, dt), k)
+        stepper = BUILDERS[scheme](grid, v, dt, k)
         x, _ = stepper.advance(stepper.carry(start), 50)
         assert_block_matches_single_steps(stepper, x)
         if rows == 2:
@@ -548,8 +561,8 @@ def test_implicit_fd_rejects_grids_too_small_for_the_stencil(monkeypatch):
 @pytest.mark.parametrize("make", [
     partial(tdse._make_stepper, "spectral-split-step"),
     partial(tdse._make_stepper, "implicit-fd"),
-    tdse._SplitStep,
-    tdse._CrankNicolson,
+    partial(tdse._split_step, k=0),
+    partial(tdse._crank_nicolson, k=0),
 ], ids=["spectral-split-step", "implicit-fd", "spectral-split-step-fft-pair",
         "implicit-fd-fft-pair"])
 def test_stacked_step_matches_row_by_row_steps(make):
@@ -557,7 +570,9 @@ def test_stacked_step_matches_row_by_row_steps(make):
     stepper (both schemes step this barrier in Fourier space, in blocks of
     k=4: a leg of 9 steps as three advances of 3 takes blocks of 3), and an
     advance leaves its input as it was, the FFT-pair split step's in-place
-    steps included.  Each row starts as its own copy."""
+    steps included.  Each row starts as its own copy, and both rows step
+    through one other stepper, one after the other, so a stepper carries
+    nothing from one advance into the next: the gaps measured 0."""
     def step(stepper, x):
         given = x.copy()
         y, _ = stepper.advance(x, 3)
@@ -566,30 +581,33 @@ def test_stacked_step_matches_row_by_row_steps(make):
 
     grid = SMALL_SCENARIO.grid()
     v = SMALL_SCENARIO.barrier().potential(grid)
-    stacked = make(grid, v, 0.02)
-    singles = [make(grid, v, 0.02) for _ in range(2)]
+    stacked, single = make(grid, v, 0.02), make(grid, v, 0.02)
     stack = stacked.carry(np.array([gaussian_packet(grid, -20.0, 4.0, 1.0).amp,
                                     gaussian_packet(grid, 3.0, 6.0, -0.5).amp]))
     rows = [stack[r:r + 1].copy() for r in range(2)]
     for _ in range(3):
         stack = step(stacked, stack)
-        rows = [step(single, row) for single, row in zip(singles, rows)]
-    expected = np.concatenate([single.state(row) for single, row in zip(singles, rows)])
+        rows = [step(single, row) for row in rows]
+    expected = np.concatenate([single.state(row) for row in rows])
     got = stacked.state(stack)
     assert got.shape == (2, grid.n)
     assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
 
 
-@pytest.mark.parametrize("scheme", ["spectral-split-step", "implicit-fd"])
-def test_source_row_collects_the_weighted_region_history(scheme, monkeypatch):
+@pytest.mark.parametrize("scheme, barrier", [
+    pytest.param(scheme, barrier, id=scheme + ("" if barrier is None else "-fft-pair"))
+    for barrier in (None, FFT_PAIR_BARRIER) for scheme in SCHEMES])
+def test_source_row_collects_the_weighted_region_history(scheme, barrier, monkeypatch):
     """The source row at the duration is sum_j w_j U(T - t_j) mask psi(t_j),
-    rebuilt here from one standalone leg per record."""
+    rebuilt here from one standalone leg per record: with no barrier in
+    Fourier space, and across FFT_PAIR_BARRIER through each scheme's FFT
+    pair, whose feed adds the masked state to grid amplitudes."""
     psi = free_packet(k0=1.0, x0=-10.0)
     mask = (FREE_GRID.x >= -5.0) & (FREE_GRID.x < 5.0)
     cfg = PropagatorConfig(dt=0.01, record_steps=(0, 400, 1000), scheme=scheme)
     weights = (0.5, -2.0, 3.0)
-    states, phi = propagate_with_source(psi, cfg, None, mask, weights)
-    for state, plain in zip(states, propagate(psi, cfg), strict=True):
+    states, phi = propagate_with_source(psi, cfg, barrier, mask, weights)
+    for state, plain in zip(states, propagate(psi, cfg, barrier), strict=True):
         assert np.array_equal(state.amp, plain.amp)
     expected = np.zeros(FREE_GRID.n, dtype=np.complex128)
     # the guards watch psi alone, not the source row, so the oracle's legs
@@ -597,7 +615,8 @@ def test_source_row_collects_the_weighted_region_history(scheme, monkeypatch):
     monkeypatch.setattr(tdse, "EDGE_PROBABILITY_LIMIT", np.inf)
     for w, j, state in zip(weights, cfg.record_steps, states):
         rest = replace(cfg, record_steps=(cfg.n_steps - j,))
-        moved, = propagate(WaveFunction(FREE_GRID, w * np.where(mask, state.amp, 0.0)), rest)
+        moved, = propagate(WaveFunction(FREE_GRID, w * np.where(mask, state.amp, 0.0)), rest,
+                           barrier)
         expected += moved.amp
     assert np.max(np.abs(phi.amp - expected)) <= 1e-12 * np.max(np.abs(expected))
     with pytest.raises(ConfigError):
