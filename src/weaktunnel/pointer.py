@@ -5,13 +5,14 @@ A detector register is a Gaussian wave function
     G(c, sigma) = (2 pi sigma^2)^(-1/4) exp(-(x - c)^2 / (4 sigma^2)),
 
 where sigma is the standard deviation of |G|^2, so <x> = c and <x^2> - c^2
-= sigma^2.  Joint two-detector states are kept as superpositions of product
-branches G_A(a_j) G_B(b_j), each branch optionally tagged with the particle
-state it is entangled with; branches with different tags add incoherently in
-every observable.  The representation covers the unshifted product, the
-which-path entangled state, its erased (post-selected) form, and the
-first-order states produced by a pair of weak probes; every moment is a
-closed form built from displaced-Gaussian integrals.
+= sigma^2.  A joint two-detector state is a superposition of product
+branches G_A(a_j) G_B(b_j) (x) |p_j>, with |p_j> the particle state branch j
+rides on; the pointers see the particle only through the Gram matrix g_jk =
+<p_j|p_k>.  The identity is the which-path entangled state (orthogonal paths
+add incoherently), all ones a pure two-mode wave function: the unshifted
+product, the erased (post-selected) state and the first-order states
+produced by a pair of weak probes.  Every moment is a closed form built from
+displaced-Gaussian integrals.
 
 Probes couple impulsively: a probe with strength delta acting over a time
 window displaces its pointer, to first order in delta, by delta times the
@@ -21,10 +22,10 @@ window.  Nothing here co-propagates pointer and particle beyond first order.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
-
-import numpy as np
+from functools import cached_property
 
 from .core import RegionProjector
 from .errors import ConfigError
@@ -44,36 +45,18 @@ __all__ = [
 WEAKNESS_WARNING_RATIO = 0.5
 
 
-# Displaced-Gaussian integrals.  With m = (c1 + c2)/2 the product
-# G(c1) G(c2) is exp(-(c1-c2)^2/8 sigma^2) times a normalized Gaussian
-# density of mean m and variance sigma^2, which gives the first three
-# moments in closed form.
-
-def _overlap(c1: float, c2: float, sigma: float) -> float:
-    return float(np.exp(-((c1 - c2) ** 2) / (8.0 * sigma**2)))
-
-
-def _moment1(c1: float, c2: float, sigma: float) -> float:
-    return _overlap(c1, c2, sigma) * 0.5 * (c1 + c2)
-
-
-def _moment2(c1: float, c2: float, sigma: float) -> float:
-    m = 0.5 * (c1 + c2)
-    return _overlap(c1, c2, sigma) * (sigma**2 + m * m)
-
-
 @dataclass(frozen=True)
 class JointPointerState:
     """Superposition of product branches over the two pointer coordinates.
 
-    branches holds (coeff, a_center, b_center, tag).  Tags record which
-    orthogonal particle state a branch rides on; cross terms between
-    different tags drop out of every pointer observable.  A state whose
-    branches all share one tag is an ordinary pure two-mode wave function.
+    branches holds (coeff, a_center, b_center) and gram[j][k] = <p_j|p_k>,
+    the overlap of the particle states branches j and k ride on: the
+    identity for orthogonal paths, all ones for one shared particle state.
     """
 
     sigma: float
-    branches: tuple[tuple[complex, float, float, int], ...]
+    branches: tuple[tuple[complex, float, float], ...]
+    gram: tuple[tuple[complex, ...], ...]
     postselect_prob: float | None = None
 
     def __post_init__(self) -> None:
@@ -81,41 +64,48 @@ class JointPointerState:
             raise ConfigError(f"pointer sigma must be positive, got {self.sigma}")
         if not self.branches:
             raise ConfigError("joint state needs at least one branch")
+        n = len(self.branches)
+        if len(self.gram) != n or any(len(row) != n for row in self.gram):
+            raise ConfigError(f"gram must be {n} x {n}, one row and column per branch")
 
-    def _pairs(self):
-        for cj, aj, bj, tj in self.branches:
-            for ck, ak, bk, tk in self.branches:
-                if tj == tk:
-                    yield np.conj(cj) * ck, (aj, ak), (bj, bk)
+    @cached_property
+    def _sums(self) -> tuple[float, ...]:
+        """One pass over the branch pairs.  With m = (x_j + x_k)/2 the product
+        G(x_j) G(x_k) is exp(-(x_j - x_k)^2 / 8 sigma^2) times a normalized
+        Gaussian density of mean m and variance sigma^2, so pair (j, k)
+        weighs w = Re(conj(c_j) c_k g_jk) times both pointers' overlaps and
+        has means m_a, m_b.  Returns the squared norm S = sum w and the sums
+        of w m_a, w m_b, w m_a^2, w m_b^2 and w m_a m_b over S."""
+        scale = -1.0 / (8.0 * self.sigma**2)
+        terms = []
+        for (cj, aj, bj), row in zip(self.branches, self.gram):
+            for (ck, ak, bk), g in zip(self.branches, row):
+                w = (cj.conjugate() * ck * g).real * math.exp(
+                    scale * ((aj - ak) ** 2 + (bj - bk) ** 2))
+                ma, mb = 0.5 * (aj + ak), 0.5 * (bj + bk)
+                terms.append((w, w * ma, w * mb, w * ma * ma, w * mb * mb, w * ma * mb))
+        s, *rest = map(sum, zip(*terms))
+        if not s > 0.0:
+            raise ConfigError(f"joint state has no weight to read moments from (norm {s})")
+        return (s, *(t / s for t in rest))
 
     def norm_squared(self) -> float:
-        s = self.sigma
-        total = 0.0
-        for w, (aj, ak), (bj, bk) in self._pairs():
-            total += (w * _overlap(aj, ak, s) * _overlap(bj, bk, s)).real
-        return float(total)
-
-    def moment(self, pow_a: int, pow_b: int) -> float:
-        """<x_A^pow_a x_B^pow_b> for powers 0..2, from the Gaussian integrals."""
-        table = {0: _overlap, 1: _moment1, 2: _moment2}
-        fa, fb = table[pow_a], table[pow_b]
-        s = self.sigma
-        total = 0.0
-        for w, (aj, ak), (bj, bk) in self._pairs():
-            total += (w * fa(aj, ak, s) * fb(bj, bk, s)).real
-        return float(total) / self.norm_squared()
+        return self._sums[0]
 
     def mean_a(self) -> float:
-        return self.moment(1, 0)
+        return self._sums[1]
 
     def mean_b(self) -> float:
-        return self.moment(0, 1)
+        return self._sums[2]
 
     def var_a(self) -> float:
-        return self.moment(2, 0) - self.mean_a() ** 2
+        return self.sigma**2 + self._sums[3] - self._sums[1] ** 2
 
     def var_b(self) -> float:
-        return self.moment(0, 2) - self.mean_b() ** 2
+        return self.sigma**2 + self._sums[4] - self._sums[2] ** 2
+
+    def covariance(self) -> float:
+        return self._sums[5] - self._sums[1] * self._sums[2]
 
     def moment_report(self) -> dict:
         """The fixed-key JSON object other modules consume."""
@@ -135,42 +125,36 @@ def which_path_state(delta: float, sigma: float) -> JointPointerState:
     Each pointer mean sits at delta/2, the difference mean stays 0, and
     Var(x_A - x_B) grows to 2 sigma^2 + delta^2.
     """
-    coeff = 1.0 / np.sqrt(2.0)
-    return JointPointerState(
-        sigma=sigma,
-        branches=((coeff, delta, 0.0, 0), (coeff, 0.0, delta, 1)),
-    )
-
-
-def _is_which_path(state: JointPointerState) -> bool:
-    if len(state.branches) != 2:
-        return False
-    (c1, a1, b1, t1), (c2, a2, b2, t2) = state.branches
-    if t1 == t2:
-        return False
-    same_coeff = abs(c1 - c2) <= 1e-12 and abs(abs(c1) - 1.0 / np.sqrt(2.0)) <= 1e-12
-    crossed = a1 == b2 and b1 == a2 and b1 == 0.0
-    return same_coeff and crossed
+    coeff = 1.0 / math.sqrt(2.0)
+    return JointPointerState(sigma=sigma,
+                             branches=((coeff, delta, 0.0), (coeff, 0.0, delta)),
+                             gram=((1.0, 0.0), (0.0, 1.0)))
 
 
 def erase_and_postselect(state: JointPointerState) -> JointPointerState:
-    """Project the particle back onto the symmetric superposition of paths.
+    """Project the particle onto the symmetric superposition of its paths.
 
-    The branches become coherent, normalized by K = [2(1 + c^2)]^(-1/2)
-    with c^2 the squared modulus of the shifted/unshifted pointer overlap.
-    The post-selection succeeds with probability (1 + c^2)/2, recorded on
-    the returned state.
+    The n >= 2 branches must ride on orthogonal paths (gram the identity).
+    Each path overlaps the symmetric state by 1/sqrt(n), so the projection
+    divides every coefficient by sqrt(n) and leaves all branches on one
+    particle state (gram all ones); the returned state is that projection
+    renormalized.  The post-selection succeeds with the ratio of the squared
+    norms after and before, recorded on the returned state; for the
+    which-path pair that is (1 + c^2)/2, with c^2 the squared modulus of the
+    shifted/unshifted pointer overlap.
     """
-    if not _is_which_path(state):
-        raise ConfigError("erasure needs a which-path state with distinct path tags")
-    (_, delta, _, _), _ = state.branches
-    s = state.sigma
-    c_sq = _overlap(0.0, delta, s) ** 2
-    k = (2.0 * (1.0 + c_sq)) ** -0.5
+    n = len(state.branches)
+    if n < 2 or any(g != (j == k) for j, row in enumerate(state.gram)
+                    for k, g in enumerate(row)):
+        raise ConfigError("erasure needs two or more branches on orthogonal paths")
+    ones = ((1.0,) * n,) * n
+    # n times the projection's squared norm: the 1/sqrt(n) cancels on renormalizing
+    coherent = JointPointerState(state.sigma, state.branches, ones).norm_squared()
     return JointPointerState(
-        sigma=s,
-        branches=((k, delta, 0.0, 0), (k, 0.0, delta, 0)),
-        postselect_prob=0.5 * (1.0 + c_sq),
+        sigma=state.sigma,
+        branches=tuple((c / math.sqrt(coherent), a, b) for c, a, b in state.branches),
+        gram=ones,
+        postselect_prob=coherent / (n * state.norm_squared()),
     )
 
 
@@ -179,18 +163,17 @@ def certain_shift_state(delta_a: float, delta_b: float, sigma: float) -> JointPo
 
     Independence keeps Var(x_A - x_B) at 2 sigma^2 no matter the shifts.
     """
-    return JointPointerState(sigma=sigma,
-                             branches=((1.0 + 0.0j, delta_a, delta_b, 0),))
+    return JointPointerState(sigma=sigma, branches=((1.0 + 0.0j, delta_a, delta_b),),
+                             gram=((1.0,),))
 
 
 def difference_variance(state: JointPointerState) -> float:
-    """Var(x_A - x_B) = <x_A^2> - 2<x_A x_B> + <x_B^2> - (<x_A> - <x_B>)^2.
+    """Var(x_A - x_B) = Var(x_A) + Var(x_B) - 2 Cov(x_A, x_B).
 
     Exact for any branch superposition: every term is a displaced-Gaussian
     integral of the state's branches.
     """
-    return (state.moment(2, 0) - 2.0 * state.moment(1, 1) + state.moment(0, 2)
-            - (state.mean_a() - state.mean_b()) ** 2)
+    return state.var_a() + state.var_b() - 2.0 * state.covariance()
 
 
 @dataclass(frozen=True)
@@ -259,7 +242,8 @@ def two_probe_run(pair: PrePostPair, probe_a: WeakProbe, probe_b: WeakProbe,
     shift_b = probe_b.sign * probe_b.delta * value_b.real
     state = JointPointerState(
         sigma=pointer_sigma,
-        branches=((1.0 + 0.0j, shift_a, shift_b, 0),),
+        branches=((1.0 + 0.0j, shift_a, shift_b),),
+        gram=((1.0,),),
         postselect_prob=pair.postselect_prob,
     )
     return TwoProbeRun(

@@ -410,12 +410,12 @@ class _FourierSpace(_Stepper):
         self.b = np.concatenate([self.lam_pow[k - 2 - i] * p.T for i in range(k - 1)]
                                 + [np.ascontiguousarray(p.T)])
         y = np.concatenate([q, _inverse_dft_rows(n, np.r_[:EDGE_CELLS, n - EDGE_CELLS:n])])
-        u_rows, e_rows = [], []
-        for _ in range(k):
-            u_rows.append(y[:m])
+        e = 2 * EDGE_CELLS
+        self.r = np.empty((k * (m + e), n), dtype=y.dtype)
+        for i in range(k):
+            self.r[i * m:(i + 1) * m] = y[:m]
             y = lam * y - (y @ p) @ q
-            e_rows.append(y[m:])
-        self.r = np.concatenate(u_rows + e_rows)
+            self.r[k * m + i * e:k * m + (i + 1) * e] = y[m:]
 
     def advance(self, x: np.ndarray, steps: int) -> tuple[np.ndarray, np.ndarray]:
         """Take steps steps in blocks of up to k and read row 0's edge weight

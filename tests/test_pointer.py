@@ -27,22 +27,24 @@ DELTAS = (0.5, 1.0, 2.0)
 def register_moments_by_quadrature(state, n=1601):
     """Means and variances of a joint pointer state on an n x n grid.
 
-    Branches sharing a tag add as amplitudes; different tags add as
-    densities, i.e. the particle is traced out.  Returns the moment_report
-    keys mean_a, mean_b, var_a, var_b and var_diff.
+    The pointer density traces out the particle: branch pair (j, k) adds
+    conj(c_j) c_k gram[j][k] times the product of the two branches' real
+    Gaussians.  Returns the moment_report keys mean_a, mean_b, var_a, var_b
+    and var_diff.
     """
     sigma = state.sigma
-    reach = max(max(abs(a), abs(b)) for _, a, b, _ in state.branches)
+    reach = max(max(abs(a), abs(b)) for _, a, b in state.branches)
     half = 10.0 * sigma + reach
     x = np.linspace(-half, half, n)
 
     def g(c):
         return (2.0 * np.pi * sigma**2) ** -0.25 * np.exp(-((x - c) ** 2) / (4.0 * sigma**2))
 
+    psi = [np.outer(g(a), g(b)) for _, a, b in state.branches]
     rho = np.zeros((n, n))
-    for tag in {t for *_, t in state.branches}:
-        psi = sum(c * np.outer(g(a), g(b)) for c, a, b, t in state.branches if t == tag)
-        rho += np.abs(psi) ** 2
+    for (cj, _, _), psi_j, row in zip(state.branches, psi, state.gram):
+        for (ck, _, _), psi_k, overlap in zip(state.branches, psi, row):
+            rho += (np.conj(cj) * ck * overlap).real * psi_j * psi_k
 
     z = np.trapezoid(np.trapezoid(rho, x, axis=1), x)
 
@@ -66,12 +68,17 @@ def _oracle_states(sigma, delta):
         "which-path": which_path_state(delta, sigma),
         "erased": erase_and_postselect(which_path_state(delta, sigma)),
         "certain": certain_shift_state(delta, -delta / 2.0, sigma),
+        # a partial, complex overlap of the two particle states
+        "partial-overlap": JointPointerState(
+            sigma, ((0.8, delta, 0.0), (0.6j, -delta / 2.0, delta)),
+            ((1.0, 0.6 + 0.3j), (0.6 - 0.3j, 1.0))),
     }
 
 
 def branch_overlap(delta, sigma):
     """<G(0)|G(delta)> read from the norm of G(0) + G(delta), 2 + 2 <G(0)|G(delta)>."""
-    state = JointPointerState(sigma, ((1.0, 0.0, 0.0, 0), (1.0, delta, 0.0, 0)))
+    state = JointPointerState(sigma, ((1.0, 0.0, 0.0), (1.0, delta, 0.0)),
+                              ((1.0, 1.0), (1.0, 1.0)))
     return 0.5 * (state.norm_squared() - 2.0)
 
 
@@ -124,7 +131,7 @@ def test_erased_variance_closed_form_and_quadrature_oracle(ratio):
         closed, rel=1e-7)
 
 
-@pytest.mark.parametrize("kind", ["which-path", "erased", "certain"])
+@pytest.mark.parametrize("kind", ["which-path", "erased", "certain", "partial-overlap"])
 @pytest.mark.parametrize("sigma", SIGMAS)
 @pytest.mark.parametrize("delta", DELTAS)
 def test_closed_form_moments_match_quadrature_oracle(kind, sigma, delta):
@@ -169,11 +176,26 @@ def test_erasure_rejects_non_which_path_states():
         erase_and_postselect(already)
 
 
+def test_zero_norm_states_raise():
+    """A state with no weight has no moments, and erasing a pair of paths
+    with opposite coefficients on equal pointers has no symmetric outcome."""
+    with pytest.raises(ConfigError):
+        JointPointerState(1.0, ((0.0, 0.3, 0.0),), ((1.0,),)).moment_report()
+    c = 1.0 / np.sqrt(2.0)
+    opposite = JointPointerState(1.0, ((c, 0.0, 0.0), (-c, 0.0, 0.0)),
+                                 ((1.0, 0.0), (0.0, 1.0)))
+    with pytest.raises(ConfigError):
+        erase_and_postselect(opposite)
+
+
 def test_state_validation():
     with pytest.raises(ConfigError):
-        JointPointerState(sigma=-1.0, branches=((1.0, 0.0, 0.0, 0),))
+        JointPointerState(sigma=-1.0, branches=((1.0, 0.0, 0.0),), gram=((1.0,),))
     with pytest.raises(ConfigError):
-        JointPointerState(sigma=1.0, branches=())
+        JointPointerState(sigma=1.0, branches=(), gram=())
+    with pytest.raises(ConfigError):
+        JointPointerState(sigma=1.0, branches=((1.0, 0.0, 0.0), (1.0, 1.0, 0.0)),
+                          gram=((1.0,),))
 
 
 def test_moment_report_feeds_the_ensemble_test():
