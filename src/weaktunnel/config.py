@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import BarrierSpec, Grid, WaveFunction, gaussian_packet
+from .core import BarrierSpec, Grid, WaveFunction, check_width, gaussian_packet
 from .errors import ConfigError
 from .tdse import SCHEMES, PropagatorConfig
 
@@ -87,8 +87,7 @@ class ScenarioConfig:
             raise ConfigError(f"unknown scheme {self.scheme!r}; choose from {SCHEMES}")
         if self.n_record < 1:
             raise ConfigError("n_record must be at least 1")
-        if self.pointer_sigma <= 0:
-            raise ConfigError("pointer_sigma must be positive")
+        check_width(self.pointer_sigma, "pointer_sigma")
         self.k0  # force the derivation so bad energies fail here
 
     @property

@@ -18,6 +18,7 @@ half-integer j, with eigenvalues {-j, ..., +j}.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple, Sequence
@@ -32,6 +33,7 @@ __all__ = [
     "BarrierSpec",
     "RegionProjector",
     "gaussian_packet",
+    "check_width",
     "SpinOps",
     "spin_ops",
     "spin_eigenstate",
@@ -134,6 +136,20 @@ def gaussian_packet(grid: Grid, x0: float, sigma: float, k0: float) -> WaveFunct
     x = grid.x
     amp = np.exp(-((x - x0) ** 2) / (4.0 * sigma**2) + 1j * k0 * x)
     return WaveFunction(grid, amp).normalized()
+
+
+def check_width(sigma: float, name: str) -> None:
+    """Refuse a Gaussian width unless it is positive and both sigma*sigma and
+    1/(8 sigma*sigma), the scales its moments and overlaps are built from,
+    are finite and positive.  Products, not **: a float's ** raises
+    OverflowError where a product gives inf."""
+    try:
+        square = float(sigma) * float(sigma)
+    except OverflowError:  # an int past the float range
+        square = math.inf
+    if not (sigma > 0 and 0.0 < square < math.inf and 0.0 < 1.0 / (8.0 * square) < math.inf):
+        raise ConfigError(f"{name} must be positive, with sigma^2 and 1/(8 sigma^2) "
+                          f"finite and nonzero, got {sigma}")
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import check_width
 from .errors import ConfigError
 
 __all__ = [
@@ -85,8 +86,7 @@ def corpuscular_min_variance(mu_a: float, mu_b: float, sigma: float) -> float:
     reached at p = mu_A/(mu_A + mu_B) (or in the limit p -> 0 or 1 when one
     mean vanishes), so the floor is 2 sigma^2 + 4 mu_A mu_B.
     """
-    if sigma <= 0:
-        raise ConfigError(f"noise width must be positive, got {sigma}")
+    check_width(sigma, "noise width sigma")
     if mu_a < 0 or mu_b < 0:
         raise ConfigError(
             f"mean shifts must be non-negative, got ({mu_a}, {mu_b}); no member "
@@ -190,8 +190,7 @@ def corpuscularity_test(samples, sigma0: float, alpha: float = 0.05,
     non-negative mean shifts, and the replacement can only lower the floor,
     which never manufactures a rejection.
     """
-    if sigma0 <= 0:
-        raise ConfigError(f"calibrated noise width must be positive, got {sigma0}")
+    check_width(sigma0, "calibrated noise width sigma0")
     if not 0.0 < alpha < 0.5:
         raise ConfigError(f"alpha must lie in (0, 0.5), got {alpha}")
 

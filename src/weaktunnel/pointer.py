@@ -27,7 +27,7 @@ import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
-from .core import RegionProjector
+from .core import RegionProjector, check_width
 from .errors import ConfigError
 from .weakval import PrePostPair
 
@@ -60,8 +60,7 @@ class JointPointerState:
     postselect_prob: float | None = None
 
     def __post_init__(self) -> None:
-        if self.sigma <= 0:
-            raise ConfigError(f"pointer sigma must be positive, got {self.sigma}")
+        check_width(self.sigma, "pointer sigma")
         if not self.branches:
             raise ConfigError("joint state needs at least one branch")
         n = len(self.branches)

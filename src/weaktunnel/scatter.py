@@ -158,10 +158,17 @@ def scattering_amplitudes(energy: float, barrier: BarrierSpec) -> ScatterResult:
 def group_delay(energy: float, barrier: BarrierSpec) -> float:
     """Group (phase) delay d/dE [arg t + k*span] at the given energy.
 
-    Exact: t = e^{-ik*span}/T11, so the delay is -Im(T11'/T11).
+    Exact: t = e^{-ik*span}/T11, so the delay is -Im(T11'/T11).  A delay
+    that is not finite, such as the overflow of the interface term -r/q^2
+    near E = 0, is refused like an evanescent exponent past
+    _MAX_EVANESCENT_EXPONENT.
     """
     (_, _, _, t11), (_, _, _, d11), _ = _transfer(energy, barrier)
-    return -(d11 / t11).imag
+    delay = -(d11 / t11).imag
+    if not math.isfinite(delay):
+        raise ConfigError(f"group delay at energy {energy} exceeds double-precision "
+                          f"range: got {delay}")
+    return delay
 
 
 def delay_vs_width(energy: float, height: float,

@@ -92,7 +92,7 @@ one.  Every stepper carries the rows B(psi / d), B the identity (grid
 amplitudes) or the FFT (Fourier coefficients) and d = V^(1/2) under
 split-step or 1 under Crank-Nicolson: it turns the initial stack into
 carried rows, a carried row back into a state, and the weighted masked
-state into the carried form it feeds the source row in.
+state into the carried form in which _run feeds it to the source row.
 
 Runtime guards watch row 0: probability reaching the domain edges, checked
 after every step (wrap-around would silently corrupt the run, and a packet
@@ -107,12 +107,14 @@ an edge density, and raises SchemeInstabilityError.  A step through an FFT
 spreads a non-finite amplitude anywhere to every cell, and in Fourier space
 each edge read sums every coefficient, so the per-step edge check catches
 it within one step; a finite step is unitary up to roundoff, so norm drift
-builds up slowly enough to be checked at the records only.  advance stops at
-the first step whose edge weight fails, ending a block early there, so the
-guard names the step where it tripped.  Through an FFT pair the edge guard
-reads the carried rows psi / d; d is unimodular, so the cell magnitudes are
-the same up to roundoff.  In Fourier space it reads the block's edge
-amplitudes, to the roundoff of an n-term sum, far below the limit.
+builds up slowly enough to be checked at the records only.  A stepper only
+reads the edge weights; _run judges every step's weight and names the
+first that fails, so the guard names the step where it tripped even when
+later steps of the same gap pass again.  A failing leg steps to the end of
+its gap before it raises.  Through an FFT pair the edge guard reads the
+carried rows psi / d; d is unimodular, so the cell magnitudes are the same
+up to roundoff.  In Fourier space it reads the block's edge amplitudes, to
+the roundoff of an n-term sum, far below the limit.
 Recorded states keep their global phase and are never renormalized.
 
 scipy.fft is imported when a stepper is built, not with this module, so
@@ -217,15 +219,9 @@ def _edge_weight(amps: np.ndarray) -> float:
     return (np.vdot(head, head) + np.vdot(tail, tail)).real
 
 
-def _edge_passes(weight, dx: float):
-    """Whether edge weights (sums of |amplitude|^2 without dx) pass the edge
-    guard; NaN fails.  The limit is read when it is checked."""
-    return weight * dx <= EDGE_PROBABILITY_LIMIT
-
-
 class _Stepper:
-    """Carry, state and source feed of every stepper, and the per-step
-    advance of the FFT-pair ones.
+    """Carry and state of every stepper, and the per-step advance of the
+    FFT-pair ones.
 
     A stepper carries the rows B(psi / d) of a stack: B is the identity
     (grid amplitudes, stepped through an FFT pair) or the FFT (Fourier
@@ -237,10 +233,10 @@ class _Stepper:
 
     fourier = False
 
-    def __init__(self, grid: Grid, d: np.ndarray | float) -> None:
+    def __init__(self, d: np.ndarray | float) -> None:
         import scipy.fft
 
-        self.dx, self.d = grid.dx, d
+        self.d = d
         self.fft, self.ifft = scipy.fft.fft, scipy.fft.ifft
 
     def carry(self, amps: np.ndarray) -> np.ndarray:
@@ -250,21 +246,15 @@ class _Stepper:
     def state(self, x: np.ndarray) -> np.ndarray:
         return (self.ifft(x) if self.fourier else x) * self.d
 
-    def feed(self, x: np.ndarray, mask: np.ndarray, weight: float, state: np.ndarray) -> None:
-        x[1] += self.carry(weight * (mask * state))
-
     def advance(self, x: np.ndarray, steps: int) -> tuple[np.ndarray, np.ndarray]:
-        """Take steps steps and read row 0's edge weight after each; stop at
-        the first step whose weight fails the edge guard.  Returns the stack
-        after the last step taken and the weights read; x is left as it
-        was."""
+        """Take steps steps and read row 0's edge weight after each.  Returns
+        the stack after the last step and one weight per step; x is left as
+        it was."""
         x = x.copy()
         weights = np.empty(steps)
         for s in range(steps):
             x = self.step(x)
             weights[s] = _edge_weight(x[0])
-            if not _edge_passes(weights[s], self.dx):
-                return x, weights[:s + 1]
         return x, weights
 
 
@@ -279,7 +269,7 @@ class _SplitStep(_Stepper):
     """
 
     def __init__(self, grid: Grid, d: np.ndarray, lam: np.ndarray, cells: np.ndarray) -> None:
-        super().__init__(grid, d)
+        super().__init__(d)
         self.span = slice(cells[0], cells[-1] + 1) if cells.size else slice(0, 0)
         self.kick = d[self.span] ** 2
         self.kinetic = lam / grid.n
@@ -336,7 +326,7 @@ class _CrankNicolson(_Stepper):
 
     def __init__(self, grid: Grid, eig: np.ndarray, g: np.ndarray, cells: np.ndarray,
                  woodbury: np.ndarray) -> None:
-        super().__init__(grid, 1.0)
+        super().__init__(1.0)
         n = grid.n
         self.cells = cells
         self.scale = 2.0 / eig
@@ -402,7 +392,7 @@ class _FourierSpace(_Stepper):
 
     def __init__(self, grid: Grid, d: np.ndarray | float, lam: np.ndarray, q: np.ndarray,
                  p: np.ndarray, k: int) -> None:
-        super().__init__(grid, d)
+        super().__init__(d)
         n = grid.n
         self.k = k
         m = self.m = q.shape[0]
@@ -419,13 +409,12 @@ class _FourierSpace(_Stepper):
 
     def advance(self, x: np.ndarray, steps: int) -> tuple[np.ndarray, np.ndarray]:
         """Take steps steps in blocks of up to k and read row 0's edge weight
-        after each; stop at the first step whose weight fails the edge guard.
-        Returns the stack after the last step taken and the weights read."""
+        after each.  Returns the stack after the last step and one weight per
+        step."""
         m, k = self.m, self.k
         # row 0's edge amplitudes at each step, as real and imaginary parts
         edges = np.empty((steps, 4 * EDGE_CELLS))
-        done = 0
-        while done < steps:
+        for done in range(0, steps, k):
             j = min(k, steps - done)
             y = np.empty_like(x)
             # one row at a time, so a row stepped in a stack comes out as
@@ -435,18 +424,10 @@ class _FourierSpace(_Stepper):
                 if i == 0:
                     e = reads[k * m:k * m + 2 * EDGE_CELLS * j].view(np.float64)
                     edges[done:done + j] = e.reshape(j, -1)
-                    # the block's total weight bounds each step's
-                    if not _edge_passes(np.dot(e, e), self.dx):
-                        passed = _edge_passes(np.square(edges[done:done + j]).sum(axis=1),
-                                              self.dx)
-                        if not passed.all():
-                            j = int(np.argmin(passed)) + 1
-                            steps = done + j
                 np.matmul(reads[:j * m], self.b[(k - j) * m:], out=z)
                 np.subtract(self.lam_pow[j - 1] * xz, z, out=z)
             x = y
-            done += j
-        return x, np.square(edges[:steps]).sum(axis=1)
+        return x, np.square(edges).sum(axis=1)
 
 
 def _split_step(grid: Grid, v: np.ndarray, dt: float, k: int) -> _Stepper:
@@ -518,8 +499,8 @@ def _run(psi: WaveFunction, cfg: PropagatorConfig, barrier: BarrierSpec | None,
 
     def check_edge(first: int, weights: np.ndarray, x: np.ndarray) -> None:
         """Raise at the first of steps first, first + 1, .. whose edge weight
-        fails the guard; x is the stack at the last of them."""
-        failed = np.flatnonzero(~_edge_passes(weights, grid.dx))
+        fails the guard; NaN fails.  x is the stack at the last of them."""
+        failed = np.flatnonzero(~(weights * grid.dx <= EDGE_PROBABILITY_LIMIT))
         if not failed.size:
             return
         step = first + int(failed[0])
@@ -548,7 +529,7 @@ def _run(psi: WaveFunction, cfg: PropagatorConfig, barrier: BarrierSpec | None,
         out.append(state)
         if source is not None:
             mask, weights = source
-            stepper.feed(x, mask, weights[j], state.amp)
+            x[1] += stepper.carry(weights[j] * (mask * state.amp))
 
     amps = np.zeros((1 if source is None else 2, grid.n), dtype=np.complex128)
     amps[0] = psi.amp

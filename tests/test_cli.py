@@ -385,7 +385,7 @@ def test_config_file_and_set_precedence(tmp_path):
     assert read_json(out, "moments.json")["var_diff"] == pytest.approx(4.25, abs=1e-8)
 
 
-def test_exit_code_2_on_bad_input(tmp_path):
+def test_exit_code_2_on_bad_input(tmp_path, capsys):
     out = str(tmp_path / "x")
     assert main(["variance", "--sigma", "-1", "--out", out]) == 2
     assert main(["fig2", "--set", "bogus_key=1", "--out", out]) == 2
@@ -412,6 +412,20 @@ def test_exit_code_2_on_bad_input(tmp_path):
     assert main(["fig2", "--set", "dt=NaN", *short]) == 2
     assert main(["fig2", "--set", "packet_energy=NaN", *short]) == 2
     assert main(["fig2", "--set", "x_max=Infinity", *short]) == 2
+    # a width whose square or 1/(8 sigma^2) leaves double range, and a delay
+    # past it, are refused by name before a leg runs or a file is written
+    capsys.readouterr()
+    for argv, named in ((["variance", "--sigma", "1e-300", "--delta", "1"], "pointer sigma"),
+                        (["erased", "--sigma", "1e-200", "--delta", "1"], "pointer sigma"),
+                        (["certain", "--sigma", "1e-300"], "pointer sigma"),
+                        (["variance", "--sigma", "1e160", "--delta", "1"], "pointer sigma"),
+                        (["variance", "--sigma", "1e-155"], "pointer sigma"),
+                        (["two-probe", "--set", "pointer_sigma=1e-300"], "pointer_sigma"),
+                        (["corpuscle-test", "--sigma0", "1e160"], "sigma0"),
+                        (["hartman", "--e", "1e-300", "--d", "1,2"], "group delay")):
+        assert main([*argv, "--out", out]) == 2
+        assert named in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
 
 
 @pytest.mark.parametrize("item", ["seed=7", "samples=100", "resamples=100", "alpha=0.3"])

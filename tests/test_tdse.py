@@ -169,7 +169,10 @@ def test_edge_guard_catches_wrap_around_between_records(monkeypatch):
     each record, so a first record at trip - k puts the trip step last in
     its block, one at trip - k + 1 puts it second to last, and the lone last
     record puts it at position 19 and 20 (forward) and 3 and 4 (backward)
-    of its block."""
+    of its block.  In either form a stepper's advance over the lone gap
+    returns all 4267 of its edge weights; the run of failing weights ends
+    when the packet has crossed the boundary, before the gap does, so the
+    guard names the trip step although the last weights pass again."""
     grid = Grid.from_domain(-64.0, 64.0, 512)
     psi = gaussian_packet(grid, 0.0, 4.0, 3.0)
     cfg = PropagatorConfig(dt=0.01, record_steps=(4267,))
@@ -177,19 +180,30 @@ def test_edge_guard_catches_wrap_around_between_records(monkeypatch):
     for scheme in SCHEMES:
         stepper = tdse._make_stepper(scheme, grid, np.zeros(grid.n), cfg.dt)
         assert type(stepper) is tdse._FourierSpace and stepper.k == k
-    legs = [(propagate, {"spectral-split-step": (1291, r"t=12\.91;"),
-                         "implicit-fd": (1292, r"t=12\.92;")}),
-            (propagate_backward, {"spectral-split-step": (1299, r"t=12\.99;"),
-                                  "implicit-fd": (1300, r"t=13\.0;")})]
-    for run, trips in legs:
+    legs = [(propagate, 1.0, {"spectral-split-step": (1291, r"t=12\.91;"),
+                              "implicit-fd": (1292, r"t=12\.92;")}),
+            (propagate_backward, -1.0, {"spectral-split-step": (1299, r"t=12\.99;"),
+                                        "implicit-fd": (1300, r"t=13\.0;")})]
+
+    def assert_advance_reads_the_whole_gap(scheme, sign, trip):
+        stepper = tdse._make_stepper(scheme, grid, np.zeros(grid.n), sign * cfg.dt)
+        _, weights = stepper.advance(stepper.carry(psi.amp[None]), 4267)
+        assert weights.shape == (4267,)
+        failed = np.flatnonzero(~(weights * grid.dx <= tdse.EDGE_PROBABILITY_LIMIT))
+        assert failed[0] + 1 == trip and np.all(np.diff(failed) == 1)
+        assert failed[-1] + 1 < 4267
+
+    for run, sign, trips in legs:
         for scheme, (trip, at) in trips.items():
+            assert_advance_reads_the_whole_gap(scheme, sign, trip)
             for first in (None, trip - k, trip - k + 1):
                 steps = (4267,) if first is None else (first, 4267)
                 with pytest.raises(EdgeDensityError, match=at):
                     run(psi, replace(cfg, record_steps=steps, scheme=scheme))
     monkeypatch.setattr(tdse, "DENSE_ROWS_BYTES", 0)
-    for run, trips in legs:
-        for scheme, (_, at) in trips.items():
+    for run, sign, trips in legs:
+        for scheme, (trip, at) in trips.items():
+            assert_advance_reads_the_whole_gap(scheme, sign, trip)
             with pytest.raises(EdgeDensityError, match=at):
                 run(psi, replace(cfg, scheme=scheme))
 
@@ -425,7 +439,7 @@ def test_fourier_space_step_matches_the_fft_pair_step(scheme, dt, rows):
 
 
 @pytest.mark.parametrize("scheme, dt, rows", by_scheme([0.02, 5.0, -0.02, -5.0]))
-def test_fourier_space_rows_carry_their_barrier_and_edge_reads(scheme, dt, rows, monkeypatch):
+def test_fourier_space_rows_carry_their_barrier_and_edge_reads(scheme, dt, rows):
     """A Fourier-space block of k steps from z_s reads every step's barrier
     and edge amplitudes from its dense rows in one product: Q M^i z_s, i =
     0 .. k-1, at the m barrier cells and E M^i z_s, i = 1 .. k, at the edge
@@ -438,12 +452,11 @@ def test_fourier_space_rows_carry_their_barrier_and_edge_reads(scheme, dt, rows,
     0's edge weights equal those single steps', each the sum of |state|^2
     over the edge cells.  Checked at the budget's k=4 and at k=8.  Row 0 is
     a packet at rest on the wrap point, so its edge reads are not roundoff
-    at any dt; the guard is lifted.  With one BLAS thread or two the largest
-    gaps measured 7.0e-16 of the largest amplitude in the barrier reads,
-    8.7e-16 in the states, and 7.3e-16 of the edge weight for
-    Crank-Nicolson, against the bound 2e-15 for each, and 1.7e-15, 1.2e-15
-    and 1.1e-15 for split-step, against 2.5e-15."""
-    monkeypatch.setattr(tdse, "EDGE_PROBABILITY_LIMIT", np.inf)
+    at any dt.  With one BLAS thread or two the largest gaps measured
+    7.0e-16 of the largest amplitude in the barrier reads, 8.7e-16 in the
+    states, and 7.3e-16 of the edge weight for Crank-Nicolson, against the
+    bound 2e-15 for each, and 1.7e-15, 1.2e-15 and 1.1e-15 for split-step,
+    against 2.5e-15."""
     grid = SMALL_SCENARIO.grid()
     n = grid.n
     v = SMALL_SCENARIO.barrier().potential(grid)
@@ -475,7 +488,7 @@ def test_fourier_space_rows_carry_their_barrier_and_edge_reads(scheme, dt, rows,
         x, _ = stepper.advance(stepper.carry(start), 50)
         assert_block_matches_single_steps(stepper, x)
         if rows == 2:
-            stepper.feed(x, mask, 0.7, stepper.state(x[0]))
+            x[1] += stepper.carry(0.7 * (mask * stepper.state(x[0])))
             assert_block_matches_single_steps(stepper, x)
 
 
