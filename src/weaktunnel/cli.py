@@ -137,7 +137,7 @@ def _resolve_scenario(args, base: ScenarioConfig) -> ScenarioConfig:
             raise ConfigError(f"--set expects key=value, got {item!r}")
         try:
             overrides[key] = json.loads(raw)
-        except json.JSONDecodeError:
+        except ValueError:  # not JSON, or an int too long to convert
             overrides[key] = raw
     if overrides:
         cfg = ScenarioConfig.from_dict({**cfg.to_dict(), **overrides})

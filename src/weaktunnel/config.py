@@ -79,8 +79,13 @@ class ScenarioConfig:
             value = getattr(self, f.name)
             if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[f.type]):
                 raise ConfigError(f"{f.name} must be {f.type}, got {value!r}")
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ConfigError(f"{f.name} must be finite, got {value!r}")
+            if f.type == "float":
+                try:
+                    finite = math.isfinite(float(value))
+                except OverflowError:  # an int past the float range
+                    finite = False
+                if not finite:
+                    raise ConfigError(f"{f.name} must be finite, got {value!r}")
         if self.packet_sigma <= 0:
             raise ConfigError("packet_sigma must be positive")
         if self.scheme not in SCHEMES:
@@ -172,7 +177,7 @@ def load_config(path: str | Path) -> ScenarioConfig:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not JSON, or an int too long to convert
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")

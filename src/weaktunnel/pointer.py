@@ -45,6 +45,19 @@ __all__ = [
 WEAKNESS_WARNING_RATIO = 0.5
 
 
+def _check_centre(centre: float, sigma: float) -> None:
+    """Refuse a pointer centre c unless (2c)^2 and (2c)^2 / (8 sigma^2) are
+    finite: 2|c| bounds every offset between two branches and every mean,
+    which the moments square.  Products, not **, as in core.check_width."""
+    try:
+        square = 4.0 * float(centre) * float(centre)
+    except OverflowError:  # an int past the float range
+        square = math.inf
+    if not (square < math.inf and square / (8.0 * sigma * sigma) < math.inf):
+        raise ConfigError(f"pointer shift {centre} is out of range for sigma {sigma}: "
+                          "the squared branch offset or it over 8 sigma^2 leaves double range")
+
+
 @dataclass(frozen=True)
 class JointPointerState:
     """Superposition of product branches over the two pointer coordinates.
@@ -66,6 +79,9 @@ class JointPointerState:
         n = len(self.branches)
         if len(self.gram) != n or any(len(row) != n for row in self.gram):
             raise ConfigError(f"gram must be {n} x {n}, one row and column per branch")
+        for _, a, b in self.branches:
+            for centre in (a, b):
+                _check_centre(centre, self.sigma)
 
     @cached_property
     def _sums(self) -> tuple[float, ...]:

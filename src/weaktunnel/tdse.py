@@ -65,17 +65,32 @@ Both Fourier forms step z <- M z = lam z - P (Q z) in blocks of up to k
 steps and no FFT: one matvec reads, from the block's first z, the m cell
 amplitudes Q M^i z that each of its steps takes and the 2 EDGE_CELLS edge
 amplitudes the edge guard takes after each, and a second matvec adds the k
-corrections to lam^k z at once.  A record takes one IFFT.  A scheme's
-Fourier form runs iff k = DENSE_ROWS_BYTES // (bytes of one step's dense
-rows, 2m + 2 EDGE_CELLS of n complex entries) is at least 1, the same k for
-both schemes, and its FFT pair otherwise: with 1.5 MiB, k=4 on the bench's
-trace-cn and tiny-split barrier (8 cells at n=1024) and the FFT pair on the
-trace-split barrier (32 cells at n=4096).  The two forms cross at different
-row sizes on different grids, so no one budget picks the faster form on
-every barrier; the docstring of
+corrections to lam^k z at once.  A record takes one IFFT.  An advance over
+a record gap allocates its buffers once: row 0's reads of every block land
+in one (blocks, reads) array, whose edge part is squared once per gap, the
+stack alternates between two arrays, and lam^j z goes through one
+temporary.  A scheme's Fourier form runs iff k = DENSE_ROWS_BYTES // (bytes
+of one step's dense rows, 2m + 2 EDGE_CELLS of n complex entries) is at
+least 1, the same k for both schemes, and its FFT pair otherwise: with 1.5
+MiB, k=4 on the bench's trace-cn and tiny-split barrier (8 cells at n=1024)
+and the FFT pair on the trace-split barrier (32 cells at n=4096).  The two
+forms cross at different row sizes on different grids, so no one budget
+picks the faster form on every barrier; the docstring of
 tests/test_tdse.py::test_implicit_fd_steps_in_fourier_space_while_its_rows_fit
 gives the measured step times and the barriers that land on the slower
 form.
+
+An Evolution is one Hamiltonian on a grid, the barrier's potential, with a
+scheme and dt; it builds its stepper once and runs every leg through it,
+so a pre/post pair's forward and backward legs share one stepper, and no
+stepper outlives the Evolution that built it.  propagate,
+propagate_backward and propagate_with_source each build one Evolution for
+one leg.  A backward leg is the forward leg of the complex-conjugate state
+with its records conjugated: for a real potential both schemes are
+time-reversal symmetric, S(-dt) = C S(dt) C with C the complex
+conjugation, since conj(exp(-i dt v)) = exp(i dt v) and likewise for the
+kinetic phase and the Cayley factors.  It differs from a stepper built at
+-dt only in roundoff (tests/test_tdse.py gives the measured gaps).
 
 A leg is its record steps: PropagatorConfig takes the integer steps j to
 record, the leg runs from step 0 to the last of them (its n_steps) and
@@ -85,14 +100,15 @@ advance takes the whole gap and returns row 0's edge weight after each
 step.  A leg steps a stack of rows at once: the FFT-pair forms batch their
 FFTs over the rows, and the Woodbury correction and the Fourier forms'
 matvecs go one row at a time, so a row comes out bit for bit as stepped
-alone.  Row 0 is the state; propagate_with_source adds a second row that
-collects a weighted region source at the record steps and is read at the
-last record, so a conditional dwell needs one forward leg and no backward
-one.  Every stepper carries the rows B(psi / d), B the identity (grid
-amplitudes) or the FFT (Fourier coefficients) and d = V^(1/2) under
-split-step or 1 under Crank-Nicolson: it turns the initial stack into
-carried rows, a carried row back into a state, and the weighted masked
-state into the carried form in which _run feeds it to the source row.
+alone.  Row 0 is the state; a source leg (Evolution.with_source) adds a
+second row that collects a weighted region source at the record steps and
+is read at the last record, so a conditional dwell needs one forward leg
+and no backward one.  Every stepper carries the rows B(psi / d), B the
+identity (grid amplitudes) or the FFT (Fourier coefficients) and d =
+V^(1/2) under split-step or 1 under Crank-Nicolson: it turns the initial
+stack into carried rows, a carried row back into a state, and the weighted
+masked state into the carried form in which _run feeds it to the source
+row.
 
 Runtime guards watch row 0: probability reaching the domain edges, checked
 after every step (wrap-around would silently corrupt the run, and a packet
@@ -125,7 +141,7 @@ its steps.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -136,6 +152,7 @@ from .errors import ConfigError, EdgeDensityError, SchemeInstabilityError
 __all__ = [
     "SCHEMES",
     "PropagatorConfig",
+    "Evolution",
     "propagate",
     "propagate_backward",
     "propagate_with_source",
@@ -167,6 +184,29 @@ def _second_derivative_stencil(m: int) -> np.ndarray:
     return c
 
 
+def _check_step(dt: float, scheme: str) -> None:
+    if not 0 < dt < np.inf:  # NaN fails it too
+        raise ConfigError(f"dt must be positive and finite, got {dt}")
+    if scheme not in SCHEMES:
+        raise ConfigError(f"unknown scheme {scheme!r}; choose from {SCHEMES}")
+
+
+def _record_steps(record_steps) -> tuple[int, ...]:
+    """The record steps of a leg as ints: one or more strictly increasing
+    non-negative integers, else ConfigError."""
+    try:
+        steps = tuple(record_steps)
+    except TypeError:  # a bare step or None lists no steps
+        steps = ()
+    # bool is an Integral but names no step; NaN and 2.5 are not Integral
+    whole = all(isinstance(j, numbers.Integral) and not isinstance(j, bool) for j in steps)
+    if not (steps and whole and steps[0] >= 0
+            and all(a < b for a, b in zip(steps, steps[1:]))):
+        raise ConfigError("record_steps must be one or more strictly increasing "
+                          f"non-negative integers, got {record_steps!r}")
+    return tuple(int(j) for j in steps)
+
+
 @dataclass(frozen=True)
 class PropagatorConfig:
     """Time step, record steps and scheme of a leg, which runs from step 0 to
@@ -178,21 +218,8 @@ class PropagatorConfig:
     scheme: str = "spectral-split-step"
 
     def __post_init__(self) -> None:
-        if not 0 < self.dt < np.inf:  # NaN fails it too
-            raise ConfigError(f"dt must be positive and finite, got {self.dt}")
-        if self.scheme not in SCHEMES:
-            raise ConfigError(f"unknown scheme {self.scheme!r}; choose from {SCHEMES}")
-        try:
-            steps = tuple(self.record_steps)
-        except TypeError:  # a bare step or None lists no steps
-            steps = ()
-        # bool is an Integral but names no step; NaN and 2.5 are not Integral
-        whole = all(isinstance(j, numbers.Integral) and not isinstance(j, bool) for j in steps)
-        if not (steps and whole and steps[0] >= 0
-                and all(a < b for a, b in zip(steps, steps[1:]))):
-            raise ConfigError("record_steps must be one or more strictly increasing "
-                              f"non-negative integers, got {self.record_steps!r}")
-        object.__setattr__(self, "record_steps", tuple(int(j) for j in steps))
+        _check_step(self.dt, self.scheme)
+        object.__setattr__(self, "record_steps", _record_steps(self.record_steps))
 
     @property
     def n_steps(self) -> int:
@@ -397,8 +424,11 @@ class _FourierSpace(_Stepper):
         self.k = k
         m = self.m = q.shape[0]
         self.lam_pow = np.cumprod(np.broadcast_to(lam, (k, n)), axis=0)  # lam^1 .. lam^k
-        self.b = np.concatenate([self.lam_pow[k - 2 - i] * p.T for i in range(k - 1)]
-                                + [np.ascontiguousarray(p.T)])
+        pt = np.ascontiguousarray(p.T)
+        b = np.empty((k, m, n), dtype=self.lam_pow.dtype)
+        np.multiply(self.lam_pow[:k - 1][::-1, None], pt, out=b[:k - 1])  # lam^(k-1) .. lam
+        b[k - 1] = pt
+        self.b = b.reshape(k * m, n)
         y = np.concatenate([q, _inverse_dft_rows(n, np.r_[:EDGE_CELLS, n - EDGE_CELLS:n])])
         e = 2 * EDGE_CELLS
         self.r = np.empty((k * (m + e), n), dtype=y.dtype)
@@ -410,24 +440,34 @@ class _FourierSpace(_Stepper):
     def advance(self, x: np.ndarray, steps: int) -> tuple[np.ndarray, np.ndarray]:
         """Take steps steps in blocks of up to k and read row 0's edge weight
         after each.  Returns the stack after the last step and one weight per
-        step."""
+        step; x is left as it was.
+
+        Every buffer is allocated once per call: row 0's reads of each block
+        land in one row of `reads`, the stack alternates between two arrays,
+        and lam^j z goes through one temporary.
+        """
         m, k = self.m, self.k
-        # row 0's edge amplitudes at each step, as real and imaginary parts
-        edges = np.empty((steps, 4 * EDGE_CELLS))
-        for done in range(0, steps, k):
+        km, blocks = k * m, -(-steps // k)
+        reads = np.empty((blocks, self.r.shape[0]), dtype=x.dtype)
+        row_reads = np.empty(km, dtype=x.dtype)  # a row past row 0 reads no edges
+        scaled = np.empty(x.shape[1], dtype=x.dtype)
+        stacks = (np.empty_like(x), np.empty_like(x))
+        for block, done in enumerate(range(0, steps, k)):
             j = min(k, steps - done)
-            y = np.empty_like(x)
+            y = stacks[block % 2]
             # one row at a time, so a row stepped in a stack comes out as
             # stepped alone
             for i, (z, xz) in enumerate(zip(y, x)):
-                reads = (self.r if i == 0 else self.r[:k * m]) @ xz
-                if i == 0:
-                    e = reads[k * m:k * m + 2 * EDGE_CELLS * j].view(np.float64)
-                    edges[done:done + j] = e.reshape(j, -1)
-                np.matmul(reads[:j * m], self.b[(k - j) * m:], out=z)
-                np.subtract(self.lam_pow[j - 1] * xz, z, out=z)
+                u = np.matmul(self.r, xz, out=reads[block]) if i == 0 else \
+                    np.matmul(self.r[:km], xz, out=row_reads)
+                np.matmul(u[:j * m], self.b[(k - j) * m:], out=z)
+                np.multiply(self.lam_pow[j - 1], xz, out=scaled)
+                np.subtract(scaled, z, out=z)
             x = y
-        return x, np.square(edges).sum(axis=1)
+        # row 0's edge amplitudes after each step, as real and imaginary
+        # parts; the last block's reads past its j steps are dropped
+        edges = np.square(reads[:, km:].view(np.float64))
+        return x, edges.reshape(blocks * k, -1)[:steps].sum(axis=1)
 
 
 def _split_step(grid: Grid, v: np.ndarray, dt: float, k: int) -> _Stepper:
@@ -481,113 +521,157 @@ def _make_stepper(scheme: str, grid: Grid, v: np.ndarray, dt: float) -> _Stepper
     return build(grid, v, dt, DENSE_ROWS_BYTES // step_bytes)
 
 
-def _run(psi: WaveFunction, cfg: PropagatorConfig, barrier: BarrierSpec | None,
-         dt_sign: float, source: tuple[np.ndarray, np.ndarray] | None = None,
-         ) -> tuple[list[WaveFunction], np.ndarray]:
-    """Step the stack (psi, source row) to the last record and return psi
-    at each record and the stack there.  Only psi is guarded and recorded; a
-    source (mask, weights) adds weights[j] * mask * psi to the source row at
-    the j-th record."""
-    grid = psi.grid
-    norm0 = psi.norm()
-    if not np.isfinite(norm0):
-        raise ConfigError("cannot propagate a state with a non-finite norm")
-    if norm0 == 0.0:
-        raise ConfigError("cannot propagate the zero state")
-    stepper = _make_stepper(cfg.scheme, grid, _potential(grid, barrier), dt_sign * cfg.dt)
-    out: list[WaveFunction] = []
+def _conj(psi: WaveFunction) -> WaveFunction:
+    return WaveFunction(psi.grid, np.conj(psi.amp))
 
-    def check_edge(first: int, weights: np.ndarray, x: np.ndarray) -> None:
-        """Raise at the first of steps first, first + 1, .. whose edge weight
-        fails the guard; NaN fails.  x is the stack at the last of them."""
-        failed = np.flatnonzero(~(weights * grid.dx <= EDGE_PROBABILITY_LIMIT))
-        if not failed.size:
-            return
-        step = first + int(failed[0])
-        edge = weights[failed[0]] * grid.dx
-        if not np.isfinite(edge):
-            amp = stepper.state(x[0])
-            bad = amp[~np.isfinite(amp)]
-            raise SchemeInstabilityError(
-                f"non-finite amplitude {bad[0] if bad.size else edge} after "
-                f"{step} steps of {cfg.scheme} (t={step * cfg.dt})"
+
+@dataclass(frozen=True, eq=False)
+class Evolution:
+    """The propagator of H = -Laplacian/2 + v on a grid, v the barrier's
+    potential (zero for None), stepped by a scheme at dt.  It builds its
+    stepper once and runs every leg through it: forward, backward and
+    forward beside a source row.  A leg's record steps are one or more
+    strictly increasing non-negative integers; it runs to the last of them
+    and returns the state at each.  No attribute changes after it is built.
+
+    A backward leg is the forward leg of the complex-conjugate state with its
+    records conjugated: for a real potential both schemes are symmetric
+    under time reversal, S(-dt) = C S(dt) C with C the complex conjugation.
+    """
+
+    grid: Grid
+    barrier: BarrierSpec | None
+    dt: float
+    scheme: str = "spectral-split-step"
+    _stepper: _Stepper = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        _check_step(self.dt, self.scheme)
+        object.__setattr__(self, "_stepper", _make_stepper(
+            self.scheme, self.grid, _potential(self.grid, self.barrier), self.dt))
+
+    def forward(self, psi: WaveFunction, record_steps: Sequence[int]) -> list[WaveFunction]:
+        """psi at each record step.  The edge guard reads absolute
+        probability, so a state of norm below one may carry proportionally
+        more relative edge weight."""
+        return self._run(psi, record_steps)[0]
+
+    def backward(self, psi: WaveFunction, record_steps: Sequence[int]) -> list[WaveFunction]:
+        """psi evolved backward, at each record step counted in elapsed
+        backward steps.  Run after forward over the same steps, it recovers
+        the initial state up to the scheme's roundoff."""
+        return [_conj(state) for state in self._run(_conj(psi), record_steps)[0]]
+
+    def with_source(self, psi: WaveFunction, record_steps: Sequence[int], mask: np.ndarray,
+                    weights: np.ndarray | Sequence[float]) -> tuple[list[WaveFunction],
+                                                                    WaveFunction]:
+        """Evolve psi forward beside a source row phi, in the same steps.
+
+        phi starts at zero and gains weights[j] * mask * psi(t_j) at the j-th
+        record step.  The leg stops at the last record t_J, so phi is read at
+        the instant of psi's last record: returns psi at each record and
+        phi(t_J) = sum_j weights[j] U(t_J - t_j) mask psi(t_j).  The guards
+        watch psi alone.
+        """
+        steps = _record_steps(record_steps)
+        weights = np.asarray(weights, dtype=np.float64)
+        if weights.shape != (len(steps),):
+            raise ConfigError(
+                f"need one source weight per record step ({len(steps)}), "
+                f"got shape {weights.shape}"
             )
-        raise EdgeDensityError(
-            f"probability {edge:.3e} reached the domain edge at t={step * cfg.dt}; "
-            "enlarge the domain or shorten the run"
-        )
+        mask = np.asarray(mask, dtype=bool)
+        if mask.shape != (self.grid.n,):
+            raise ConfigError(f"need one mask cell per grid point ({self.grid.n}), "
+                              f"got shape {mask.shape}")
+        states, last = self._run(psi, steps, source=(mask, weights))
+        return states, WaveFunction(self.grid, last[1])
 
-    def record(step: int, j: int, x: np.ndarray) -> None:
-        # before the first step the state is psi, not its round trip through
-        # the carried form
-        state = psi if step == 0 else WaveFunction(grid, stepper.state(x[0]))
-        drift = abs(state.norm() / norm0 - 1.0)
-        if not drift <= NORM_DRIFT_LIMIT:
-            raise SchemeInstabilityError(
-                f"norm drifted by {drift:.3e} after {step} steps of {cfg.scheme}"
+    def _run(self, psi: WaveFunction, record_steps: Sequence[int],
+             source: tuple[np.ndarray, np.ndarray] | None = None,
+             ) -> tuple[list[WaveFunction], np.ndarray]:
+        """Step the stack (psi, source row) to the last record and return psi
+        at each record and the stack there.  Only psi is guarded and
+        recorded; a source (mask, weights) adds weights[j] * mask * psi to the
+        source row at the j-th record."""
+        steps = _record_steps(record_steps)
+        grid, stepper = self.grid, self._stepper
+        if psi.grid != grid:
+            raise ConfigError(f"the state lives on {psi.grid}, the evolution on {grid}")
+        norm0 = psi.norm()
+        if not np.isfinite(norm0):
+            raise ConfigError("cannot propagate a state with a non-finite norm")
+        if norm0 == 0.0:
+            raise ConfigError("cannot propagate the zero state")
+        out: list[WaveFunction] = []
+
+        def check_edge(first: int, weights: np.ndarray, x: np.ndarray) -> None:
+            """Raise at the first of steps first, first + 1, .. whose edge
+            weight fails the guard; NaN fails.  x is the stack at the last of
+            them."""
+            failed = np.flatnonzero(~(weights * grid.dx <= EDGE_PROBABILITY_LIMIT))
+            if not failed.size:
+                return
+            step = first + int(failed[0])
+            edge = weights[failed[0]] * grid.dx
+            if not np.isfinite(edge):
+                amp = stepper.state(x[0])
+                bad = amp[~np.isfinite(amp)]
+                raise SchemeInstabilityError(
+                    f"non-finite amplitude {bad[0] if bad.size else edge} after "
+                    f"{step} steps of {self.scheme} (t={step * self.dt})"
+                )
+            raise EdgeDensityError(
+                f"probability {edge:.3e} reached the domain edge at t={step * self.dt}; "
+                "enlarge the domain or shorten the run"
             )
-        out.append(state)
-        if source is not None:
-            mask, weights = source
-            x[1] += stepper.carry(weights[j] * (mask * state.amp))
 
-    amps = np.zeros((1 if source is None else 2, grid.n), dtype=np.complex128)
-    amps[0] = psi.amp
-    x = stepper.carry(amps)
-    check_edge(0, np.array([_edge_weight(psi.amp)]), x)
-    done = 0
-    for j, step in enumerate(cfg.record_steps):
-        if step > done:
-            x, weights = stepper.advance(x, step - done)
-            check_edge(done + 1, weights, x)
-            done = step
-        record(step, j, x)
-    return out, stepper.state(x)
+        def record(step: int, j: int, x: np.ndarray) -> None:
+            # before the first step the state is psi, not its round trip
+            # through the carried form
+            state = psi if step == 0 else WaveFunction(grid, stepper.state(x[0]))
+            drift = abs(state.norm() / norm0 - 1.0)
+            if not drift <= NORM_DRIFT_LIMIT:
+                raise SchemeInstabilityError(
+                    f"norm drifted by {drift:.3e} after {step} steps of {self.scheme}"
+                )
+            out.append(state)
+            if source is not None:
+                mask, weights = source
+                x[1] += stepper.carry(weights[j] * (mask * state.amp))
+
+        amps = np.zeros((1 if source is None else 2, grid.n), dtype=np.complex128)
+        amps[0] = psi.amp
+        x = stepper.carry(amps)
+        check_edge(0, np.array([_edge_weight(psi.amp)]), x)
+        done = 0
+        for j, step in enumerate(steps):
+            if step > done:
+                x, weights = stepper.advance(x, step - done)
+                check_edge(done + 1, weights, x)
+                done = step
+            record(step, j, x)
+        return out, stepper.state(x)
 
 
 def propagate(psi: WaveFunction, cfg: PropagatorConfig,
               barrier: BarrierSpec | None = None) -> list[WaveFunction]:
     """Evolve psi forward cfg.n_steps steps, returning psi at each of
-    cfg.record_steps.
-
-    The edge guard reads absolute probability, so a state of norm below one
-    may carry proportionally more relative edge weight.
-    """
-    return _run(psi, cfg, barrier, dt_sign=+1.0)[0]
+    cfg.record_steps: Evolution.forward."""
+    return Evolution(psi.grid, barrier, cfg.dt, cfg.scheme).forward(psi, cfg.record_steps)
 
 
 def propagate_backward(psi: WaveFunction, cfg: PropagatorConfig,
                        barrier: BarrierSpec | None = None) -> list[WaveFunction]:
     """Evolve psi backward cfg.n_steps steps; record steps count elapsed
-    backward steps.
-
-    Composing propagate_backward after propagate with the same config
-    recovers the initial state up to the scheme's roundoff.
-    """
-    return _run(psi, cfg, barrier, dt_sign=-1.0)[0]
+    backward steps: Evolution.backward."""
+    return Evolution(psi.grid, barrier, cfg.dt, cfg.scheme).backward(psi, cfg.record_steps)
 
 
 def propagate_with_source(psi: WaveFunction, cfg: PropagatorConfig,
                           barrier: BarrierSpec | None, mask: np.ndarray,
                           weights: np.ndarray | Sequence[float],
                           ) -> tuple[list[WaveFunction], WaveFunction]:
-    """Evolve psi forward beside a source row phi, in the same steps.
-
-    phi starts at zero and gains weights[j] * mask * psi(t_j) at the j-th of
-    cfg.record_times t_j.  Like propagate, the leg stops at the last record
-    t_J, so phi is read at the instant of psi's last record: returns psi at
-    each record and phi(t_J) = sum_j weights[j] U(t_J - t_j) mask psi(t_j).
-    The guards watch psi alone.
-    """
-    weights = np.asarray(weights, dtype=np.float64)
-    if weights.shape != (len(cfg.record_steps),):
-        raise ConfigError(
-            f"need one source weight per record step ({len(cfg.record_steps)}), "
-            f"got shape {weights.shape}"
-        )
-    mask = np.asarray(mask, dtype=bool)
-    if mask.shape != (psi.grid.n,):
-        raise ConfigError(f"need one mask cell per grid point ({psi.grid.n}), "
-                          f"got shape {mask.shape}")
-    states, last = _run(psi, cfg, barrier, dt_sign=+1.0, source=(mask, weights))
-    return states, WaveFunction(psi.grid, last[1])
+    """Evolve psi forward beside a source row: Evolution.with_source."""
+    return Evolution(psi.grid, barrier, cfg.dt, cfg.scheme).with_source(
+        psi, cfg.record_steps, mask, weights)

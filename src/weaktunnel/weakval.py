@@ -20,8 +20,11 @@ onto the whole domain for the unconditioned history, since P U(T)|i> is then
 U(T)|i> itself.  A pair post-selects at its last record T: building it
 (make_pair) runs the forward leg from |i> once, applies P to its state at T,
 and runs the backward leg from the projected state once, back to the first
-record.  The bra is P U(T)|i> itself, not a renormalized copy, so <bra|ket>
-is the post-selection probability <i|U^dag P U|i> at every time.  At every
+record.  Both legs run through one tdse.Evolution, so a pair builds one
+stepper; the backward leg is the forward leg of the conjugated bra,
+conjugated, by the time-reversal symmetry of both schemes.  The bra is P
+U(T)|i> itself, not a renormalized copy, so <bra|ket> is the
+post-selection probability <i|U^dag P U|i> at every time.  At every
 recorded time the pair keeps the overlap and the cell-projector conditional
 values conj(bra(t)) ket(t) / <bra(t)|ket(t)>, not the states, so whoever
 builds the pair fixes the time resolution of its readouts.
@@ -57,7 +60,7 @@ import numpy as np
 
 from .core import Grid, BarrierSpec, RegionProjector, WaveFunction
 from .errors import ConfigError, OverlapFloorError, SchemeInstabilityError
-from .tdse import PropagatorConfig, propagate, propagate_backward, propagate_with_source
+from .tdse import Evolution, PropagatorConfig, propagate_with_source
 
 __all__ = [
     "OVERLAP_FLOOR",
@@ -180,18 +183,20 @@ def make_pair(initial: WaveFunction, post: RegionProjector, cfg: PropagatorConfi
 
     Runs the forward leg once, projects its last state with post, and runs
     the backward leg from the projected state, n_steps - j steps back to
-    each record j.  The post-selection probability is the norm squared of
-    post U(duration)|initial>; post-selecting on the whole domain gives the
+    each record j, both through one Evolution and so one stepper.  The
+    post-selection probability is the norm squared of post
+    U(duration)|initial>; post-selecting on the whole domain gives the
     unconditioned history.
     """
     _check_region(post, initial.grid, "post-selection")
-    fwd = propagate(initial, cfg, barrier)
+    evolution = Evolution(initial.grid, barrier, cfg.dt, cfg.scheme)
+    fwd = evolution.forward(initial, cfg.record_steps)
     projected = post.apply(fwd[-1])
     prob = projected.norm() ** 2
     _check_floor(prob)
 
     back = tuple(cfg.n_steps - j for j in reversed(cfg.record_steps))
-    bwd = propagate_backward(projected, replace(cfg, record_steps=back), barrier)
+    bwd = evolution.backward(projected, back)
     values = np.empty((len(fwd), initial.grid.n), dtype=complex)
     for j, (t, ket, bra) in enumerate(zip(cfg.record_times, fwd, reversed(bwd))):
         record_overlap = bra.inner(ket)

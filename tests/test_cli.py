@@ -412,8 +412,18 @@ def test_exit_code_2_on_bad_input(tmp_path, capsys):
     assert main(["fig2", "--set", "dt=NaN", *short]) == 2
     assert main(["fig2", "--set", "packet_energy=NaN", *short]) == 2
     assert main(["fig2", "--set", "x_max=Infinity", *short]) == 2
-    # a width whose square or 1/(8 sigma^2) leaves double range, and a delay
-    # past it, are refused by name before a leg runs or a file is written
+    # an int past the float range in a float field, also one past the int
+    # digits Python converts from text, here and in a config file
+    for digits in (400, 5000):
+        huge = "1" + "0" * digits
+        assert main(["fig2", "--set", f"x_max={huge}", *short]) == 2
+        assert main(["fig2", "--set", f"barrier_height={huge}", *short]) == 2
+        config = tmp_path / "huge.json"
+        config.write_text(f'{{"packet_center": {huge}}}')
+        assert main(["fig2", "--config", str(config), *short]) == 2
+    # a width whose square or 1/(8 sigma^2) leaves double range, a pointer
+    # shift whose squared branch offset does, and a delay past it, are
+    # refused by name before a leg runs or a file is written
     capsys.readouterr()
     for argv, named in ((["variance", "--sigma", "1e-300", "--delta", "1"], "pointer sigma"),
                         (["erased", "--sigma", "1e-200", "--delta", "1"], "pointer sigma"),
@@ -422,6 +432,10 @@ def test_exit_code_2_on_bad_input(tmp_path, capsys):
                         (["variance", "--sigma", "1e-155"], "pointer sigma"),
                         (["two-probe", "--set", "pointer_sigma=1e-300"], "pointer_sigma"),
                         (["corpuscle-test", "--sigma0", "1e160"], "sigma0"),
+                        (["variance", "--delta", "1e160"], "pointer shift"),
+                        (["erased", "--delta", "1e160"], "pointer shift"),
+                        (["certain", "--delta-a", "1e200"], "pointer shift"),
+                        (["certain", "--delta-b=-1e154"], "pointer shift"),
                         (["hartman", "--e", "1e-300", "--d", "1,2"], "group delay")):
         assert main([*argv, "--out", out]) == 2
         assert named in capsys.readouterr().err

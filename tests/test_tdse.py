@@ -99,6 +99,36 @@ def test_transition_amplitude_is_time_reversal_symmetric(scheme):
     assert abs(flipped - amplitude) <= 1e-9 * abs(amplitude)
 
 
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("budget, bound", [(tdse.DENSE_ROWS_BYTES, 1e-15), (0, 2.5e-13)],
+                         ids=["fourier-space", "fft-pair"])
+def test_backward_leg_is_the_time_reversed_forward_leg(scheme, budget, bound, monkeypatch):
+    """A backward leg is the forward leg of the complex-conjugate state with
+    its records conjugated, bit for bit, in either carried form.  For a real
+    potential both schemes are time-reversal symmetric, S(-dt) = C S(dt) C
+    with C the complex conjugation, so it matches a stepper built at -dt up
+    to roundoff: on the SMALL_SCENARIO barrier at dt = 0.02, after 300 and
+    1000 steps, the largest gaps measured 3.8e-16 of the largest amplitude
+    in Fourier space and 1.1e-13 through the FFT pair, with one BLAS thread
+    or two."""
+    monkeypatch.setattr(tdse, "DENSE_ROWS_BYTES", budget)
+    grid, barrier, psi = SMALL_SCENARIO.grid(), SMALL_SCENARIO.barrier(), SMALL_SCENARIO.packet()
+    cfg = PropagatorConfig(dt=0.02, record_steps=(0, 300, 1000), scheme=scheme)
+    back = propagate_backward(psi, cfg, barrier)
+    flipped = propagate(WaveFunction(grid, np.conj(psi.amp)), cfg, barrier)
+    for state, reversed_state in zip(back, flipped, strict=True):
+        assert np.array_equal(state.amp, np.conj(reversed_state.amp))
+
+    stepper = tdse._make_stepper(scheme, grid, barrier.potential(grid), -cfg.dt)
+    assert (type(stepper) is tdse._FourierSpace) == bool(budget)
+    x, done = stepper.carry(psi.amp[None]), 0
+    for step, state in zip(cfg.record_steps[1:], back[1:]):
+        x, _ = stepper.advance(x, step - done)
+        done = step
+        expected = stepper.state(x[0])
+        assert np.max(np.abs(state.amp - expected)) <= bound * np.max(np.abs(expected))
+
+
 def test_time_zero_record_is_the_initial_state():
     psi = free_packet()
     cfg = PropagatorConfig(dt=0.01, record_steps=(0, 50, 100))
@@ -134,6 +164,25 @@ def test_record_time_validation():
     assert [f.name for f in fields(PropagatorConfig)] == ["dt", "record_steps", "scheme"]
     with pytest.raises(TypeError):
         PropagatorConfig(dt=0.01, record_steps=(10,), n_steps=10)
+
+
+def test_evolution_validates_its_step_and_each_leg():
+    """An Evolution takes PropagatorConfig's dt and scheme rules, and each of
+    its legs its record-step rule and a state on its own grid."""
+    for dt, scheme in ((0.0, "implicit-fd"), (float("nan"), "implicit-fd"), (0.01, "leapfrog")):
+        with pytest.raises(ConfigError):
+            tdse.Evolution(FREE_GRID, None, dt, scheme)
+    evolution = tdse.Evolution(FREE_GRID, None, 0.01)
+    psi = free_packet()
+    for leg in (evolution.forward, evolution.backward):
+        for steps in ((), (5, 2), (2.5,), 5):
+            with pytest.raises(ConfigError, match="record_steps"):
+                leg(psi, steps)
+        with pytest.raises(ConfigError, match="lives on"):
+            leg(gaussian_packet(Grid.from_domain(-128.0, 128.0, 512), 0.0, 6.0, 0.5), (1,))
+    mask = np.ones(FREE_GRID.n, dtype=bool)
+    with pytest.raises(ConfigError, match="record_steps"):
+        evolution.with_source(psi, (5, 2), mask, (1.0, 1.0))
 
 
 def test_edge_density_guard_fires():

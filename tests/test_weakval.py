@@ -2,13 +2,15 @@
 the ordinary density under whole-domain post-selection, and the conditional
 dwell."""
 
+import json
 from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from weaktunnel import weakval
+from weaktunnel import tdse
+from weaktunnel.cli import main
 from weaktunnel.core import Grid, RegionProjector, gaussian_packet, spin_eigenstate, spin_ops
 from weaktunnel.errors import ConfigError, OverlapFloorError
 from weaktunnel.pointer import WeakProbe, two_probe_run
@@ -207,8 +209,8 @@ def test_projectors_on_another_grid_are_refused_before_a_step(grid, monkeypatch)
 @pytest.mark.parametrize("builder", ["transmitted", "whole-domain"])
 def test_one_forward_and_one_backward_leg_per_pair(builder, monkeypatch):
     """Building a pair and reducing it with every conditional observable runs
-    each propagation leg once, and the stored values are those of the two
-    legs run on their own, bit for bit."""
+    each of the evolution's legs once, and the stored values are those of
+    the two legs run on their own, bit for bit."""
     cfg = FAST_TRANSMISSION
     barrier = cfg.barrier()
     prop = cfg.propagator((0,) + cfg.record_steps())
@@ -220,9 +222,9 @@ def test_one_forward_and_one_backward_leg_per_pair(builder, monkeypatch):
     want = standalone_values(psi, bra, prop, barrier)
 
     legs = Counter()
-    monkeypatch.setattr(weakval, "propagate", counted(legs, "forward", weakval.propagate))
-    monkeypatch.setattr(weakval, "propagate_backward",
-                        counted(legs, "backward", weakval.propagate_backward))
+    for name in ("forward", "backward", "with_source"):
+        monkeypatch.setattr(tdse.Evolution, name,
+                            counted(legs, name, getattr(tdse.Evolution, name)))
     if builder == "transmitted":
         pair = transmitted_pair(psi, prop, barrier, cfg.transmit_cut())
     else:
@@ -246,22 +248,24 @@ def test_dwell_runs_one_forward_leg_and_no_backward_leg(builder, monkeypatch):
     grid = cfg.grid()
     legs = Counter()
 
-    for name in ("propagate", "propagate_backward", "propagate_with_source"):
-        monkeypatch.setattr(weakval, name, counted(legs, name, getattr(weakval, name)))
+    for name in ("forward", "backward", "with_source"):
+        monkeypatch.setattr(tdse.Evolution, name,
+                            counted(legs, name, getattr(tdse.Evolution, name)))
     region = RegionProjector(grid, cfg.barrier_left, cfg.barrier_right)
     if builder == "transmitted":
         transmitted_dwell_time(psi, cfg.propagator(), barrier, cfg.transmit_cut(), region)
     else:
         whole = RegionProjector(grid, grid.x_min, grid.x_max)
         dwell_time(psi, whole, cfg.propagator(), region, barrier)
-    assert legs == {"propagate_with_source": 1}
+    assert legs == {"with_source": 1}
 
 
 def test_every_leg_runs_the_n_steps_of_its_config(monkeypatch):
-    """A leg takes exactly cfg.n_steps steps, so a count read off the config
-    each leg receives is the count taken.  Records at steps 40, 80, ..., 400:
-    the pair's forward leg takes 400 and its backward leg 360, back to the
-    first record, and the dwell's source leg 400."""
+    """An evolution's leg takes exactly the last of its record steps, so a
+    count read off the steps each leg receives is the count taken.  Records
+    at steps 40, 80, ..., 400: the pair's forward leg takes 400 and its
+    backward leg 360, back to the first record, and the dwell's source leg
+    400."""
     cfg = FAST_TRANSMISSION
     barrier = cfg.barrier()
     region = RegionProjector(cfg.grid(), cfg.barrier_left, cfg.barrier_right)
@@ -269,19 +273,38 @@ def test_every_leg_runs_the_n_steps_of_its_config(monkeypatch):
     patch_steps(monkeypatch, lambda x, weight: steps.append(1))
 
     def measured(fn):
-        def wrapper(psi, leg, *args):
+        def wrapper(evolution, psi, record_steps, *args):
             taken = len(steps)
-            result = fn(psi, leg, *args)
-            legs.append((fn.__name__, leg.n_steps, len(steps) - taken))
+            result = fn(evolution, psi, record_steps, *args)
+            legs.append((fn.__name__, record_steps[-1], len(steps) - taken))
             return result
         return wrapper
 
-    for name in ("propagate", "propagate_backward", "propagate_with_source"):
-        monkeypatch.setattr(weakval, name, measured(getattr(weakval, name)))
+    for name in ("forward", "backward", "with_source"):
+        monkeypatch.setattr(tdse.Evolution, name, measured(getattr(tdse.Evolution, name)))
     transmitted_pair(cfg.packet(), cfg.propagator(), barrier, cfg.transmit_cut())
     transmitted_dwell_time(cfg.packet(), cfg.propagator(), barrier, cfg.transmit_cut(), region)
-    assert legs == [("propagate", 400, 400), ("propagate_backward", 360, 360),
-                    ("propagate_with_source", 400, 400)]
+    assert legs == [("forward", 400, 400), ("backward", 360, 360),
+                    ("with_source", 400, 400)]
+
+
+@pytest.mark.parametrize("command", ["fig2", "dwell", "two-probe"])
+def test_each_trace_subcommand_builds_one_stepper(command, tmp_path, monkeypatch):
+    """A fig2 pair, a dwell and a two-probe each build exactly one stepper:
+    a pair's forward and backward legs share one evolution, and the dwell
+    runs one leg."""
+    config = tmp_path / "fast.json"
+    config.write_text(json.dumps(FAST_TRANSMISSION.to_dict()))
+    made = []
+    make = tdse._make_stepper
+
+    def counted_make(*args):
+        made.append(args[0])
+        return make(*args)
+
+    monkeypatch.setattr(tdse, "_make_stepper", counted_make)
+    assert main([command, "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+    assert made == [FAST_TRANSMISSION.scheme]
 
 
 def test_implicit_fd_dwell_and_center_to_peak_are_pinned():
